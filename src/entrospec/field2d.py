@@ -11,15 +11,22 @@ import math
 import threading
 
 import numpy as np
-import scipy.linalg
 
 from .gaussian_model import HALF_LOG_2PI_E, LOG_2PI, GaussianProcessModel
 from .spectral import NEG_INF, SpectralDensity
 
 
 def toeplitz_matrix(acov, n: int) -> np.ndarray:
-    values = np.array([acov[i] for i in range(n)])
-    return scipy.linalg.toeplitz(values)
+    idx = np.arange(n)
+    return acov.values[np.abs(idx[:, None] - idx[None, :])]
+
+
+def _inverse_factor(fact, n: int) -> np.ndarray:
+    """Full n x n unit-lower A with A R_n A^T = diag(sigma2)."""
+    A = np.zeros((n, n))
+    for j0, blk in fact.inverse_factor_blocks(n):
+        A[j0 : j0 + blk.shape[0], : blk.shape[1]] = blk
+    return A
 
 
 class SeparableFieldModel:
@@ -30,6 +37,7 @@ class SeparableFieldModel:
         self.factor_b = GaussianProcessModel(factor_b)
         self._lock = threading.RLock()
         self._chol = {}
+        self._inverse = {}
 
     @property
     def r0(self) -> float:
@@ -52,6 +60,19 @@ class SeparableFieldModel:
                 rb = toeplitz_matrix(self.factor_b.autocovariance(n - 1), n)
                 self._chol[n] = (np.linalg.cholesky(ra), np.linalg.cholesky(rb))
             return self._chol[n]
+
+    def _inverse_pair(self, n: int):
+        """(A_a, A_b, sigma2_a (x) sigma2_b) of the two Levinson factors."""
+        with self._lock:
+            if n not in self._inverse:
+                fa = self.factor_a.factorization(n)
+                fb = self.factor_b.factorization(n)
+                self._inverse[n] = (
+                    _inverse_factor(fa, n),
+                    _inverse_factor(fb, n),
+                    np.outer(fa.sigma2[:n], fb.sigma2[:n]),
+                )
+            return self._inverse[n]
 
     def cholesky_a(self, n: int) -> np.ndarray:
         return self._chol_pair(n)[0]
@@ -80,12 +101,15 @@ class SeparableFieldModel:
         return 0.5 * (n * n * math.log(var) - self.log_det_2d(n))
 
     def kronecker_quadratic_form(self, X: np.ndarray) -> float:
-        """vec(X)^T (R_a (x) R_b)^{-1} vec(X) = tr(R_a^{-1} X R_b^{-1} X^T)."""
+        """vec(X)^T (R_a (x) R_b)^{-1} vec(X) = tr(R_a^{-1} X R_b^{-1} X^T).
+
+        With R^{-1} = A^T diag(sigma2)^{-1} A for each Levinson factor this is
+        sum((A_a X A_b^T)^2 / (sigma2_a (x) sigma2_b)).
+        """
         n = X.shape[0]
-        la, lb = self._chol_pair(n)
-        u = scipy.linalg.cho_solve((la, True), X)
-        v = scipy.linalg.cho_solve((lb, True), X.T).T
-        return float(np.sum(u * v))
+        aa, ab, s2 = self._inverse_pair(n)
+        u = aa @ X @ ab.T
+        return float(np.sum(u * u / s2))
 
     def log_block_density_2d(self, X: np.ndarray) -> float:
         n = X.shape[0]

@@ -31,12 +31,16 @@ def _mix64(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def stream_seed(base_seed: int, index: int) -> int:
-    """Decorrelated per-trajectory stream id."""
-    s = np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF)
+def _stream_seeds(bases, index: int):
+    """stream_seed for a uint64 scalar or array of base seeds."""
     i = np.uint64(index & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
-        return int(_mix64(_mix64(s + _GOLDEN) ^ _mix64(i * _GOLDEN + _GOLDEN)))
+        return _mix64(_mix64(bases + _GOLDEN) ^ _mix64(i * _GOLDEN + _GOLDEN))
+
+
+def stream_seed(base_seed: int, index: int) -> int:
+    """Decorrelated per-trajectory stream id."""
+    return int(_stream_seeds(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), index))
 
 
 def _uniforms(stream: int, count: int, offset: int = 0) -> np.ndarray:
@@ -58,6 +62,28 @@ def standard_normals(stream: int, count: int) -> np.ndarray:
     out[0::2] = rad * np.cos(ang)
     out[1::2] = rad * np.sin(ang)
     return out[:count]
+
+
+def _normals_into(out: np.ndarray, streams: np.ndarray) -> None:
+    """Fill row i of out with standard_normals(streams[i], out.shape[1]).
+
+    One counter grid and one Box-Muller pass serve every stream; each row is
+    bit-identical to the single-stream draw.
+    """
+    count = out.shape[1]
+    pairs = (count + 1) // 2
+    steps = (np.arange(2 * pairs, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    with np.errstate(over="ignore"):
+        bits = _mix64(streams[:, None] + steps[None, :])
+    # each stage is freed before the next is built: for a whole ensemble
+    # these temporaries, not the output, set the peak memory
+    u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    del bits
+    rad = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    ang = 2.0 * np.pi * u[:, 1::2]
+    del u
+    np.multiply(rad, np.cos(ang), out=out[:, 0::2])
+    np.multiply(rad[:, : count // 2], np.sin(ang[:, : count // 2]), out=out[:, 1::2])
 
 
 @dataclass
@@ -121,40 +147,30 @@ def sample_path(model: GaussianProcessModel, n: int, seed: int) -> Trajectory:
 def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
     """Ensemble draw, one row per seed; rows match sample_path up to rounding.
 
-    The predictor is evolved once per order and applied across the whole
-    ensemble as a matrix-vector product.
+    Solves A X^T = diag(sigma) Z^T with the inverse factor A, one row block
+    at a time: a GEMM against the finished columns, then a short sweep
+    inside the diagonal block.  X holds Z on entry and is solved in place.
     """
-    seeds = list(seeds)
+    bases = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
     fact = model.factorization(n)
     sigma = fact.innovation_std(n)
-    k = fact.reflections
-    Z = np.stack([standard_normals(stream_seed(s, 0), n) for s in seeds])
-    X = np.empty_like(Z)
-    X[:, 0] = sigma[0] * Z[:, 0]
-    a = np.zeros(max(n - 1, 0))
-    for j in range(1, n):
-        kj = k[j - 1]
-        if j > 1:
-            a[: j - 1] -= kj * a[j - 2 :: -1]
-        a[j - 1] = kj
-        X[:, j] = X[:, :j] @ a[:j][::-1] + sigma[j] * Z[:, j]
+    X = np.empty((len(bases), n))
+    _normals_into(X, _stream_seeds(bases, 0))
+    for j0, blk in fact.inverse_factor_blocks(n):
+        j1 = j0 + blk.shape[0]
+        X[:, j0:j1] *= sigma[j0:j1]
+        X[:, j0:j1] -= X[:, :j0] @ blk[:, :j0].T
+        for j in range(j0 + 1, j1):
+            X[:, j] -= X[:, j0:j] @ blk[j - j0, j0:j]
     return X
 
 
 def ensemble_residuals(model: GaussianProcessModel, X: np.ndarray) -> np.ndarray:
-    """Innovations for every row of X (same recursion as sample_paths)."""
+    """Innovations for every row of X: E = X A^T, one GEMM per row block."""
     n = X.shape[1]
-    fact = model.factorization(n)
-    k = fact.reflections
     E = np.empty_like(X)
-    E[:, 0] = X[:, 0]
-    a = np.zeros(max(n - 1, 0))
-    for j in range(1, n):
-        kj = k[j - 1]
-        if j > 1:
-            a[: j - 1] -= kj * a[j - 2 :: -1]
-        a[j - 1] = kj
-        E[:, j] = X[:, j] - X[:, :j] @ a[:j][::-1]
+    for j0, blk in model.factorization(n).inverse_factor_blocks(n):
+        E[:, j0 : j0 + blk.shape[0]] = X[:, : blk.shape[1]] @ blk.T
     return E
 
 

@@ -14,6 +14,9 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 from .spectral import AutocovarianceSequence
 
 PD_FLOOR_REL = 1e-13
+# rows per inverse-factor block: large enough for BLAS-3 efficiency, small
+# enough that one block (8 * 128 * n bytes) stays a few MB at n = 4096
+_FACTOR_BLOCK = 128
 
 
 def _kahan_log_prefix(sigma2: np.ndarray) -> np.ndarray:
@@ -61,6 +64,30 @@ class LevinsonFactorization:
             raise DimensionMismatch(f"predictor order {m} outside 1..{self.order - 1}")
         a = kernels.predictor_from_reflections(self.reflections, m)
         return a[::-1].copy()
+
+    def inverse_factor_blocks(self, n: int):
+        """Yield (j0, A[j0:j0+b, :j0+b]) for the unit-lower A with
+        A R_n A^T = diag(sigma2_0..sigma2_{n-1}).
+
+        Row j is (-a_j reversed, 1), a_j the order-j forward predictor, so
+        (A x)_j is the innovation of x_j against x_0..x_{j-1}.  The
+        predictor is grown once per row from the reflection coefficients.
+        """
+        if not 1 <= n <= self.order:
+            raise DimensionMismatch(f"order {n} outside factorization (n={self.order})")
+        k = self.reflections
+        a = np.zeros(max(n - 1, 0))
+        for j0 in range(0, n, _FACTOR_BLOCK):
+            j1 = min(j0 + _FACTOR_BLOCK, n)
+            blk = np.zeros((j1 - j0, j1))
+            for j in range(max(j0, 1), j1):
+                kj = k[j - 1]
+                if j > 1:
+                    a[: j - 1] -= kj * a[j - 2 :: -1]
+                a[j - 1] = kj
+                np.negative(a[j - 1 :: -1], out=blk[j - j0, :j])
+            blk[np.arange(j1 - j0), np.arange(j0, j1)] = 1.0
+            yield j0, blk
 
     def residuals(self, x) -> np.ndarray:
         """Innovations of x against its own growing past."""

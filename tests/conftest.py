@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import entrospec
 from entrospec import (
     AutoRegressive,
     GaussianProcessModel,
@@ -14,6 +16,17 @@ from entrospec import (
 )
 
 SQRT125 = math.sqrt(1.25)
+
+
+def package_env(**extra):
+    """Environment for a child interpreter that must import the entrospec
+    under test, installed or run from the source tree, whatever its cwd."""
+    package_root = os.path.dirname(os.path.dirname(entrospec.__file__))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def make_zoo():
@@ -38,6 +51,19 @@ def zoo_with_singular(zoo):
     out = dict(zoo)
     out["power"] = GaussianProcessModel(PowerSingular(0.3, 1.0))
     return out
+
+
+def make_non_banded_zoo():
+    """Models whose inverse Levinson factor has no band: every predictor
+    order carries new coefficients."""
+    power = GaussianProcessModel(PowerSingular(0.3, 1.0))
+    zoo = make_zoo()
+    return {
+        "power": power,
+        "ma1": zoo["ma1"],
+        "poisson05+power": zoo["poisson05"].sum_independent(power),
+        "ma1+ar2": zoo["ma1"].sum_independent(zoo["ar2"]),
+    }
 
 
 def dense_cov(model, n):

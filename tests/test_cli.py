@@ -22,6 +22,8 @@ from entrospec.modelspec import (
     model_from_string,
 )
 
+from conftest import package_env
+
 
 @pytest.fixture
 def field_file(tmp_path):
@@ -263,3 +265,19 @@ class TestCliOutputs:
         assert main(base + ["--workers", "1", "--out", str(a)]) == EXIT_OK
         assert main(base + ["--workers", "4", "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        import subprocess
+        import sys
+
+        code = "import entrospec.cli, sys; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=package_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

@@ -17,6 +17,9 @@ from entrospec.field2d import (
 )
 from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
 from entrospec.spectral import NEG_INF
+from entrospec.toeplitz import _FACTOR_BLOCK
+
+from conftest import dense_cov
 
 
 def dense_kron_cov(fm, n):
@@ -54,6 +57,18 @@ class TestKroneckerAgainstDense:
             X = rng.standard_normal((n, n))
             want = X.ravel() @ np.linalg.solve(R, X.ravel())
             assert fm.kronecker_quadratic_form(X) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_quadratic_form_across_block_seams(self, name):
+        # tr(R_a^-1 X R_b^-1 X^T) with scipy Toeplitz matrices, at a size
+        # where the inverse factors are assembled from several row blocks
+        fm = FIELDS[name]()
+        n = _FACTOR_BLOCK + 2
+        ra = dense_cov(fm.factor_a, n)
+        rb = dense_cov(fm.factor_b, n)
+        X = np.random.default_rng(79).standard_normal((n, n))
+        want = float(np.sum(np.linalg.solve(ra, X) * np.linalg.solve(rb, X.T).T))
+        assert fm.kronecker_quadratic_form(X) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_log_block_density(self, name):

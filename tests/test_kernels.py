@@ -4,6 +4,8 @@ import pytest
 from entrospec import kernels
 from entrospec.kernels import _pykernels
 
+from conftest import package_env
+
 
 def _c_backend():
     if kernels.BACKEND != "c":
@@ -91,22 +93,12 @@ class TestBackendParity:
 
 class TestEnvOverride:
     def test_pure_env_forces_python(self):
-        import os
         import subprocess
         import sys
 
-        import entrospec
-
-        # The child must import the same entrospec the suite is testing,
-        # installed or run from the source tree, whatever its cwd.
-        package_root = os.path.dirname(os.path.dirname(entrospec.__file__))
-        env = dict(os.environ, ENTROSPEC_PURE="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
         out = subprocess.run(
             [sys.executable, "-c", "import entrospec.kernels as k; print(k.BACKEND)"],
-            env=env,
+            env=package_env(ENTROSPEC_PURE="1"),
             capture_output=True,
             text=True,
         )

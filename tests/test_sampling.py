@@ -12,6 +12,8 @@ from entrospec import (
     White,
 )
 from entrospec.sampling import (
+    _normals_into,
+    _stream_seeds,
     ensemble_residuals,
     sample_field,
     sample_path,
@@ -20,6 +22,9 @@ from entrospec.sampling import (
     stream_seed,
     transform_path,
 )
+from entrospec.toeplitz import _FACTOR_BLOCK
+
+from conftest import make_non_banded_zoo
 
 
 class TestStreams:
@@ -45,6 +50,22 @@ class TestStreams:
         assert abs(z.std() - 1.0) < 0.01
         assert abs(scipy.stats.skew(z)) < 0.02
         assert abs(scipy.stats.kurtosis(z)) < 0.05
+
+
+class TestBatchedNormals:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
+    def test_rows_bit_identical_to_single_streams(self, n):
+        seeds = [0, 1, 12345, 2**63, 2**64 - 1]
+        X = np.empty((len(seeds), n))
+        _normals_into(X, _stream_seeds(np.array(seeds, dtype=np.uint64), 0))
+        for row, s in zip(X, seeds):
+            assert np.array_equal(row, standard_normals(stream_seed(s, 0), n))
+
+    def test_stream_seeds_match_scalar(self):
+        bases = np.array([0, 7, 2**64 - 1], dtype=np.uint64)
+        for index in (0, 3):
+            got = _stream_seeds(bases, index)
+            assert [int(v) for v in got] == [stream_seed(int(b), index) for b in bases]
 
 
 class TestSamplePath:
@@ -106,6 +127,20 @@ class TestEnsemble:
         for i, s in enumerate(seeds):
             single = sample_path(model, 128, s).values
             assert np.max(np.abs(X[i] - single)) <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(make_non_banded_zoo()))
+    def test_non_banded_rows_across_block_seams(self, name):
+        # every predictor order differs, so each row block of the inverse
+        # factor is dense and a seam error would show in later coordinates
+        model = make_non_banded_zoo()[name]
+        n = 2 * _FACTOR_BLOCK + 3
+        seeds = [3, 14, 159]
+        X = sample_paths(model, n, seeds)
+        E = ensemble_residuals(model, X)
+        fact = model.factorization(n)
+        for i, s in enumerate(seeds):
+            assert np.max(np.abs(X[i] - sample_path(model, n, s).values)) <= 1e-10
+            assert np.max(np.abs(E[i] - fact.residuals(X[i]))) <= 1e-10
 
     def test_residuals_invert_synthesis(self):
         model = GaussianProcessModel(PoissonKernel(0.5))

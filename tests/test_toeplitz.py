@@ -8,9 +8,20 @@ from entrospec import (
     NotPositiveDefinite,
     levinson,
 )
-from entrospec.toeplitz import log_det, predictor_coefficients, quadratic_form
+from entrospec.toeplitz import (
+    _FACTOR_BLOCK,
+    log_det,
+    predictor_coefficients,
+    quadratic_form,
+)
 
-from conftest import dense_log_det, dense_quadratic_form, make_zoo
+from conftest import (
+    dense_cov,
+    dense_log_det,
+    dense_quadratic_form,
+    make_non_banded_zoo,
+    make_zoo,
+)
 
 
 class TestLevinson:
@@ -166,3 +177,46 @@ class TestPredictorCoefficients:
             model = entrospec.GaussianProcessModel(density)
             fact = model.factorization(513)
             assert abs(fact.sigma2[512] - math.exp(model.szego_integral())) <= 1e-3
+
+
+class TestInverseFactorBlocks:
+    SIZES = [1, _FACTOR_BLOCK - 1, _FACTOR_BLOCK, _FACTOR_BLOCK + 1, 300]
+    MODELS = {**make_zoo(), **make_non_banded_zoo()}
+
+    @staticmethod
+    def _assemble(fact, n):
+        A = np.zeros((n, n))
+        rows = []
+        for j0, blk in fact.inverse_factor_blocks(n):
+            assert j0 % _FACTOR_BLOCK == 0
+            assert blk.shape == (min(_FACTOR_BLOCK, n - j0), j0 + blk.shape[0])
+            A[j0 : j0 + blk.shape[0], : blk.shape[1]] = blk
+            rows.extend(range(j0, j0 + blk.shape[0]))
+        assert rows == list(range(n))
+        return A
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_diagonalizes_dense_covariance(self, name, n):
+        # A R_n A^T = diag(sigma2) against the scipy Toeplitz matrix
+        model = self.MODELS[name]
+        fact = model.factorization(n)
+        A = self._assemble(fact, n)
+        assert np.array_equal(np.diag(A), np.ones(n))
+        assert np.all(np.triu(A, 1) == 0.0)
+        got = A @ dense_cov(model, n) @ A.T
+        want = np.diag(fact.sigma2[:n])
+        assert np.max(np.abs(got - want)) <= 1e-13 * fact.r0
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rows_are_reversed_predictors(self, name):
+        fact = self.MODELS[name].factorization(300)
+        A = self._assemble(fact, 300)
+        for m in (1, 2, _FACTOR_BLOCK, _FACTOR_BLOCK + 1, 299):
+            b = predictor_coefficients(fact, m)
+            assert np.max(np.abs(A[m, :m] + b)) <= 1e-12
+
+    def test_order_outside_factorization(self):
+        fact = levinson([1.0, 0.5, 0.25], 3)
+        with pytest.raises(DimensionMismatch):
+            list(fact.inverse_factor_blocks(4))
