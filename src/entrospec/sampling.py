@@ -43,39 +43,18 @@ def stream_seed(base_seed: int, index: int) -> int:
     return int(_stream_seeds(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), index))
 
 
-def _uniforms(stream: int, count: int, offset: int = 0) -> np.ndarray:
-    counters = np.uint64(stream) + (np.arange(offset, offset + count, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    bits = _mix64(counters)
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-
-
-def standard_normals(stream: int, count: int) -> np.ndarray:
-    """Box-Muller normals from the counter-based stream."""
-    # interleaved uniforms keep the stream prefix-consistent across lengths
-    pairs = (count + 1) // 2
-    u = _uniforms(stream, 2 * pairs)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    rad = np.sqrt(-2.0 * np.log(u1))
-    ang = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = rad * np.cos(ang)
-    out[1::2] = rad * np.sin(ang)
-    return out[:count]
-
-
 def _normals_into(out: np.ndarray, streams: np.ndarray) -> None:
-    """Fill row i of out with standard_normals(streams[i], out.shape[1]).
+    """Fill row i of out with the Box-Muller normals of stream streams[i].
 
-    One counter grid and one Box-Muller pass serve every stream; each row is
-    bit-identical to the single-stream draw.
+    One counter grid and one Box-Muller pass serve every stream.
     """
     count = out.shape[1]
+    # interleaved uniforms keep each stream prefix-consistent across lengths
     pairs = (count + 1) // 2
     steps = (np.arange(2 * pairs, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
     with np.errstate(over="ignore"):
         bits = _mix64(streams[:, None] + steps[None, :])
-    # each stage is freed before the next is built: for a whole ensemble
+    # each stage is freed before the next is built: for an ensemble slice
     # these temporaries, not the output, set the peak memory
     u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
     del bits
@@ -84,6 +63,13 @@ def _normals_into(out: np.ndarray, streams: np.ndarray) -> None:
     del u
     np.multiply(rad, np.cos(ang), out=out[:, 0::2])
     np.multiply(rad[:, : count // 2], np.sin(ang[:, : count // 2]), out=out[:, 1::2])
+
+
+def standard_normals(stream: int, count: int) -> np.ndarray:
+    """Box-Muller normals from the counter-based stream."""
+    out = np.empty((1, count))
+    _normals_into(out, np.array([stream], dtype=np.uint64))
+    return out[0]
 
 
 @dataclass

@@ -18,6 +18,10 @@ from .field2d import SeparableFieldModel
 from .gaussian_model import LOG_2PI, GaussianProcessModel
 from .sampling import Trajectory
 
+# seeds per sample_paths/ensemble_residuals call in smb_experiment; a slice
+# holds a few (slice x n) float64 arrays at once
+_ENSEMBLE_SLICE = 256
+
 
 @dataclass
 class ConvergenceReport:
@@ -141,7 +145,8 @@ def smb_experiment(
     `transform` is an optional (phi, dphi) pair applied coordinatewise;
     the report then compares against Se + E[log phi'(X_0)] via the stored
     Jacobian terms entering I_n.  `workers` is only recorded in the report:
-    the whole ensemble is sampled and evaluated by one BLAS-blocked call each.
+    paths are sampled and evaluated by BLAS-blocked calls, one pair per
+    slice of at most _ENSEMBLE_SLICE seeds, which bounds the working set.
     """
     n_grid = sorted(int(n) for n in n_grid)
     se = model.entropy_rate()
@@ -152,18 +157,21 @@ def smb_experiment(
     logs = np.log(fact.sigma2[:n_max])
 
     seeds = [sampling.stream_seed(base_seed, i) for i in range(ensemble_size)]
-    X = sampling.sample_paths(model, n_max, seeds)
-    # the residuals become the increments, then their running sums, in place:
-    # the whole ensemble is the working set
-    inc = sampling.ensemble_residuals(model, X)
-    inc *= inc
-    inc /= fact.sigma2[None, :n_max]
-    inc += LOG_2PI + logs[None, :]
-    inc *= 0.5
-    if transform is not None:
-        inc += np.log(transform[1](X))
-    np.cumsum(inc, axis=1, out=inc)
-    values = np.stack([inc[:, n - 1] / n for n in n_grid], axis=1)  # (M, len(n_grid))
+    values = np.empty((ensemble_size, len(n_grid)))
+    for i0 in range(0, ensemble_size, _ENSEMBLE_SLICE):
+        X = sampling.sample_paths(model, n_max, seeds[i0 : i0 + _ENSEMBLE_SLICE])
+        # the residuals become the increments, then their running sums, in place
+        inc = sampling.ensemble_residuals(model, X)
+        inc *= inc
+        inc /= fact.sigma2[None, :n_max]
+        inc += LOG_2PI + logs[None, :]
+        inc *= 0.5
+        if transform is not None:
+            inc += np.log(transform[1](X))
+        np.cumsum(inc, axis=1, out=inc)
+        for col, n in enumerate(n_grid):
+            values[i0 : i0 + len(X), col] = inc[:, n - 1] / n
+        del X, inc
 
     means = values.mean(axis=0)
     ddof = 1 if ensemble_size > 1 else 0

