@@ -31,7 +31,16 @@ def _int_list(text: str):
         raise ModelConfigError(f"bad integer list {text!r}") from exc
     if not values or any(b <= a for a, b in zip(values, values[1:])):
         raise ModelConfigError("n-grid must be strictly increasing and nonempty")
+    if values[0] < 1:
+        raise ModelConfigError(f"n-grid values must be >= 1, got {values[0]}")
     return values
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _resolve_model(args, allow_field=False):
@@ -164,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smb", help="1-D SMB ensemble experiment")
     add_common(p)
     p.add_argument("--n", required=True, help="comma-separated n grid")
-    p.add_argument("--m", type=int, required=True, help="ensemble size")
+    p.add_argument("--m", type=_positive_int, required=True, help="ensemble size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--assert", dest="assert_pass", action="store_true")
     p.set_defaults(func=cmd_smb)
@@ -172,14 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smb2d", help="Z^2 SMB ensemble experiment")
     add_common(p)
     p.add_argument("--n", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--assert", dest="assert_pass", action="store_true")
     p.set_defaults(func=cmd_smb2d)
 
     p = sub.add_parser("predict", help="finite-past prediction diagnostics")
     add_common(p)
-    p.add_argument("--n", dest="n_max", type=int, required=True)
+    p.add_argument("--n", dest="n_max", type=_positive_int, required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("filter", help="linear filter rate identity")

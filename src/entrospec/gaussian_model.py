@@ -21,8 +21,10 @@ HALF_LOG_2PI_E = 0.5 * (LOG_2PI + 1.0)
 class GaussianProcessModel:
     """Ties a spectral density to its Toeplitz machinery.
 
-    Covariances and the Levinson factorization are cached and grown by
-    doubling; models are immutable from the caller's point of view and
+    Covariances and the Levinson factorization are cached.  A request past
+    the cached order m factors to max(n, 2m): one large request costs
+    exactly its own order, and a rising series of requests stays O(final^2)
+    in total.  Models are immutable from the caller's point of view and
     safe to query concurrently.
     """
 
@@ -42,9 +44,7 @@ class GaussianProcessModel:
         with self._lock:
             if self._fact is not None and self._fact.order >= n:
                 return
-            target = 1
-            while target < n:
-                target *= 2
+            target = n if self._fact is None else max(n, 2 * self._fact.order)
             if isinstance(self.density, spectral.FourierTable):
                 target = max(n, min(target, self.density.table.max_lag + 1))
             if self._acov is None or self._acov.max_lag < target - 1:

@@ -132,6 +132,11 @@ def expected_log_derivative(dphi, variance: float, nodes: int = 96) -> float:
 # ensemble experiments
 
 
+def _ddof(ensemble_size: int) -> int:
+    """Sample standard deviation, or the plain one for a single draw."""
+    return 1 if ensemble_size > 1 else 0
+
+
 def smb_experiment(
     model: GaussianProcessModel,
     n_grid,
@@ -174,8 +179,7 @@ def smb_experiment(
         del X, inc
 
     means = values.mean(axis=0)
-    ddof = 1 if ensemble_size > 1 else 0
-    sds = values.std(axis=0, ddof=ddof)
+    sds = values.std(axis=0, ddof=_ddof(ensemble_size))
     hn = np.array([model.block_entropy(n) / n for n in n_grid])
     if transform is not None:
         # exact marginal shift E[log phi'(X_0)], X_0 ~ N(0, r(0))
@@ -227,7 +231,7 @@ def smb2d_experiment(
         for n in n_grid
     ]
     means = np.array([float(v.mean()) for v in values_by_n])
-    sds = np.array([float(v.std(ddof=1)) for v in values_by_n])
+    sds = np.array([float(v.std(ddof=_ddof(ensemble_size))) for v in values_by_n])
     hn = np.array([fm.block_entropy_2d(n) / (n * n) for n in n_grid])
     theo = np.array([1.0 / math.sqrt(2.0 * n * n) for n in n_grid])
     report = ConvergenceReport(

@@ -24,7 +24,6 @@ NEG_INF = float("-inf")
 
 _DEFAULT_TOL = 1e-10
 _MAX_GRID_LOG2 = 20
-_SINGULAR_GRID = 2**18
 
 
 @dataclass(frozen=True)
@@ -374,7 +373,11 @@ class AutoRegressive(SpectralDensity):
 @dataclass(frozen=True, repr=False)
 class PowerSingular(SpectralDensity):
     """f(t) = scale * |1 - e^{it}|^{2 alpha}: Szego-integrable but
-    strong-Szego divergent (the log-coefficients are -alpha/n)."""
+    strong-Szego divergent (the log-coefficients are -alpha/n).
+
+    This is the density of fractional differencing ARFIMA(0, -alpha, 0)
+    (Granger & Joyeux 1980; Hosking 1981), whose covariances are closed form.
+    """
 
     alpha: float
     scale: float = 1.0
@@ -390,10 +393,12 @@ class PowerSingular(SpectralDensity):
         return self.scale * (2.0 - 2.0 * np.cos(t)) ** self.alpha
 
     def autocovariance(self, max_lag):
-        # merely-integrable integrand: fixed large budget, tolerance reported
-        vals = self.eval(_grid(_SINGULAR_GRID))
-        coeffs = np.real(_fourier_by_fft(vals, max_lag, midpoint=False))
-        return AutocovarianceSequence(coeffs, origin=f"quadrature:{_SINGULAR_GRID}")
+        # r(0) = scale Gamma(1+2a)/Gamma(1+a)^2, r(n)/r(n-1) = (n-1-a)/(n+a)
+        a = self.alpha
+        r0 = self.scale * math.gamma(1.0 + 2.0 * a) / math.gamma(1.0 + a) ** 2
+        k = np.arange(1.0, max_lag + 1)
+        steps = np.concatenate(([r0], (k - 1.0 - a) / (k + a)))
+        return AutocovarianceSequence(np.cumprod(steps))
 
     def szego_integral(self):
         # int log|1 - e^{it}| dlambda = 0, so only the scale survives

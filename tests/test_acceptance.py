@@ -31,10 +31,12 @@ from test_field2d import FIELDS, dense_kron_cov
 HALF_LOG_2PI_E = 0.5 * math.log(2 * math.pi * math.e)
 
 # Constants frozen from independent oracles before the assertions below
-# were first run (quadrature at the fixed budget / Gauss-Hermite):
+# were first run.  POWER_S_* are partial sums of delta_n = r0 prod_{j<=n}
+# (1 - k_j^2) - 1, k_j = -alpha/(j + alpha), the closed form of alpha = 0.3,
+# evaluated at 40 digits; ELOG_DPHI is Gauss-Hermite:
 SE_AR1 = 1.2750975
-POWER_S_512 = 0.5374346910114087
-POWER_S_4096 = 0.7235669257489117
+POWER_S_512 = 0.53746550824656847
+POWER_S_4096 = 0.72442245730449707
 ELOG_DPHI = 0.05795692528396653  # E[log(1 + 0.1 cos X)], X ~ N(0,1)
 SE_2D = 1.1312565
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,36 @@ class TestCliExitCodes:
         )
         code = main(["predict", "--model-file", str(path), "--n", "16"])
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["smb", "--model", "poisson:0.5", "--n", "0,4", "--m", "4"],
+            ["report", "--model", "poisson:0.5", "--n", "0,2"],
+            ["smb", "--model", "poisson:0.5", "--n", "4", "--m", "0"],
+            ["predict", "--model", "poisson:0.5", "--n", "0"],
+        ],
+    )
+    def test_config_error_nonpositive_sizes(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_config_error_smb2d_empty_ensemble(self, field_file, capsys):
+        argv = ["smb2d", "--model-file", field_file, "--n", "4", "--m", "0"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    def test_single_draw_sds_match_1d_and_2d(self, field_file, capsys):
+        # one draw: ddof 0 in both experiments, so sds are 0, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (
+                ["smb", "--model", "poisson:0.5"],
+                ["smb2d", "--model-file", field_file],
+            ):
+                code = main(argv + ["--n", "4,8", "--m", "1", "--format", "json"])
+                assert code == EXIT_OK
+                assert json.loads(capsys.readouterr().out)["sds"] == [0.0, 0.0]
 
     def test_assert_failure_exit(self, capsys):
         # single-draw ensemble with a seed known to land outside the band

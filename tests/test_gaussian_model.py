@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from entrospec import (
+    AutocovarianceSequence,
+    FourierTable,
     GaussianProcessModel,
     MovingAverage,
     PoissonKernel,
+    PowerSingular,
     White,
     ZeroSymbol,
     block_entropy,
@@ -14,7 +17,9 @@ from entrospec import (
     infinite_prediction_error,
     log_block_density,
 )
+from entrospec import toeplitz
 from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
+from entrospec.prediction import prediction_gap_series
 from entrospec.sampling import sample_paths
 from entrospec.spectral import NEG_INF
 
@@ -159,11 +164,50 @@ class TestModelAlgebra:
 
 class TestCaching:
     def test_growth_consistency(self):
-        # quantities computed at small order survive cache doubling
+        # quantities computed at small order survive cache growth
         model = GaussianProcessModel(PoissonKernel(0.5), initial_order=2)
         d4 = model.log_det(4)
         model.factorization(300)
         assert model.log_det(4) == d4
+
+    def test_large_request_factors_its_own_order(self):
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        assert model.factorization(8193).order == 8193
+
+    def test_small_steps_grow_geometrically(self):
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        model.factorization(300)
+        assert model.factorization(301).order >= 600
+
+    def test_fourier_table_never_factors_past_table(self):
+        table = AutocovarianceSequence(0.5 ** np.arange(100))
+        model = GaussianProcessModel(FourierTable(table))
+        for n in (10, 60, 61, 99, 100):
+            assert n <= model.factorization(n).order <= 100
+
+    def test_grown_prefix_bit_identical(self):
+        density = PowerSingular(0.3, 1.0)
+        grown = GaussianProcessModel(density)
+        grown.factorization(8193)
+        straight = GaussianProcessModel(density, initial_order=4096)
+        a, b = grown.factorization(4096), straight.factorization(4096)
+        assert b.order == 4096
+        assert np.array_equal(a.sigma2[:4096], b.sigma2)
+        assert all(a.log_det(m) == b.log_det(m) for m in range(4097))
+
+    def test_prediction_series_factors_once(self, monkeypatch):
+        # 64 for the constructor, then exactly the n_max + 1 asked for
+        orders = []
+        levinson_recursion = toeplitz.kernels.levinson_recursion
+
+        def counting(r, n, floor):
+            orders.append(n)
+            return levinson_recursion(r, n, floor)
+
+        monkeypatch.setattr(toeplitz.kernels, "levinson_recursion", counting)
+        model = GaussianProcessModel(PowerSingular(0.3, 1.0))
+        prediction_gap_series(model, 8192)
+        assert sum(orders) <= 64 + 8193
 
     def test_concurrent_queries(self):
         from concurrent.futures import ThreadPoolExecutor

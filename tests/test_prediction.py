@@ -18,9 +18,10 @@ from entrospec.prediction import prediction_gap_series, szego_integrability
 from conftest import dense_cov
 
 # Frozen diagnostics for the power-type singular density (alpha=0.3):
-# partial sums of delta_n computed once with the fixed quadrature budget.
-POWER_S_512 = 0.5374346910114087
-POWER_S_4096 = 0.7235669257489117
+# partial sums of delta_n = r0 prod_{j<=n} (1 - k_j^2) - 1 with the
+# closed-form k_j = -alpha/(j + alpha), evaluated at 40 digits, not Levinson.
+POWER_S_512 = 0.53746550824656847
+POWER_S_4096 = 0.72442245730449707
 
 
 class TestPredictionGapSeries:
@@ -114,6 +115,30 @@ class TestPredictionGapSeries:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(0.75, abs=1e-12)
+
+
+class TestLongMemory:
+    """Fractional differencing |1 - e^{it}|^{2 alpha} at n = 8192 against its
+    closed-form reflections k_n = -alpha/(n + alpha), which Levinson never sees."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_levinson_matches_closed_form(self, alpha):
+        n_max = 8192
+        model = GaussianProcessModel(PowerSingular(alpha, 1.0))
+        diag = prediction_gap_series(model, n_max)
+        fact = model.factorization(n_max + 1)
+        n = np.arange(1, n_max + 1)
+        k = -alpha / (n + alpha)
+        assert np.max(np.abs(fact.reflections[:n_max] - k)) <= 1e-14
+        r0 = math.exp(math.lgamma(1.0 + 2.0 * alpha) - 2.0 * math.lgamma(1.0 + alpha))
+        sigma2 = r0 * np.cumprod(1.0 - k * k)
+        assert np.max(np.abs(diag.sigma2 / sigma2 - 1.0)) <= 1e-12
+        assert np.all(diag.delta > 0.0)
+
+    def test_sum_with_short_memory_gap_nonnegative(self):
+        model = GaussianProcessModel(PoissonKernel(0.5) + PowerSingular(0.3, 1.0))
+        diag = prediction_gap_series(model, 4096)
+        assert np.all(diag.delta >= 0.0)
 
 
 class TestSzegoIntegrability:

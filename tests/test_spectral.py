@@ -96,8 +96,8 @@ class TestAutocovariance:
                 * scipy.special.gamma(1 + 2 * alpha)
                 / (scipy.special.gamma(1 + alpha + n) * scipy.special.gamma(1 + alpha - n))
             )
-            assert acov[n] == pytest.approx(expected, abs=1e-8)
-        assert acov.origin.startswith("quadrature")
+            assert acov[n] == pytest.approx(expected, abs=1e-12)
+        assert acov.origin == "closed-form"
 
     def test_variance_matches_closed_form(self, zoo):
         for model in zoo.values():
