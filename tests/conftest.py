@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 import entrospec
@@ -79,3 +80,13 @@ def dense_log_det(model, n):
 def dense_quadratic_form(model, x):
     x = np.asarray(x, dtype=np.float64)
     return float(x @ np.linalg.solve(dense_cov(model, len(x)), x))
+
+
+def quad_szego(density):
+    """int log f dlambda by scipy's adaptive quadrature on [0, pi], which puts
+    the power-singular cusp at an endpoint; the densities are even."""
+    value, _ = scipy.integrate.quad(
+        lambda t: math.log(float(density.eval(t))), 0.0, math.pi, epsabs=1e-13, epsrel=0.0,
+        limit=200,
+    )
+    return value / math.pi

@@ -140,6 +140,23 @@ class TestCliExitCodes:
         assert main(["rate", "--model-file", field_file]) == EXIT_OK
         assert "szego_integral = -0.5753641" in capsys.readouterr().out
 
+    def test_rate_sum_with_small_power_exponent(self, tmp_path, capsys):
+        # uniform grids stall above the 1e-10 tolerance on the cusp of power_singular:0.1
+        path = tmp_path / "sum.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "sum",
+                    "terms": [
+                        {"kind": "poisson", "r": 0.5},
+                        {"kind": "power_singular", "alpha": 0.1},
+                    ],
+                }
+            )
+        )
+        assert main(["rate", "--model-file", str(path)]) == EXIT_OK
+        assert "szego_integral = 0.6537755" in capsys.readouterr().out
+
     def test_config_error_unknown_model(self):
         assert main(["rate", "--model", "nope:1"]) == EXIT_CONFIG
 

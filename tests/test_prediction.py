@@ -15,7 +15,7 @@ from entrospec import (
 )
 from entrospec.prediction import prediction_gap_series, szego_integrability
 
-from conftest import dense_cov
+from conftest import dense_cov, quad_szego
 
 # Frozen diagnostics for the power-type singular density (alpha=0.3):
 # partial sums of delta_n = r0 prod_{j<=n} (1 - k_j^2) - 1 with the
@@ -136,9 +136,11 @@ class TestLongMemory:
         assert np.all(diag.delta > 0.0)
 
     def test_sum_with_short_memory_gap_nonnegative(self):
-        model = GaussianProcessModel(PoissonKernel(0.5) + PowerSingular(0.3, 1.0))
-        diag = prediction_gap_series(model, 4096)
-        assert np.all(diag.delta >= 0.0)
+        density = PoissonKernel(0.5) + PowerSingular(0.3, 1.0)
+        diag = prediction_gap_series(GaussianProcessModel(density), 4096)
+        assert diag.sigma2_inf == pytest.approx(math.exp(quad_szego(density)), rel=1e-13)
+        # min delta_n is 6.3e-11, so an error of 1e-11 in sigma2_inf eats most of it
+        assert np.min(diag.delta) > 2e-11
 
 
 class TestSzegoIntegrability:

@@ -14,6 +14,9 @@ from entrospec import (
     MovingAverage,
     PoissonKernel,
     PowerSingular,
+    QuadratureNotConverged,
+    SpectralDensity,
+    SumDensity,
     White,
 )
 from entrospec.spectral import (
@@ -26,8 +29,24 @@ from entrospec.spectral import (
     szego_integral_quadrature,
 )
 
+from conftest import quad_szego
+
 SQRT125 = math.sqrt(1.25)
 MA1 = MovingAverage([1.0 / SQRT125, 0.5 / SQRT125])
+
+
+class _Gap(SpectralDensity):
+    """1 on |t| < 1 and 0 elsewhere: log f = -inf on a set of positive measure."""
+
+    def eval(self, t):
+        return np.where(np.abs(np.asarray(t, dtype=np.float64)) < 1.0, 1.0, 0.0)
+
+
+class _InteriorZero(SpectralDensity):
+    """|sin(t - 1)|: a log zero inside a panel, where tanh-sinh stalls."""
+
+    def eval(self, t):
+        return np.abs(np.sin(np.asarray(t, dtype=np.float64) - 1.0))
 
 
 class TestEvalDensity:
@@ -49,6 +68,13 @@ class TestEvalDensity:
         assert eval_density(MovingAverage([1.0, 0.5]), math.pi) == pytest.approx(
             0.25, abs=1e-12
         )
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    @pytest.mark.parametrize("t", [1e-9, 1e-12])
+    def test_power_singular_near_cusp(self, alpha, t):
+        # |1 - e^{it}|^{2a} = (4 sin^2(t/2))^a = t^{2a} (1 + O(t^2)); 2 - 2cos t is 0 here
+        value = float(PowerSingular(alpha, 1.0).eval(t))
+        assert value == pytest.approx(t ** (2.0 * alpha), rel=1e-12)
 
     def test_nonnegative_on_grid(self, zoo_with_singular):
         t = np.linspace(-math.pi, math.pi, 1001)
@@ -80,6 +106,13 @@ class TestAutocovariance:
         closed = density.autocovariance(64).values
         quad, _ = fourier_coeffs_quadrature(density.eval, 64)
         assert np.max(np.abs(closed - quad)) < 1e-9
+
+    @pytest.mark.parametrize("max_lag", [2**17, 2**18])
+    def test_quadrature_past_largest_grid_raises(self, max_lag):
+        # the first grid holds 4 max_lag points: one grid, or none, fits under 2^20
+        with pytest.raises(QuadratureNotConverged) as info:
+            fourier_coeffs_quadrature(PoissonKernel(0.5).eval, max_lag)
+        assert info.value.what == "autocovariance"
 
     def test_ar_yule_walker(self):
         # AR(1) with c=0.5, s2=0.75 is the Poisson kernel at r=0.5
@@ -126,6 +159,47 @@ class TestSzegoIntegral:
         assert szego_integral(density) == pytest.approx(
             szego_integral_quadrature(density), abs=1e-9
         )
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_power_singular_quadrature(self, alpha):
+        # int log|1 - e^{it}|^{2a} dlambda = 0: the log zero at t = 0 is a panel end
+        value = szego_integral_quadrature(PowerSingular(alpha, 2.0))
+        assert value == pytest.approx(math.log(2.0), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "density",
+        [PoissonKernel(0.5) + PowerSingular(a, 1.0) for a in (0.05, 0.1, 0.2, 0.3, 0.45)]
+        + [White(1.0) + PowerSingular(0.3, 1.0)],
+        ids=repr,
+    )
+    def test_sum_with_cusp_vs_adaptive_quadrature(self, density):
+        assert szego_integral(density) == pytest.approx(quad_szego(density), abs=1e-12)
+
+    def test_sum_with_cusp_evaluation_budget(self, monkeypatch):
+        # uniform grids need about 2M points on this cusp, tanh-sinh about 200
+        points = []
+        plain = SumDensity.eval
+
+        def counted(self, t):
+            points.append(np.size(t))
+            return plain(self, t)
+
+        monkeypatch.setattr(SumDensity, "eval", counted)
+        szego_integral(PoissonKernel(0.5) + PowerSingular(0.3, 1.0))
+        assert 0 < sum(points) <= 20_000
+
+    def test_vanishing_density_raises(self):
+        with pytest.raises(QuadratureNotConverged) as info:
+            szego_integral(_Gap())
+        assert info.value.what == "szego integral"
+        assert "szego integral" in str(info.value)
+
+    def test_interior_log_zero_stops_at_level_cap(self):
+        with pytest.raises(QuadratureNotConverged) as info:
+            szego_integral_quadrature(_InteriorZero())
+        assert info.value.what == "szego integral"
+        # a finite change: the level cap stopped it, not a non-finite log
+        assert info.value.tol < info.value.last_change < math.inf
 
     def test_jensen_upper_bound(self, zoo_with_singular):
         # int log f <= log r(0), equality only for white densities
