@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionMismatch, NonMonotone
 from .gaussian_model import GaussianProcessModel
 
@@ -123,15 +122,14 @@ class FieldSample:
 
 
 def sample_path(model: GaussianProcessModel, n: int, seed: int) -> Trajectory:
-    """Innovations-form draw with the exact law N(0, R_n)."""
-    fact = model.factorization(n)
-    z = standard_normals(stream_seed(seed, 0), n)
-    x = kernels.synthesize(fact.reflections, fact.innovation_std(n), z)
+    """Innovations-form draw with the exact law N(0, R_n): one row of
+    `sample_paths`, from the same stream."""
+    x = sample_paths(model, n, [seed])[0]
     return Trajectory(values=x, model_id=model.describe(), seed=seed)
 
 
 def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
-    """Ensemble draw, one row per seed; rows match sample_path up to rounding.
+    """Ensemble draw, one row per seed; row i is sample_path(model, n, seeds[i]).
 
     Solves A X^T = diag(sigma) Z^T with the inverse factor A, one row block
     at a time: a GEMM against the finished columns, then a short sweep
@@ -153,11 +151,7 @@ def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
 
 def ensemble_residuals(model: GaussianProcessModel, X: np.ndarray) -> np.ndarray:
     """Innovations for every row of X: E = X A^T, one GEMM per row block."""
-    n = X.shape[1]
-    E = np.empty_like(X)
-    for j0, blk in model.factorization(n).inverse_factor_blocks(n):
-        E[:, j0 : j0 + blk.shape[0]] = X[:, : blk.shape[1]] @ blk.T
-    return E
+    return model.factorization(X.shape[1]).residuals(X)
 
 
 def transform_path(traj: Trajectory, phi, dphi) -> Trajectory:

@@ -2,14 +2,16 @@
 
 Produces innovation variances, reflection coefficients and log-determinant
 prefix sums; predictors are rebuilt on demand from the reflection
-coefficients (O(n) storage).
+coefficients (O(n) storage).  Two loops update a predictor: the recursion
+itself, which finds the reflection coefficients, and `inverse_factor_blocks`,
+which rebuilds the predictors from them.  Residuals, quadratic forms and
+single predictors are all read off those blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .spectral import AutocovarianceSequence
 
@@ -62,8 +64,10 @@ class LevinsonFactorization:
         """Backward predictor b with v_m ~ sum_j b_j v_j, residual var sigma2_m."""
         if not 1 <= m <= self.order - 1:
             raise DimensionMismatch(f"predictor order {m} outside 1..{self.order - 1}")
-        a = kernels.predictor_from_reflections(self.reflections, m)
-        return a[::-1].copy()
+        # row m of the inverse factor is (-b, 1), the last row of its last block
+        for _, blk in self.inverse_factor_blocks(m + 1):
+            pass
+        return -blk[-1, :m]
 
     def inverse_factor_blocks(self, n: int):
         """Yield (j0, A[j0:j0+b, :j0+b]) for the unit-lower A with
@@ -90,19 +94,24 @@ class LevinsonFactorization:
             yield j0, blk
 
     def residuals(self, x) -> np.ndarray:
-        """Innovations of x against its own growing past."""
+        """Innovations of each row of x against its own growing past:
+        E = X A^T, one GEMM per row block.  A 1-D x is a single row."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or len(x) > self.order:
+        if x.ndim not in (1, 2) or not 1 <= x.shape[-1] <= self.order:
             raise DimensionMismatch(
-                f"vector length {x.shape} incompatible with order {self.order}"
+                f"vector shape {x.shape} incompatible with order {self.order}"
             )
-        return kernels.residuals(self.reflections, x)
+        e = np.empty_like(x)
+        for j0, blk in self.inverse_factor_blocks(x.shape[-1]):
+            e[..., j0 : j0 + blk.shape[0]] = x[..., : blk.shape[1]] @ blk.T
+        return e
 
     def quadratic_form(self, x) -> float:
         """x^T R_m^{-1} x in O(m^2) via the innovations telescoping."""
+        if np.ndim(x) != 1:
+            raise DimensionMismatch(f"quadratic form needs a vector, got {np.shape(x)}")
         e = self.residuals(x)
-        m = len(e)
-        return float(np.sum(e * e / self.sigma2[:m]))
+        return float(np.sum(e * e / self.sigma2[: len(e)]))
 
 
 def levinson(r, n: int) -> LevinsonFactorization:
@@ -117,9 +126,21 @@ def levinson(r, n: int) -> LevinsonFactorization:
     if len(values) < n:
         raise DimensionMismatch(f"need lags through {n - 1}, have {len(values) - 1}")
     floor = PD_FLOOR_REL * values[0]
-    sigma2, k, fail = kernels.levinson_recursion(values, n, floor)
-    if fail >= 0:
-        raise NotPositiveDefinite(fail, float(sigma2[fail]))
+    sigma2 = np.zeros(n)
+    k = np.zeros(n - 1)
+    a = np.zeros(n - 1)
+    sigma2[0] = values[0]
+    if values[0] <= floor:
+        raise NotPositiveDefinite(0, float(sigma2[0]))
+    for m in range(1, n):
+        km = (values[m] - np.dot(a[: m - 1], values[m - 1 : 0 : -1])) / sigma2[m - 1]
+        if m > 1:
+            a[: m - 1] -= km * a[m - 2 :: -1]
+        a[m - 1] = km
+        k[m - 1] = km
+        sigma2[m] = sigma2[m - 1] * (1.0 - km * km)
+        if sigma2[m] <= floor:
+            raise NotPositiveDefinite(m, float(sigma2[m]))
     return LevinsonFactorization(sigma2, k, values[0], _kahan_log_prefix(sigma2))
 
 

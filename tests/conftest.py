@@ -82,6 +82,21 @@ def dense_quadratic_form(model, x):
     return float(x @ np.linalg.solve(dense_cov(model, len(x)), x))
 
 
+def dense_innovations(model, x):
+    """diag(L) L^{-1} x, L the Cholesky factor of the dense R_n: the
+    innovations of x against its own past, without Levinson."""
+    x = np.asarray(x, dtype=np.float64)
+    chol = np.linalg.cholesky(dense_cov(model, len(x)))
+    return np.diag(chol) * scipy.linalg.solve_triangular(chol, x, lower=True)
+
+
+def dense_predictor(model, m):
+    """Order-m backward predictor b from the dense Yule-Walker solve
+    R_m b = (r(m), ..., r(1))."""
+    acov = model.autocovariance(m).values
+    return np.linalg.solve(dense_cov(model, m), acov[m:0:-1])
+
+
 def quad_szego(density):
     """int log f dlambda by scipy's adaptive quadrature on [0, pi], which puts
     the power-singular cusp at an endpoint; the densities are even."""

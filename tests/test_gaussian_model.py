@@ -198,13 +198,13 @@ class TestCaching:
     def test_prediction_series_factors_once(self, monkeypatch):
         # 64 for the constructor, then exactly the n_max + 1 asked for
         orders = []
-        levinson_recursion = toeplitz.kernels.levinson_recursion
+        levinson = toeplitz.levinson
 
-        def counting(r, n, floor):
+        def counting(r, n):
             orders.append(n)
-            return levinson_recursion(r, n, floor)
+            return levinson(r, n)
 
-        monkeypatch.setattr(toeplitz.kernels, "levinson_recursion", counting)
+        monkeypatch.setattr(toeplitz, "levinson", counting)
         model = GaussianProcessModel(PowerSingular(0.3, 1.0))
         prediction_gap_series(model, 8192)
         assert sum(orders) <= 64 + 8193

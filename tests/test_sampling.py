@@ -24,7 +24,7 @@ from entrospec.sampling import (
 )
 from entrospec.toeplitz import _FACTOR_BLOCK
 
-from conftest import make_non_banded_zoo
+from conftest import dense_cov, dense_innovations, make_non_banded_zoo
 
 
 class TestStreams:
@@ -137,12 +137,15 @@ class TestSamplePath:
 
 class TestEnsemble:
     def test_rows_match_single_paths(self):
+        # rows and single paths are the dense Cholesky draw L z of their seed
         model = GaussianProcessModel(PoissonKernel(0.5))
         seeds = [3, 14, 159]
         X = sample_paths(model, 128, seeds)
+        chol = np.linalg.cholesky(dense_cov(model, 128))
         for i, s in enumerate(seeds):
-            single = sample_path(model, 128, s).values
-            assert np.max(np.abs(X[i] - single)) <= 1e-10
+            want = chol @ standard_normals(stream_seed(s, 0), 128)
+            assert np.max(np.abs(X[i] - want)) <= 1e-10
+            assert np.max(np.abs(sample_path(model, 128, s).values - want)) <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(make_non_banded_zoo()))
     def test_non_banded_rows_across_block_seams(self, name):
@@ -153,10 +156,11 @@ class TestEnsemble:
         seeds = [3, 14, 159]
         X = sample_paths(model, n, seeds)
         E = ensemble_residuals(model, X)
-        fact = model.factorization(n)
+        chol = np.linalg.cholesky(dense_cov(model, n))
         for i, s in enumerate(seeds):
-            assert np.max(np.abs(X[i] - sample_path(model, n, s).values)) <= 1e-10
-            assert np.max(np.abs(E[i] - fact.residuals(X[i]))) <= 1e-10
+            z = standard_normals(stream_seed(s, 0), n)
+            assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
+            assert np.max(np.abs(E[i] - dense_innovations(model, X[i]))) <= 1e-10
 
     def test_residuals_invert_synthesis(self):
         model = GaussianProcessModel(PoissonKernel(0.5))

@@ -5,10 +5,13 @@ import pytest
 
 from entrospec import (
     DimensionMismatch,
+    GaussianProcessModel,
     NotPositiveDefinite,
+    PoissonKernel,
     levinson,
 )
 from entrospec.field2d import _inverse_factor
+from entrospec.sampling import sample_path, sample_paths
 from entrospec.toeplitz import (
     _FACTOR_BLOCK,
     log_det,
@@ -19,6 +22,7 @@ from entrospec.toeplitz import (
 from conftest import (
     dense_cov,
     dense_log_det,
+    dense_predictor,
     dense_quadratic_form,
     make_non_banded_zoo,
     make_zoo,
@@ -156,15 +160,8 @@ class TestPredictorCoefficients:
         # b solves R_m b = (r(m), ..., r(1)) reversed; oracle = dense solve
         model = zoo[name]
         for m in (1, 2, 7, 33):
-            fact = model.factorization(m + 1)
-            b = fact.predictor_coefficients(m)
-            acov = model.autocovariance(m)
-            import scipy.linalg
-
-            R = scipy.linalg.toeplitz(acov.values[:m])
-            rhs = np.array([acov[m - j] for j in range(m)])
-            want = np.linalg.solve(R, rhs)
-            assert np.allclose(b, want, atol=1e-9)
+            b = model.factorization(m + 1).predictor_coefficients(m)
+            assert np.allclose(b, dense_predictor(model, m), atol=1e-9)
 
     def test_szego_limit_of_innovation_variances(self):
         # sigma2_n -> exp(int log f) for AR/MA models
@@ -210,13 +207,28 @@ class TestInverseFactorBlocks:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_rows_are_reversed_predictors(self, name):
-        fact = self.MODELS[name].factorization(300)
-        A = self._assemble(fact, 300)
+        # row m is (-b, 1), b the order-m predictor of the dense Yule-Walker solve
+        model = self.MODELS[name]
+        A = self._assemble(model.factorization(300), 300)
         for m in (1, 2, _FACTOR_BLOCK, _FACTOR_BLOCK + 1, 299):
-            b = predictor_coefficients(fact, m)
-            assert np.max(np.abs(A[m, :m] + b)) <= 1e-12
+            assert np.max(np.abs(A[m, :m] + dense_predictor(model, m))) <= 1e-12
 
     def test_order_outside_factorization(self):
         fact = levinson([1.0, 0.5, 0.25], 3)
         with pytest.raises(DimensionMismatch):
             list(fact.inverse_factor_blocks(4))
+
+
+class TestEmptyInput:
+    CALLS = {
+        "residuals": lambda model: model.factorization(4).residuals([]),
+        "quadratic_form": lambda model: model.factorization(4).quadratic_form([]),
+        "log_block_density": lambda model: model.log_block_density(np.array([])),
+        "sample_path": lambda model: sample_path(model, 0, 5),
+        "sample_paths": lambda model: sample_paths(model, 0, [5, 6]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_raises_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch):
+            self.CALLS[call](GaussianProcessModel(PoissonKernel(0.5)))
