@@ -4,30 +4,55 @@ The generator is a counter-based SplitMix64 feeding Box-Muller, so every
 trajectory owns an independent stream derived from (base seed, index) and
 ensembles parallelize without shared state.  Identical (model, n, seed)
 always reproduces values bit-exactly.
+
+1-D paths come from circulant embedding (Davies & Harte 1987; Wood & Chan
+1994): R_n is the leading block of a circulant matrix built from the
+covariances alone, and one inverse real FFT of a scaled Hermitian
+half-spectrum of normals draws one path.  The evaluator, the inverse
+Levinson factor, is not the sampler's inverse, so an ensemble check of the
+path information tests the factorization.  Where no embedding up to four
+times the minimal size is nonnegative, paths come from the Levinson factor.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonMonotone
+from .errors import DimensionMismatch, ModelConfigError, NonMonotone
 from .gaussian_model import GaussianProcessModel
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# (shift, multiplier) rounds of the SplitMix64 finalizer
+_MIX_ROUNDS = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None))
+
+# rows per circulant synthesis pass: a row takes 2(n-1) normals, and 32 rows
+# keep the pass's temporaries to a few MB at n = 4096
+_CE_CHUNK = 32
+# embedding eigenvalues down to -_CE_CLIP * (largest eigenvalue) are rounding
+# error of a nonnegative spectrum and are set to 0
+_CE_CLIP = 1e-13
+# largest embedding tried, as a multiple of the minimal size 2(n-1): the
+# size doubles after a negative eigenvalue, so 1x, 2x and 4x are tried
+_CE_MAX_PAD = 4
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z, tmp=None):
+    """SplitMix64 finalizer, in place for an array z; tmp, if given, is
+    scratch of z's shape, so that no temporary is allocated."""
     # uint64 arithmetic is modular by design; silence numpy's overflow note
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        for shift, mult in _MIX_ROUNDS:
+            z ^= np.right_shift(z, shift, out=tmp)
+            if mult is not None:
+                z *= mult
+        return z
 
 
 def _stream_seeds(bases, index: int):
@@ -42,26 +67,40 @@ def stream_seed(base_seed: int, index: int) -> int:
     return int(_stream_seeds(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), index))
 
 
-def _normals_into(out: np.ndarray, streams: np.ndarray) -> None:
+def _normals_into(out: np.ndarray, streams: np.ndarray, work=None) -> None:
     """Fill row i of out with the Box-Muller normals of stream streams[i].
 
-    One counter grid and one Box-Muller pass serve every stream.
+    One counter grid and one Box-Muller pass serve every stream.  work is
+    uint64 scratch of shape (2, rows, 2 * ceil(count / 2)); a caller that
+    fills many slices passes one, so that no slice allocates.
     """
-    count = out.shape[1]
-    # interleaved uniforms keep each stream prefix-consistent across lengths
+    rows, count = out.shape
     pairs = (count + 1) // 2
+    half = count // 2
+    if work is None:
+        work = np.empty((2, rows, 2 * pairs), dtype=np.uint64)
+    bits, tmp = work[0], work[1]
+    # interleaved uniforms keep each stream prefix-consistent across lengths
     steps = (np.arange(2 * pairs, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    with np.errstate(over="ignore"):
-        bits = _mix64(streams[:, None] + steps[None, :])
-    # each stage is freed before the next is built: for an ensemble slice
-    # these temporaries, not the output, set the peak memory
-    u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    del bits
-    rad = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    ang = 2.0 * np.pi * u[:, 1::2]
-    del u
-    np.multiply(rad, np.cos(ang), out=out[:, 0::2])
-    np.multiply(rad[:, : count // 2], np.sin(ang[:, : count // 2]), out=out[:, 1::2])
+    np.add(streams[:, None], steps[None, :], out=bits)
+    _mix64(bits, tmp)
+    bits >>= np.uint64(11)
+    # the uniforms take tmp's memory, the radii and the sines/cosines bits'
+    u = tmp.view(np.float64)
+    np.copyto(u, bits, casting="unsafe")
+    u *= 2.0**-53
+    u += 2.0**-54
+    rad = bits.view(np.float64)[:, :pairs]
+    trig = bits.view(np.float64)[:, pairs:]
+    np.log(u[:, 0::2], out=rad)
+    rad *= -2.0
+    np.sqrt(rad, out=rad)
+    ang = u[:, 1::2]
+    ang *= 2.0 * np.pi
+    np.cos(ang, out=trig)
+    np.multiply(rad, trig, out=out[:, 0::2])
+    np.sin(ang[:, :half], out=trig[:, :half])
+    np.multiply(rad[:, :half], trig[:, :half], out=out[:, 1::2])
 
 
 def standard_normals(stream: int, count: int) -> np.ndarray:
@@ -122,24 +161,99 @@ class FieldSample:
 
 
 def sample_path(model: GaussianProcessModel, n: int, seed: int) -> Trajectory:
-    """Innovations-form draw with the exact law N(0, R_n): one row of
-    `sample_paths`, from the same stream."""
+    """Draw with the exact law N(0, R_n): one row of `sample_paths`, from
+    the same stream."""
     x = sample_paths(model, n, [seed])[0]
     return Trajectory(values=x, model_id=model.describe(), seed=seed)
+
+
+def _circulant_embedding(model: GaussianProcessModel, n: int):
+    """(m, s) for the smallest nonnegative circulant embedding of R_n, or
+    None if there is none up to _CE_MAX_PAD times the minimal size.
+
+    The embedding row is c = (r_0..r_{m/2}, r_{m/2-1}..r_1), m = 2(n-1) at
+    first and doubled after a negative eigenvalue; its eigenvalues are
+    lambda = rfft(c).  s is sqrt(m lambda) on the half-spectrum, with the
+    1/sqrt(2) of the complex interior bins folded in.  The longer lags come
+    from the density; a density without them (a FourierTable past its
+    table) has no padded embedding.
+    """
+    m_min = max(2 * (n - 1), 1)
+    r = model.autocovariance(n - 1).values
+    m = m_min
+    while m <= _CE_MAX_PAD * m_min:
+        if m > m_min:
+            try:
+                r = model.density.autocovariance(m // 2).values
+            except ModelConfigError:
+                return None
+        lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
+        if lam.min() >= -_CE_CLIP * lam.max():
+            s = np.sqrt(m * np.maximum(lam, 0.0))
+            s[1 : (m + 1) // 2] *= math.sqrt(0.5)
+            return m, s
+        m *= 2
+    return None
+
+
+def path_sampler(model: GaussianProcessModel, n: int) -> str:
+    """Which synthesis `sample_paths` uses at length n: "circulant" or "levinson"."""
+    return "levinson" if _circulant_embedding(model, n) is None else "circulant"
+
+
+def _circulant_rows(s: np.ndarray, z: np.ndarray, w: np.ndarray, x: np.ndarray) -> None:
+    """Paths from the normals z (one row of m per path) into x (rows x m):
+    x = irfft(W, m), W the Hermitian half-spectrum in w (zero on entry in
+    the imaginary parts of its end bins) with real parts s*z[:h] and
+    interior imaginary parts s*z[h:], h = len(s)."""
+    m = z.shape[1]
+    h = len(s)
+    np.multiply(z[:, :h], s, out=w.real)
+    np.multiply(z[:, h:], s[1 : m - h + 1], out=w.imag[:, 1 : m - h + 1])
+    np.fft.irfft(w, m, out=x)
 
 
 def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
     """Ensemble draw, one row per seed; row i is sample_path(model, n, seeds[i]).
 
-    Solves A X^T = diag(sigma) Z^T with the inverse factor A, one row block
-    at a time: a GEMM against the finished columns, then a short sweep
-    inside the diagonal block.  X holds Z on entry and is solved in place.
+    Row i is the circulant synthesis of m normals from the stream of
+    seeds[i] (see `_circulant_embedding`), drawn _CE_CHUNK rows at a time,
+    and depends on that seed alone.  Without a nonnegative embedding, row i
+    solves A x = sigma * z with the inverse Levinson factor A and n normals;
+    its BLAS sums then depend on the ensemble size at rounding level.
     """
+    if n < 1:
+        raise DimensionMismatch(f"path length must be >= 1, got {n}")
     bases = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+    streams = _stream_seeds(bases, 0)
+    embedding = _circulant_embedding(model, n)
+    if embedding is None:
+        return _levinson_paths(model, n, streams)
+    m, s = embedding
+    X = np.empty((len(streams), n))
+    # one set of buffers serves every chunk: multi-MB temporaries made
+    # afresh per chunk would be page-faulted in again each time
+    rows = min(_CE_CHUNK, len(streams))
+    z, x = np.empty((rows, m)), np.empty((rows, m))
+    w = np.zeros((rows, len(s)), dtype=np.complex128)
+    work = np.empty((2, rows, 2 * ((m + 1) // 2)), dtype=np.uint64)
+    for i0 in range(0, len(streams), _CE_CHUNK):
+        part = streams[i0 : i0 + _CE_CHUNK]
+        k = len(part)
+        _normals_into(z[:k], part, work[:, :k])
+        _circulant_rows(s, z[:k], w[:k], x[:k])
+        X[i0 : i0 + k] = x[:k, :n]
+    return X
+
+
+def _levinson_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
+    """Solve A X^T = diag(sigma) Z^T with the inverse factor A, one row block
+    at a time: a GEMM against the finished columns, then a short sweep
+    inside the diagonal block.  X holds Z on entry and is solved in place."""
     fact = model.factorization(n)
     sigma = fact.innovation_std(n)
-    X = np.empty((len(bases), n))
-    _normals_into(X, _stream_seeds(bases, 0))
+    X = np.empty((len(streams), n))
+    _normals_into(X, streams)
     for j0, blk in fact.inverse_factor_blocks(n):
         j1 = j0 + blk.shape[0]
         X[:, j0:j1] *= sigma[j0:j1]
@@ -149,9 +263,12 @@ def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
     return X
 
 
-def ensemble_residuals(model: GaussianProcessModel, X: np.ndarray) -> np.ndarray:
-    """Innovations for every row of X: E = X A^T, one GEMM per row block."""
-    return model.factorization(X.shape[1]).residuals(X)
+def ensemble_residuals(model: GaussianProcessModel, X) -> np.ndarray:
+    """Innovations for every row of X: E = X A^T, one GEMM per row block.
+    A 1-D X is a single row."""
+    X = np.asarray(X, dtype=np.float64)
+    # a 0-d X has no length; residuals rejects it
+    return model.factorization(X.shape[-1] if X.ndim else 1).residuals(X)
 
 
 def transform_path(traj: Trajectory, phi, dphi) -> Trajectory:

@@ -38,6 +38,7 @@ class ConvergenceReport:
     ensemble_size: int
     base_seed: int
     workers: int
+    sampler: str  # path synthesis: "circulant", "levinson" or, in 2-D, "cholesky"
     passed: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -78,6 +79,7 @@ class ConvergenceReport:
                 "ensemble_size": self.ensemble_size,
                 "base_seed": self.base_seed,
                 "workers": self.workers,
+                "sampler": self.sampler,
                 "pass": [bool(p) for p in self.passed],
                 "all_passed": self.all_passed,
             },
@@ -199,6 +201,7 @@ def smb_experiment(
         ensemble_size=ensemble_size,
         base_seed=base_seed,
         workers=workers,
+        sampler=sampling.path_sampler(model, n_max),
     )
 
 
@@ -246,6 +249,7 @@ def smb2d_experiment(
         ensemble_size=ensemble_size,
         base_seed=base_seed,
         workers=workers,
+        sampler="cholesky",
     )
     report.values_by_n = values_by_n
     return report

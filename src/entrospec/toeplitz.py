@@ -76,14 +76,20 @@ class LevinsonFactorization:
         Row j is (-a_j reversed, 1), a_j the order-j forward predictor, so
         (A x)_j is the innovation of x_j against x_0..x_{j-1}.  The
         predictor is grown once per row from the reflection coefficients.
+        The blocks share one buffer: a block is valid until the next one
+        is yielded.
         """
         if not 1 <= n <= self.order:
             raise DimensionMismatch(f"order {n} outside factorization (n={self.order})")
         k = self.reflections
         a = np.zeros(max(n - 1, 0))
+        # a fresh multi-MB block per step would come from new, zero-filled
+        # pages each time; one reused buffer takes those page faults once
+        buf = np.empty(min(_FACTOR_BLOCK, n) * n)
         for j0 in range(0, n, _FACTOR_BLOCK):
             j1 = min(j0 + _FACTOR_BLOCK, n)
-            blk = np.zeros((j1 - j0, j1))
+            blk = buf[: (j1 - j0) * j1].reshape(j1 - j0, j1)
+            blk.fill(0.0)
             for j in range(max(j0, 1), j1):
                 kj = k[j - 1]
                 if j > 1:

@@ -5,16 +5,25 @@ import pytest
 import scipy.stats
 
 from entrospec import (
+    AutocovarianceSequence,
+    AutoRegressive,
+    FourierTable,
     GaussianProcessModel,
     NonMonotone,
     PoissonKernel,
     SeparableFieldModel,
     White,
 )
+from entrospec import toeplitz
+from entrospec.cli import EXIT_ASSERT, EXIT_OK, main
 from entrospec.sampling import (
+    _CE_CHUNK,
+    _circulant_embedding,
+    _circulant_rows,
     _normals_into,
     _stream_seeds,
     ensemble_residuals,
+    path_sampler,
     sample_field,
     sample_path,
     sample_paths,
@@ -24,7 +33,20 @@ from entrospec.sampling import (
 )
 from entrospec.toeplitz import _FACTOR_BLOCK
 
-from conftest import dense_cov, dense_innovations, make_non_banded_zoo
+from conftest import dense_cov, dense_innovations, make_non_banded_zoo, make_zoo
+
+# an AR(2) with a sharp spectral peak: its minimal circulant embedding has
+# negative eigenvalues at every n tried here
+RESONANT = GaussianProcessModel(AutoRegressive([1.6, -0.9], 1.0))
+
+
+def synthesis_map(model, n):
+    """(m, B): the circulant synthesis applied to the identity in place of
+    normals, so that a path drawn from the normals z is z @ B."""
+    m, s = _circulant_embedding(model, n)
+    x = np.empty((m, m))
+    _circulant_rows(s, np.eye(m), np.zeros((m, len(s)), dtype=np.complex128), x)
+    return m, x[:, :n]
 
 
 class TestStreams:
@@ -97,12 +119,24 @@ class TestSamplePath:
         b = sample_path(model, 64, 100)
         assert not np.array_equal(a.values, b.values)
 
-    def test_prefix_consistency(self):
-        # the first m coordinates don't depend on the block length
-        model = GaussianProcessModel(PoissonKernel(0.5))
-        short = sample_path(model, 16, 7).values
-        long = sample_path(model, 256, 7).values
-        assert np.allclose(short, long[:16], atol=1e-12)
+    @pytest.mark.parametrize(
+        "model, n",
+        [
+            (make_zoo()["poisson05"], 256),
+            (make_non_banded_zoo()["power"], 256),
+            (RESONANT, 64),
+        ],
+        ids=["poisson05", "power", "resonant_padded"],
+    )
+    def test_lag_covariances_match(self, model, n):
+        # per-path averages of x_j x_{j+k}, k = 0..3, over many paths: their
+        # ensemble mean is r(k) within 5 standard errors
+        M = 4000
+        X = sample_paths(model, n, range(M))
+        r = model.autocovariance(3).values
+        for k in range(4):
+            g = np.mean(X[:, : n - k] * X[:, k:], axis=1)
+            assert abs(g.mean() - r[k]) <= 5.0 * g.std(ddof=1) / math.sqrt(M)
 
     def test_marginal_is_standard_over_seeds(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
@@ -137,41 +171,61 @@ class TestSamplePath:
 
 class TestEnsemble:
     def test_rows_match_single_paths(self):
-        # rows and single paths are the dense Cholesky draw L z of their seed
+        # rows are bit-identical to single paths across chunk seams, and each
+        # is the synthesis map applied to that seed's normals
         model = GaussianProcessModel(PoissonKernel(0.5))
-        seeds = [3, 14, 159]
-        X = sample_paths(model, 128, seeds)
-        chol = np.linalg.cholesky(dense_cov(model, 128))
+        n = 128
+        seeds = list(range(_CE_CHUNK + 5)) + [159]
+        X = sample_paths(model, n, seeds)
+        m, B = synthesis_map(model, n)
         for i, s in enumerate(seeds):
-            want = chol @ standard_normals(stream_seed(s, 0), 128)
-            assert np.max(np.abs(X[i] - want)) <= 1e-10
-            assert np.max(np.abs(sample_path(model, 128, s).values - want)) <= 1e-10
+            assert np.array_equal(X[i], sample_path(model, n, s).values)
+            assert np.max(np.abs(X[i] - standard_normals(stream_seed(s, 0), m) @ B)) <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(make_non_banded_zoo()))
     def test_non_banded_rows_across_block_seams(self, name):
         # every predictor order differs, so each row block of the inverse
-        # factor is dense and a seam error would show in later coordinates
+        # factor is dense and a seam error would show in later innovations
         model = make_non_banded_zoo()[name]
         n = 2 * _FACTOR_BLOCK + 3
         seeds = [3, 14, 159]
         X = sample_paths(model, n, seeds)
         E = ensemble_residuals(model, X)
-        chol = np.linalg.cholesky(dense_cov(model, n))
+        m, B = synthesis_map(model, n)
         for i, s in enumerate(seeds):
-            z = standard_normals(stream_seed(s, 0), n)
-            assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
+            z = standard_normals(stream_seed(s, 0), m)
+            assert np.max(np.abs(X[i] - z @ B)) <= 1e-10
             assert np.max(np.abs(E[i] - dense_innovations(model, X[i]))) <= 1e-10
 
-    def test_residuals_invert_synthesis(self):
+    @pytest.mark.parametrize("n", [2, 3, 2 * _FACTOR_BLOCK + 3])
+    @pytest.mark.parametrize("name", sorted({**make_zoo(), **make_non_banded_zoo()}))
+    def test_synthesis_covariance_is_exact(self, name, n):
+        # the synthesis map B carries white normals to N(0, B^T B) = N(0, R_n)
+        model = {**make_zoo(), **make_non_banded_zoo()}[name]
+        assert path_sampler(model, n) == "circulant"
+        _, B = synthesis_map(model, n)
+        assert np.max(np.abs(B.T @ B - dense_cov(model, n))) <= 1e-12
+
+    def test_k1_mutation_fails_gate(self, monkeypatch):
+        # the sampler does not use the Levinson factor, so a wrong reflection
+        # coefficient in the evaluator shifts the mean information past the band
+        argv = ["smb", "--model", "ar:0.5:0.75", "--n", "64,256,1024,4096",
+                "--m", "200", "--seed", "7", "--assert"]
+        assert main(argv) == EXIT_OK
+        levinson = toeplitz.levinson
+
+        def mutated(r, n):
+            fact = levinson(r, n)
+            fact.reflections[0] += 0.1
+            return fact
+
+        monkeypatch.setattr(toeplitz, "levinson", mutated)
+        assert main(argv) == EXIT_ASSERT
+
+    def test_one_dimensional_input_is_one_row(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        X = sample_paths(model, 64, range(8))
-        E = ensemble_residuals(model, X)
-        fact = model.factorization(64)
-        Z = E / fact.innovation_std(64)[None, :]
-        # recovered innovations are the raw seeded normals
-        for i in range(8):
-            z = standard_normals(stream_seed(i, 0), 64)
-            assert np.allclose(Z[i], z, atol=1e-9)
+        X = sample_paths(model, 64, [5])
+        assert np.array_equal(ensemble_residuals(model, X[0]), ensemble_residuals(model, X)[0])
 
     def test_residuals_are_white(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
@@ -183,6 +237,38 @@ class TestEnsemble:
         assert np.allclose(np.diag(C), 1.0, atol=0.03)
         off = C - np.diag(np.diag(C))
         assert np.max(np.abs(off)) < 0.03
+
+
+class TestSamplerChoice:
+    CASES = {
+        "resonant_n16": (RESONANT, 16),
+        "fourier_table_n3": (
+            GaussianProcessModel(FourierTable(AutocovarianceSequence([1.0, 0.9, 0.7]))),
+            3,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_levinson_fallback_matches_cholesky(self, case):
+        # no nonnegative embedding up to 4x, or no lags past the table:
+        # rows are the dense Cholesky draw L z of n normals
+        model, n = self.CASES[case]
+        assert path_sampler(model, n) == "levinson"
+        seeds = [3, 14, 159]
+        X = sample_paths(model, n, seeds)
+        chol = np.linalg.cholesky(dense_cov(model, n))
+        for i, s in enumerate(seeds):
+            want = chol @ standard_normals(stream_seed(s, 0), n)
+            assert np.max(np.abs(X[i] - want)) <= 1e-10
+            assert np.max(np.abs(sample_path(model, n, s).values - want)) <= 1e-10
+
+    def test_padded_embedding(self):
+        # the minimal embedding of size 2(n-1) is negative; twice that is not
+        n = 64
+        m, B = synthesis_map(RESONANT, n)
+        assert path_sampler(RESONANT, n) == "circulant"
+        assert m == 4 * (n - 1)
+        assert np.max(np.abs(B.T @ B - dense_cov(RESONANT, n))) <= 1e-12 * RESONANT.r0
 
 
 class TestTransformPath:

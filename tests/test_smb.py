@@ -144,12 +144,19 @@ class TestSmbExperiment:
         with pytest.raises(RateNotFinite):
             smb_experiment(model, [16], 8, base_seed=0)
 
+    def test_report_names_levinson_fallback(self):
+        # no nonnegative circulant embedding of this AR(2) at n = 16
+        model = GaussianProcessModel(AutoRegressive([1.6, -0.9], 1.0))
+        rep = smb_experiment(model, [8, 16], 32, base_seed=2)
+        assert json.loads(rep.to_json())["sampler"] == "levinson"
+
     def test_report_serialization(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
         rep = smb_experiment(model, [16, 32], 64, base_seed=2)
         data = json.loads(rep.to_json())
         assert data["dims"] == 1
         assert data["n_grid"] == [16, 32]
+        assert data["sampler"] == "circulant"
         assert data["all_passed"] == rep.all_passed
         lines = rep.to_csv().splitlines()
         assert lines[0] == "n,mean,sd,se_exact,hn_over_n,theoretical_sd,pass"
@@ -183,3 +190,4 @@ class TestSmb2d:
         rep = smb2d_experiment(fm, [8, 16], 40, base_seed=1)
         assert rep.se_exact == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-12)
         assert rep.all_passed
+        assert json.loads(rep.to_json())["sampler"] == "cholesky"

@@ -11,7 +11,7 @@ from entrospec import (
     levinson,
 )
 from entrospec.field2d import _inverse_factor
-from entrospec.sampling import sample_path, sample_paths
+from entrospec.sampling import ensemble_residuals, sample_path, sample_paths
 from entrospec.toeplitz import (
     _FACTOR_BLOCK,
     log_det,
@@ -221,6 +221,7 @@ class TestInverseFactorBlocks:
 
 class TestEmptyInput:
     CALLS = {
+        "ensemble_residuals": lambda model: ensemble_residuals(model, np.array([])),
         "residuals": lambda model: model.factorization(4).residuals([]),
         "quadratic_form": lambda model: model.factorization(4).quadratic_form([]),
         "log_block_density": lambda model: model.log_block_density(np.array([])),
