@@ -14,15 +14,15 @@ class NumericalError(EntrospecError):
 
 
 class QuadratureNotConverged(NumericalError):
-    """Grid refinement stalled above the requested tolerance."""
+    """Step halving stalled above tol, or met a non-finite value (change inf)."""
 
-    def __init__(self, what, last_change, tol, grid):
+    def __init__(self, what, last_change, tol, points):
         self.what = what
         self.last_change = last_change
         self.tol = tol
-        self.grid = grid
+        self.points = points
         super().__init__(
-            f"{what}: quadrature change {last_change:.3e} > tol {tol:.1e} at grid {grid}"
+            f"{what}: quadrature change {last_change:.3e} > tol {tol:.1e} after {points} points"
         )
 
 

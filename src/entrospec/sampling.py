@@ -11,7 +11,8 @@ covariances alone, and one inverse real FFT of a scaled Hermitian
 half-spectrum of normals draws one path.  The evaluator, the inverse
 Levinson factor, is not the sampler's inverse, so an ensemble check of the
 path information tests the factorization.  Where no embedding up to four
-times the minimal size is nonnegative, paths come from the Levinson factor.
+times the minimal size is nonnegative, which happens only at small n, paths
+come from the dense Cholesky factor of R_n.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ModelConfigError, NonMonotone
+from .field2d import toeplitz_matrix
 from .gaussian_model import GaussianProcessModel
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -197,8 +199,8 @@ def _circulant_embedding(model: GaussianProcessModel, n: int):
 
 
 def path_sampler(model: GaussianProcessModel, n: int) -> str:
-    """Which synthesis `sample_paths` uses at length n: "circulant" or "levinson"."""
-    return "levinson" if _circulant_embedding(model, n) is None else "circulant"
+    """Which synthesis `sample_paths` uses at length n: "circulant" or "cholesky"."""
+    return "cholesky" if _circulant_embedding(model, n) is None else "circulant"
 
 
 def _circulant_rows(s: np.ndarray, z: np.ndarray, w: np.ndarray, x: np.ndarray) -> None:
@@ -219,8 +221,7 @@ def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
     Row i is the circulant synthesis of m normals from the stream of
     seeds[i] (see `_circulant_embedding`), drawn _CE_CHUNK rows at a time,
     and depends on that seed alone.  Without a nonnegative embedding, row i
-    solves A x = sigma * z with the inverse Levinson factor A and n normals;
-    its BLAS sums then depend on the ensemble size at rounding level.
+    is L z for the Cholesky factor L of R_n and n normals z of that stream.
     """
     if n < 1:
         raise DimensionMismatch(f"path length must be >= 1, got {n}")
@@ -228,7 +229,7 @@ def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
     streams = _stream_seeds(bases, 0)
     embedding = _circulant_embedding(model, n)
     if embedding is None:
-        return _levinson_paths(model, n, streams)
+        return _cholesky_paths(model, n, streams)
     m, s = embedding
     X = np.empty((len(streams), n))
     # one set of buffers serves every chunk: multi-MB temporaries made
@@ -246,20 +247,15 @@ def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
     return X
 
 
-def _levinson_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
-    """Solve A X^T = diag(sigma) Z^T with the inverse factor A, one row block
-    at a time: a GEMM against the finished columns, then a short sweep
-    inside the diagonal block.  X holds Z on entry and is solved in place."""
-    fact = model.factorization(n)
-    sigma = fact.innovation_std(n)
+def _cholesky_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
+    """Row i is L z_i, one GEMV per row so that a row does not depend on the
+    ensemble; O(n^3), but taken only at small n.  `model.autocovariance`
+    factors first, so a non-positive-definite R_n raises NotPositiveDefinite."""
+    chol = np.linalg.cholesky(toeplitz_matrix(model.autocovariance(n - 1), n))
     X = np.empty((len(streams), n))
     _normals_into(X, streams)
-    for j0, blk in fact.inverse_factor_blocks(n):
-        j1 = j0 + blk.shape[0]
-        X[:, j0:j1] *= sigma[j0:j1]
-        X[:, j0:j1] -= X[:, :j0] @ blk[:, :j0].T
-        for j in range(j0 + 1, j1):
-            X[:, j] -= X[:, j0:j] @ blk[j - j0, j0:j]
+    for x in X:
+        x[:] = chol @ x
     return X
 
 
@@ -271,18 +267,23 @@ def ensemble_residuals(model: GaussianProcessModel, X) -> np.ndarray:
     return model.factorization(X.shape[-1] if X.ndim else 1).residuals(X)
 
 
+def log_derivative(dphi, x) -> np.ndarray:
+    """log phi'(x) coordinatewise; NonMonotone where phi'(x) <= 0."""
+    deriv = np.asarray(dphi(x), dtype=np.float64)
+    if not np.all(deriv > 0.0):
+        raise NonMonotone("phi' <= 0 at some sample coordinate")
+    return np.log(deriv)
+
+
 def transform_path(traj: Trajectory, phi, dphi) -> Trajectory:
     """Coordinatewise y_i = phi(x_i) for a strictly increasing smooth phi."""
     x = traj.values
-    deriv = np.asarray(dphi(x), dtype=np.float64)
-    if np.any(deriv <= 0.0):
-        raise NonMonotone("phi' <= 0 at some sample coordinate")
     return Trajectory(
         values=np.asarray(phi(x), dtype=np.float64),
         model_id=f"transformed({traj.model_id})",
         seed=traj.seed,
         base_values=x,
-        log_jacobian_terms=np.log(deriv),
+        log_jacobian_terms=log_derivative(dphi, x),
     )
 
 

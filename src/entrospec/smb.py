@@ -38,7 +38,7 @@ class ConvergenceReport:
     ensemble_size: int
     base_seed: int
     workers: int
-    sampler: str  # path synthesis: "circulant", "levinson" or, in 2-D, "cholesky"
+    sampler: str  # path synthesis: "circulant" or "cholesky"
     passed: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -151,9 +151,10 @@ def smb_experiment(
 
     `transform` is an optional (phi, dphi) pair applied coordinatewise;
     the report then compares against Se + E[log phi'(X_0)] via the stored
-    Jacobian terms entering I_n.  `workers` is only recorded in the report:
-    paths are sampled and evaluated by BLAS-blocked calls, one pair per
-    slice of at most _ENSEMBLE_SLICE seeds, which bounds the working set.
+    Jacobian terms entering I_n, and phi' <= 0 at a sample raises
+    NonMonotone.  `workers` is only recorded in the report: paths are
+    sampled and evaluated by BLAS-blocked calls, one pair per slice of at
+    most _ENSEMBLE_SLICE seeds, which bounds the working set.
     """
     n_grid = sorted(int(n) for n in n_grid)
     se = model.entropy_rate()
@@ -174,7 +175,7 @@ def smb_experiment(
         inc += LOG_2PI + logs[None, :]
         inc *= 0.5
         if transform is not None:
-            inc += np.log(transform[1](X))
+            inc += sampling.log_derivative(transform[1], X)
         np.cumsum(inc, axis=1, out=inc)
         for col, n in enumerate(n_grid):
             values[i0 : i0 + len(X), col] = inc[:, n - 1] / n

@@ -4,6 +4,11 @@ All integrals are with respect to the *normalized* Lebesgue measure
 (total mass 1), so r(0) = int f dlambda is the process variance and the
 Szego integral int log f dlambda exponentiates to the infinite-past
 one-step prediction error variance.  Entropies downstream are in nats.
+
+Densities with closed forms use them.  Otherwise one quadrature rule,
+`cosine_integrals`, gives int g(t) cos(nt) dlambda for n = 0..N: the Szego
+integral (g = log f, N = 0), the log-density Fourier coefficients L(n) of
+the strong Szego diagnostics (g = log f) and covariances (g = f).
 """
 
 from __future__ import annotations
@@ -23,16 +28,20 @@ from .errors import (
 NEG_INF = float("-inf")
 
 _DEFAULT_TOL = 1e-10
-_MAX_GRID_LOG2 = 20
 
 # Tanh-sinh steps run from _DE_STEP down to _DE_STEP / 2**_DE_MAX_LEVEL, at
-# most about 8e5 points, the size of the 2**_MAX_GRID_LOG2-point grids.  Nodes
-# stop at |u| = _DE_U_MAX, about 4e-16 from a panel end (an ulp of pi): closer
-# nodes would round onto the end itself, and the tails beyond move the
-# integral by about 1e-15 at most, even at a log zero.
+# most about 8e5 points.  Nodes stop at |u| = _DE_U_MAX, about 4e-16 from a
+# panel end (an ulp of pi): closer nodes would round onto the end itself, and
+# the tails beyond move the integral by about 1e-15 at most, even at a log
+# zero.
 _DE_STEP = 0.5
 _DE_MAX_LEVEL = 15
 _DE_U_MAX = 3.15
+
+# Gaussian gridding: a node reaches _NUFFT_SPREAD grid points on either side,
+# and nodes are spread _NUFFT_CHUNK at a time to bound the temporaries.
+_NUFFT_SPREAD = 16
+_NUFFT_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -59,61 +68,54 @@ class AutocovarianceSequence:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers (uniform periodic grids, where trapezoid == plain mean,
-# and tanh-sinh panels for the Szego integral)
+# quadrature: one tanh-sinh rule for int g(t) cos(nt) dlambda, n = 0..N
 
 
-def _grid(n: int, midpoint: bool = False) -> np.ndarray:
-    offset = 0.5 if midpoint else 0.0
-    return -math.pi + 2.0 * math.pi * (np.arange(n) + offset) / n
+class _CosineSums:
+    """Running sums S(n) = sum_j c_j cos(n x_j), n = 0..max_n, over batches
+    of nodes: a type-1 NUFFT by Gaussian gridding (Greengard & Lee 2004).
+    The grid size is a power of two, R >= 2 times the 2N modes; the kernel
+    width tau = pi S / ((2N)^2 R (R - 1/2)) for spread S keeps truncation
+    and aliasing below exp(-2 pi S / 3) at that R."""
+
+    def __init__(self, max_n: int):
+        modes = 2 * max(max_n, 1)
+        self.size = max(2 * _NUFFT_SPREAD, 1 << (2 * modes - 1).bit_length())
+        ratio = self.size / modes
+        self.tau = math.pi * _NUFFT_SPREAD / (modes * modes * ratio * (ratio - 0.5))
+        self.step = 2.0 * math.pi / self.size
+        self.grid = np.zeros(self.size)
+        n = np.arange(max_n + 1)
+        self.deconvolve = math.sqrt(math.pi / self.tau) / self.size * np.exp(self.tau * n * n)
+
+    def add(self, x: np.ndarray, c: np.ndarray) -> None:
+        offsets = np.arange(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1)
+        for j in range(0, len(x), _NUFFT_CHUNK):
+            xj = x[j : j + _NUFFT_CHUNK, None]
+            m = np.floor(xj / self.step).astype(np.int64) + offsets
+            kernel = np.exp((xj - m * self.step) ** 2 / (-4.0 * self.tau))
+            kernel *= c[j : j + _NUFFT_CHUNK, None]
+            self.grid += np.bincount((m % self.size).ravel(), kernel.ravel(), self.size)
+
+    def sums(self) -> np.ndarray:
+        return np.fft.rfft(self.grid)[: len(self.deconvolve)].real * self.deconvolve
 
 
-def _fourier_by_fft(values: np.ndarray, max_lag: int, midpoint: bool) -> np.ndarray:
-    """Fourier coefficients int e^{int}f dlambda from samples on a uniform grid."""
-    n = len(values)
-    coeffs = np.fft.rfft(values)[: max_lag + 1] / n
-    if midpoint:
-        m = np.arange(max_lag + 1)
-        coeffs = coeffs * np.exp(-1j * math.pi * m / n)
-    # grid starts at -pi, not 0
-    m = np.arange(max_lag + 1)
-    coeffs = coeffs * np.exp(1j * math.pi * m)
-    return coeffs
+def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL):
+    """(c, points): c[n] = int g(t) cos(nt) dlambda, n = 0..max_n, by
+    tanh-sinh quadrature (Takahasi & Mori 1974) on [-pi, 0] and [0, pi],
+    and the number of g evaluations.  The step halves until no value
+    changes by tol; each level evaluates g at its new nodes only.
 
-
-def fourier_coeffs_quadrature(
-    fn, max_lag: int, tol: float = _DEFAULT_TOL, max_log2: int = _MAX_GRID_LOG2
-):
-    """Doubling-grid quadrature of int e^{int} f dlambda for n = 0..max_lag."""
-    k = max(10, (max_lag * 4).bit_length())
-    prev = None
-    change = math.inf
-    while k <= max_log2:
-        n = 2**k
-        vals = fn(_grid(n))
-        coeffs = np.real(_fourier_by_fft(vals, max_lag, midpoint=False))
-        if prev is not None:
-            change = float(np.max(np.abs(coeffs - prev)))
-            if change < tol:
-                return coeffs, n
-        prev = coeffs
-        k += 1
-    raise QuadratureNotConverged("autocovariance", change, tol, 2**max_log2)
-
-
-def log_integral_quadrature(fn, tol: float = _DEFAULT_TOL) -> float:
-    """int log f dlambda (f assumed a.e. > 0) by tanh-sinh quadrature
-    (Takahasi & Mori 1974) on the panels [-pi, 0] and [0, pi], halving the
-    step until successive values differ by less than tol.
-
-    Every singularity of log f in the model zoo (the power-singular cusp or
-    zero at 0, a zero at +-pi) sits at a panel end, where the nodes cluster
-    double-exponentially, so the rule converges exponentially where a uniform
-    grid converges only like h^(1 + 2 alpha).  With s = (pi/2) sinh u, the node
-    pair at u and -u lies at distance delta = pi / (1 + e^(2s)) from the two
-    ends of a panel, with weight (pi^2/4) cosh(u) / cosh(s)^2 in t.
+    The zoo's singularities (the power-singular cusp or zero at 0, a zero
+    at +-pi) sit at panel ends, where the nodes cluster double-exponentially,
+    so the rule converges exponentially where a uniform grid converges like
+    h^(1 + 2 alpha).  With s = (pi/2) sinh u, the nodes at +-u lie delta =
+    pi / (1 + e^(2s)) from a panel's ends, weight (pi^2/4) cosh(u) / cosh(s)^2.
+    A node x and its mirror -x share cos(nx) and are summed folded.  A
+    non-finite g value, or the level cap, raises QuadratureNotConverged.
     """
-    total = 0.0
+    sums = _CosineSums(max_n)
     points = 0
     prev = None
     change = math.inf
@@ -127,41 +129,21 @@ def log_integral_quadrature(fn, tol: float = _DEFAULT_TOL) -> float:
         weight = np.cosh(u) / np.cosh(s) ** 2
         if level == 0:
             weight[0] *= 0.5  # u = 0 is one node per panel, listed twice below
-        t = np.concatenate((delta, math.pi - delta, -delta, delta - math.pi))
-        vals = np.asarray(fn(t), dtype=np.float64)
-        points += t.size
+        x = np.concatenate((delta, math.pi - delta))
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(vals).reshape(4, -1).sum(axis=0)
-        total += float(np.dot(weight, logs))
-        cur = total * h * math.pi / 8.0  # (pi^2/4) h, over the measure's 2 pi
-        if not math.isfinite(cur):
-            raise QuadratureNotConverged("szego integral", math.inf, tol, points)
+            vals = np.asarray(g(np.concatenate((x, -x))), dtype=np.float64)
+        points += vals.size
+        folded = np.tile(weight, 2) * (vals[: x.size] + vals[x.size :])
+        if not np.all(np.isfinite(folded)):
+            raise QuadratureNotConverged(what, math.inf, tol, points)
+        sums.add(x, folded)
+        cur = sums.sums() * (h * math.pi / 8.0)  # (pi^2/4) h, over the measure's 2 pi
         if prev is not None:
-            change = abs(cur - prev)
+            change = float(np.max(np.abs(cur - prev)))
             if change < tol:
-                return cur
+                return cur, points
         prev = cur
-    raise QuadratureNotConverged("szego integral", change, tol, points)
-
-
-def log_fourier_coeffs_quadrature(
-    fn, max_n: int, tol: float = _DEFAULT_TOL, max_log2: int = _MAX_GRID_LOG2
-) -> np.ndarray:
-    """Fourier coefficients L(1..max_n) of log f by doubling midpoint quadrature."""
-    k = max(10, (max_n * 4).bit_length())
-    prev = None
-    change = math.inf
-    while k <= max_log2:
-        n = 2**k
-        vals = np.log(np.asarray(fn(_grid(n, midpoint=True)), dtype=np.float64))
-        coeffs = np.real(_fourier_by_fft(vals, max_n, midpoint=True))[1:]
-        if prev is not None:
-            change = float(np.max(np.abs(coeffs - prev)))
-            if change < tol:
-                return coeffs
-        prev = coeffs
-        k += 1
-    raise QuadratureNotConverged("log-density Fourier coefficients", change, tol, 2**max_log2)
+    raise QuadratureNotConverged(what, change, tol, points)
 
 
 def _poly_roots(coeffs: np.ndarray):
@@ -199,6 +181,31 @@ def log_abs_symbol_fourier_coeffs(coeffs, max_n: int) -> np.ndarray:
     return np.real(out)
 
 
+def _grid(n: int) -> np.ndarray:
+    """The n-point midpoint grid of [-pi, pi]."""
+    return -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
+
+
+def _fourier_by_fft(values: np.ndarray, max_lag: int) -> np.ndarray:
+    """Fourier coefficients int e^{int}f dlambda from samples on _grid(n)."""
+    n = len(values)
+    m = np.arange(max_lag + 1)
+    coeffs = np.fft.rfft(values)[: max_lag + 1] / n
+    # the grid is offset by half a step, and starts at -pi, not 0
+    coeffs = coeffs * np.exp(-1j * math.pi * m / n)
+    coeffs = coeffs * np.exp(1j * math.pi * m)
+    return coeffs
+
+
+def _cosine_series(t, a):
+    """a[0] + sum_n a[n] cos(nt), term by term."""
+    t = np.asarray(t, dtype=np.float64)
+    acc = np.full_like(t, a[0])
+    for n in range(1, len(a)):
+        acc += a[n] * np.cos(n * t)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # density variants
 
@@ -212,14 +219,18 @@ class SpectralDensity:
     def autocovariance(self, max_lag: int) -> AutocovarianceSequence:
         if max_lag < 0:
             raise ModelConfigError("max_lag must be >= 0")
-        coeffs, grid = fourier_coeffs_quadrature(self.eval, max_lag)
-        return AutocovarianceSequence(coeffs, origin=f"quadrature:{grid}")
+        coeffs, points = cosine_integrals(self.eval, max_lag, "autocovariance")
+        return AutocovarianceSequence(coeffs, origin=f"quadrature:{points}")
 
     def szego_integral(self) -> float:
-        return log_integral_quadrature(self.eval)
+        return szego_integral_quadrature(self)
 
     def log_fourier_coeffs(self, max_n: int) -> np.ndarray:
-        return log_fourier_coeffs_quadrature(self.eval, max_n)
+        coeffs, _ = cosine_integrals(self._log_eval, max_n, "log-density Fourier coefficients")
+        return coeffs[1:]
+
+    def _log_eval(self, t):
+        return np.log(self.eval(t))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -452,24 +463,16 @@ class FourierTable(SpectralDensity):
 
     table: AutocovarianceSequence
 
-    def _series(self, t, order=None):
-        t = np.asarray(t, dtype=np.float64)
+    def _series(self, t):
         r = self.table.values
-        order = len(r) - 1 if order is None else min(order, len(r) - 1)
-        acc = np.full_like(t, r[0])
-        for n in range(1, order + 1):
-            acc += 2.0 * r[n] * np.cos(n * t)
-        return acc
+        return _cosine_series(t, np.concatenate(([r[0]], 2.0 * r[1:])))
 
     def _fejer(self, t, order):
         """Cesaro mean of the partial sums; nonnegative for a true density."""
-        t = np.asarray(t, dtype=np.float64)
         r = self.table.values
         order = min(order, len(r) - 1)
-        acc = np.full_like(t, r[0])
-        for n in range(1, order + 1):
-            acc += 2.0 * (1.0 - n / (order + 1)) * r[n] * np.cos(n * t)
-        return acc
+        n = np.arange(1, order + 1)
+        return _cosine_series(t, np.concatenate(([r[0]], 2.0 * (1.0 - n / (order + 1)) * r[n])))
 
     def eval(self, t):
         vals = self._series(t)
@@ -497,7 +500,7 @@ class FourierTable(SpectralDensity):
         q = self.table.max_lag
         if q < 8:
             raise EvaluationUnavailable("table too short for a Szego integral")
-        grid = _grid(max(4096, 8 * q), midpoint=True)
+        grid = _grid(max(4096, 8 * q))
 
         def truncated(order):
             vals = np.clip(self._fejer(grid, order), 0.0, None)
@@ -517,9 +520,9 @@ class FourierTable(SpectralDensity):
 
     def log_fourier_coeffs(self, max_n):
         order = self.table.max_lag
-        grid = _grid(max(4096, 8 * order), midpoint=True)
+        grid = _grid(max(4096, 8 * order))
         vals = np.clip(self._fejer(grid, order), 1e-300, None)
-        coeffs = _fourier_by_fft(np.log(vals), max_n, midpoint=True)
+        coeffs = _fourier_by_fft(np.log(vals), max_n)
         return np.real(coeffs)[1:]
 
     def describe(self):
@@ -658,7 +661,8 @@ def szego_integral(f: SpectralDensity) -> float:
 
 def szego_integral_quadrature(f: SpectralDensity, tol: float = _DEFAULT_TOL) -> float:
     """Closed-form-free route, kept separate as an independent cross-check."""
-    return log_integral_quadrature(f.eval, tol=tol)
+    value, _ = cosine_integrals(f._log_eval, 0, "szego integral", tol)
+    return float(value[0])
 
 
 def log_density_fourier_coeffs(f: SpectralDensity, max_n: int) -> np.ndarray:

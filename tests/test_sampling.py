@@ -251,16 +251,19 @@ class TestSamplerChoice:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_levinson_fallback_matches_cholesky(self, case):
         # no nonnegative embedding up to 4x, or no lags past the table:
-        # rows are the dense Cholesky draw L z of n normals
+        # rows are the dense Cholesky draw L z of n normals, one GEMV each
         model, n = self.CASES[case]
-        assert path_sampler(model, n) == "levinson"
+        assert path_sampler(model, n) == "cholesky"
         seeds = [3, 14, 159]
         X = sample_paths(model, n, seeds)
         chol = np.linalg.cholesky(dense_cov(model, n))
+        # independent of the sampler: the Levinson innovations whiten each row
+        Z = ensemble_residuals(model, X) / model.factorization(n).innovation_std(n)
         for i, s in enumerate(seeds):
-            want = chol @ standard_normals(stream_seed(s, 0), n)
-            assert np.max(np.abs(X[i] - want)) <= 1e-10
-            assert np.max(np.abs(sample_path(model, n, s).values - want)) <= 1e-10
+            z = standard_normals(stream_seed(s, 0), n)
+            assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
+            assert np.max(np.abs(Z[i] - z)) <= 1e-10
+            assert np.array_equal(X[i], sample_path(model, n, s).values)
 
     def test_padded_embedding(self):
         # the minimal embedding of size 2(n-1) is negative; twice that is not

@@ -7,6 +7,7 @@ import pytest
 from entrospec import (
     AutoRegressive,
     GaussianProcessModel,
+    NonMonotone,
     PoissonKernel,
     RateNotFinite,
     SeparableFieldModel,
@@ -131,6 +132,13 @@ class TestSmbExperiment:
         assert rep.se_exact == pytest.approx(model.entropy_rate() + shift, abs=1e-10)
         assert rep.all_passed
 
+    def test_nonmonotone_transform_raises(self):
+        # phi = x^2 has phi' = 2x < 0 on about half the coordinates; the
+        # means were NaN with only a RuntimeWarning
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        with pytest.raises(NonMonotone):
+            smb_experiment(model, [16, 32], 20, base_seed=3, transform=(np.square, lambda x: 2 * x))
+
     def test_degenerate_rate_raises(self):
         import entrospec
 
@@ -148,7 +156,7 @@ class TestSmbExperiment:
         # no nonnegative circulant embedding of this AR(2) at n = 16
         model = GaussianProcessModel(AutoRegressive([1.6, -0.9], 1.0))
         rep = smb_experiment(model, [8, 16], 32, base_seed=2)
-        assert json.loads(rep.to_json())["sampler"] == "levinson"
+        assert json.loads(rep.to_json())["sampler"] == "cholesky"
 
     def test_report_serialization(self):
         model = GaussianProcessModel(PoissonKernel(0.5))

@@ -19,11 +19,12 @@ from entrospec import (
     SumDensity,
     White,
 )
+from entrospec import spectral
 from entrospec.spectral import (
     NEG_INF,
     autocovariance,
+    cosine_integrals,
     eval_density,
-    fourier_coeffs_quadrature,
     log_density_fourier_coeffs,
     szego_integral,
     szego_integral_quadrature,
@@ -33,6 +34,48 @@ from conftest import quad_szego
 
 SQRT125 = math.sqrt(1.25)
 MA1 = MovingAverage([1.0 / SQRT125, 0.5 / SQRT125])
+# the exact-long-memory benchmark's sum model: a cusp of log f at t = 0
+CUSP_SUM = PoissonKernel(0.5) + PowerSingular(0.3, 1.0)
+
+
+def covariance_quadrature(density, max_lag):
+    values, _ = cosine_integrals(density.eval, max_lag, "autocovariance")
+    return values
+
+
+def log_cosine_quadrature(density, max_n):
+    """int log f cos(nt) dlambda for n = 0..max_n: the Szego integral, then L(1..max_n)."""
+    values, _ = cosine_integrals(
+        lambda t: np.log(density.eval(t)), max_n, "log-density Fourier coefficients"
+    )
+    return values
+
+
+def count_sum_points(monkeypatch):
+    """A list that collects the size of every SumDensity.eval argument."""
+    points = []
+    plain = SumDensity.eval
+
+    def counted(self, t):
+        points.append(np.size(t))
+        return plain(self, t)
+
+    monkeypatch.setattr(SumDensity, "eval", counted)
+    return points
+
+
+class _DirectSums:
+    """sum_j c_j cos(n x_j) summed term by term: the NUFFT's oracle."""
+
+    def __init__(self, max_n):
+        self.n = np.arange(max_n + 1)
+        self.total = np.zeros(max_n + 1)
+
+    def add(self, x, c):
+        self.total += np.cos(np.outer(self.n, x)) @ c
+
+    def sums(self):
+        return self.total.copy()
 
 
 class _Gap(SpectralDensity):
@@ -104,15 +147,18 @@ class TestAutocovariance:
     @pytest.mark.parametrize("density", [PoissonKernel(0.5), MA1])
     def test_closed_form_vs_quadrature(self, density):
         closed = density.autocovariance(64).values
-        quad, _ = fourier_coeffs_quadrature(density.eval, 64)
+        quad = covariance_quadrature(density, 64)
         assert np.max(np.abs(closed - quad)) < 1e-9
 
     @pytest.mark.parametrize("max_lag", [2**17, 2**18])
     def test_quadrature_past_largest_grid_raises(self, max_lag):
-        # the first grid holds 4 max_lag points: one grid, or none, fits under 2^20
+        # tanh-sinh resolves cos(nt) only for steps below about 2/n, 1.5e-5 at
+        # n = 2^17: at most the last level, of step 0.5 / 2^15, resolves these
+        # n, so no two successive levels agree before the level cap
         with pytest.raises(QuadratureNotConverged) as info:
-            fourier_coeffs_quadrature(PoissonKernel(0.5).eval, max_lag)
+            covariance_quadrature(PoissonKernel(0.5), max_lag)
         assert info.value.what == "autocovariance"
+        assert info.value.tol < info.value.last_change < math.inf
 
     def test_ar_yule_walker(self):
         # AR(1) with c=0.5, s2=0.75 is the Poisson kernel at r=0.5
@@ -134,7 +180,7 @@ class TestAutocovariance:
 
     def test_variance_matches_closed_form(self, zoo):
         for model in zoo.values():
-            mass, _ = fourier_coeffs_quadrature(model.density.eval, 0)
+            mass = covariance_quadrature(model.density, 0)
             assert mass[0] == pytest.approx(model.r0, abs=1e-10)
 
 
@@ -177,15 +223,8 @@ class TestSzegoIntegral:
 
     def test_sum_with_cusp_evaluation_budget(self, monkeypatch):
         # uniform grids need about 2M points on this cusp, tanh-sinh about 200
-        points = []
-        plain = SumDensity.eval
-
-        def counted(self, t):
-            points.append(np.size(t))
-            return plain(self, t)
-
-        monkeypatch.setattr(SumDensity, "eval", counted)
-        szego_integral(PoissonKernel(0.5) + PowerSingular(0.3, 1.0))
+        points = count_sum_points(monkeypatch)
+        szego_integral(CUSP_SUM)
         assert 0 < sum(points) <= 20_000
 
     def test_vanishing_density_raises(self):
@@ -220,10 +259,34 @@ class TestLogDensityFourierCoeffs:
         n = np.arange(1, 9)
         closed = log_density_fourier_coeffs(PoissonKernel(0.5), 8)
         assert np.allclose(closed, 0.5**n / n, atol=1e-14)
-        from entrospec.spectral import log_fourier_coeffs_quadrature
-
-        quad = log_fourier_coeffs_quadrature(PoissonKernel(0.5).eval, 8)
+        quad = log_cosine_quadrature(PoissonKernel(0.5), 8)[1:]
         assert np.allclose(closed, quad, atol=1e-10)
+
+    def test_sum_with_cusp_vs_mpmath(self):
+        # L(n) of the cusp sum model from mpmath at 20-25 digits; a midpoint
+        # grid was 2.78e-11 off at every n, since the cusp acts like a point mass
+        coeffs = log_density_fourier_coeffs(CUSP_SUM, 4096)
+        pins = {
+            1: 0.105878056121954984,
+            10: -0.00157729177622054603,
+            1000: -1.21093765952226e-6,
+            4096: -1.27144838773909e-7,
+        }
+        for n, want in pins.items():
+            assert abs(coeffs[n - 1] - want) <= 1e-13
+
+    def test_sum_with_cusp_evaluation_budget(self, monkeypatch):
+        # doubled midpoint grids took 2.06M points here, tanh-sinh about 52k
+        points = count_sum_points(monkeypatch)
+        log_density_fourier_coeffs(CUSP_SUM, 4096)
+        assert 0 < sum(points) <= 100_000
+
+    @pytest.mark.parametrize("max_n", [0, 1, 16, 255, 256])
+    def test_nufft_matches_direct_sums(self, monkeypatch, max_n):
+        # the same rule with every sum w_j g(t_j) cos(n t_j) taken term by term
+        fast = log_cosine_quadrature(CUSP_SUM, max_n)
+        monkeypatch.setattr(spectral, "_CosineSums", _DirectSums)
+        assert np.max(np.abs(fast - log_cosine_quadrature(CUSP_SUM, max_n))) <= 1e-14
 
     def test_power_singular(self):
         coeffs = log_density_fourier_coeffs(PowerSingular(0.3, 1.0), 5)
@@ -278,7 +341,7 @@ class TestClosureVariants:
         # convolution-form covariance vs direct quadrature of |g|^2 f
         f = FilterProduct([1.0, 0.5], PoissonKernel(0.5))
         closed = f.autocovariance(16).values
-        quad, _ = fourier_coeffs_quadrature(f.eval, 16)
+        quad = covariance_quadrature(f, 16)
         assert np.max(np.abs(closed - quad)) < 1e-9
 
     def test_filter_whitens_poisson(self):
