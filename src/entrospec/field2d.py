@@ -12,6 +12,7 @@ import threading
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .gaussian_model import HALF_LOG_2PI_E, LOG_2PI, GaussianProcessModel
 from .spectral import NEG_INF, SpectralDensity
 
@@ -100,22 +101,35 @@ class SeparableFieldModel:
         var = self.r0
         return 0.5 * (n * n * math.log(var) - self.log_det_2d(n))
 
-    def kronecker_quadratic_form(self, X: np.ndarray) -> float:
+    def kronecker_quadratic_form(self, X):
         """vec(X)^T (R_a (x) R_b)^{-1} vec(X) = tr(R_a^{-1} X R_b^{-1} X^T).
 
         With R^{-1} = A^T diag(sigma2)^{-1} A for each Levinson factor this is
-        sum((A_a X A_b^T)^2 / (sigma2_a (x) sigma2_b)).
+        sum((A_a X A_b^T)^2 / (sigma2_a (x) sigma2_b)).  An (n, n) X gives a
+        float; a stack of k fields, (k, n, n), gives the k forms as an array.
         """
-        n = X.shape[0]
+        X = np.asarray(X, dtype=np.float64)
+        n = _field_size(X)
         aa, ab, s2 = self._inverse_pair(n)
-        u = aa @ X @ ab.T
-        return float(np.sum(u * u / s2))
+        u = np.matmul(aa, X)
+        u = np.matmul(u, ab.T)
+        u *= u
+        u /= s2
+        q = u.reshape(-1, n * n).sum(axis=1)
+        return float(q[0]) if X.ndim == 2 else q
 
-    def log_block_density_2d(self, X: np.ndarray) -> float:
-        n = X.shape[0]
-        return -0.5 * (
-            n * n * LOG_2PI + self.log_det_2d(n) + self.kronecker_quadratic_form(X)
-        )
+    def log_block_density_2d(self, X):
+        """log density of a field block, or of each field of a stack."""
+        q = self.kronecker_quadratic_form(X)
+        n = np.shape(X)[-1]
+        return -0.5 * (n * n * LOG_2PI + self.log_det_2d(n) + q)
+
+
+def _field_size(X: np.ndarray) -> int:
+    """n of an (n, n) field or a (k, n, n) stack; DimensionMismatch otherwise."""
+    if X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2] or X.shape[-1] < 1:
+        raise DimensionMismatch(f"field shape {X.shape} is not (n, n) or (k, n, n) with n >= 1")
+    return X.shape[-1]
 
 
 def block_entropy_2d(fm: SeparableFieldModel, n: int) -> float:

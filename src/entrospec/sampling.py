@@ -34,6 +34,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # (shift, multiplier) rounds of the SplitMix64 finalizer
 _MIX_ROUNDS = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None))
 
+# field elements per stacked draw of `smb2d_experiment`: c = max(1, 2**14 // n^2)
+# fields, so that each of a chunk's buffers (128 KB) stays in cache
+_FIELD_CHUNK = 2**14
 # rows per circulant synthesis pass: a row takes 2(n-1) normals, and 32 rows
 # keep the pass's temporaries to a few MB at n = 4096
 _CE_CHUNK = 32
@@ -64,9 +67,23 @@ def _stream_seeds(bases, index: int):
         return _mix64(_mix64(bases + _GOLDEN) ^ _mix64(i * _GOLDEN + _GOLDEN))
 
 
+def _seed_array(seeds) -> np.ndarray:
+    """Seeds as uint64, each reduced mod 2**64."""
+    return np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+
+
 def stream_seed(base_seed: int, index: int) -> int:
     """Decorrelated per-trajectory stream id."""
     return int(_stream_seeds(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), index))
+
+
+def ensemble_seeds(base_seed: int, count: int) -> np.ndarray:
+    """[stream_seed(base_seed, i) for i in range(count)] as uint64, in one
+    vectorized pass."""
+    with np.errstate(over="ignore"):
+        base = _mix64(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
+        index = np.arange(count, dtype=np.uint64) * _GOLDEN + _GOLDEN
+    return _mix64(_mix64(index) ^ base)
 
 
 def _normals_into(out: np.ndarray, streams: np.ndarray, work=None) -> None:
@@ -225,8 +242,7 @@ def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
     """
     if n < 1:
         raise DimensionMismatch(f"path length must be >= 1, got {n}")
-    bases = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
-    streams = _stream_seeds(bases, 0)
+    streams = _stream_seeds(_seed_array(seeds), 0)
     embedding = _circulant_embedding(model, n)
     if embedding is None:
         return _cholesky_paths(model, n, streams)
@@ -288,8 +304,55 @@ def transform_path(traj: Trajectory, phi, dphi) -> Trajectory:
 
 
 def sample_field(field_model, n: int, seed: int) -> FieldSample:
-    """Separable-field draw X = L_a Z L_b^T with Cholesky factor matrices."""
+    """Separable-field draw X = L_a Z L_b^T: one row of `sample_fields`."""
+    x = sample_fields(field_model, n, [seed])[0]
+    return FieldSample(values=x, model_id=field_model.describe(), seed=seed)
+
+
+def sample_fields(field_model, n: int, seeds) -> np.ndarray:
+    """Stacked draw, shape (len(seeds), n, n); field i is L_a Z_i L_b^T for
+    the Cholesky factors L_a, L_b and the n^2 normals Z_i of the stream of
+    seeds[i], and depends on that seed alone."""
+    streams = _field_streams(n, seeds)
+    z, work = _field_buffers(len(streams), n)
+    return _fields_into(field_model, n, streams, z, work)
+
+
+def field_chunks(field_model, n: int, seeds):
+    """Yield (i0, X): the fields of seeds[i0 : i0 + len(X)], as drawn by
+    `sample_fields`, in stacks of max(1, _FIELD_CHUNK // n^2).  The stacks
+    share one set of buffers, so X is valid until the next one is yielded."""
+    streams = _field_streams(n, seeds)
+    chunk = max(1, min(_FIELD_CHUNK // (n * n), len(streams)))
+    z, work = _field_buffers(chunk, n)
+    for i0 in range(0, len(streams), chunk):
+        yield i0, _fields_into(field_model, n, streams[i0 : i0 + chunk], z, work)
+
+
+def _field_streams(n: int, seeds) -> np.ndarray:
+    if n < 1:
+        raise DimensionMismatch(f"field size must be >= 1, got {n}")
+    return _stream_seeds(_seed_array(seeds), 0)
+
+
+def _field_buffers(rows: int, n: int):
+    """The normals buffer and the uint64 scratch of `_normals_into` for rows
+    fields of n^2 normals each."""
+    z = np.empty((rows, n * n))
+    return z, np.empty((2, rows, 2 * ((n * n + 1) // 2)), dtype=np.uint64)
+
+
+def _fields_into(field_model, n: int, streams, z: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Fields of the streams, (k, n, n) for k = len(streams), from buffers
+    of `_field_buffers` with at least k rows.  The result is a view of z,
+    valid until z is next used."""
+    k = len(streams)
     la = field_model.cholesky_a(n)
     lb = field_model.cholesky_b(n)
-    z = standard_normals(stream_seed(seed, 0), n * n).reshape(n, n)
-    return FieldSample(values=la @ z @ lb.T, model_id=field_model.describe(), seed=seed)
+    zk = z[:k].reshape(k, n, n)
+    _normals_into(z[:k], streams, work[:, :k])
+    # the scratch is free once the normals are drawn; L_a Z goes there, and
+    # the field over the normals it was made from
+    la_z = work.reshape(-1).view(np.float64)[: k * n * n].reshape(k, n, n)
+    np.matmul(la, zk, out=la_z)
+    return np.matmul(la_z, lb.T, out=zk)

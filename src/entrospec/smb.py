@@ -164,7 +164,7 @@ def smb_experiment(
     fact = model.factorization(n_max)
     logs = np.log(fact.sigma2[:n_max])
 
-    seeds = [sampling.stream_seed(base_seed, i) for i in range(ensemble_size)]
+    seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
     values = np.empty((ensemble_size, len(n_grid)))
     for i0 in range(0, ensemble_size, _ENSEMBLE_SLICE):
         X = sampling.sample_paths(model, n_max, seeds[i0 : i0 + _ENSEMBLE_SLICE])
@@ -221,19 +221,21 @@ def smb2d_experiment(
 ) -> ConvergenceReport:
     """Ensemble statistics of (1/n^2) h_n^(2) against the 2-D rate.
 
-    `workers` is only recorded in the report; fields are drawn serially.
+    `workers` is only recorded in the report.  At each n the fields are
+    drawn and scored in the cache-sized stacks of `sampling.field_chunks`.
     """
     n_grid = sorted(int(n) for n in n_grid)
     se = fm.entropy_rate_2d()
     if se == float("-inf"):
         raise RateNotFinite("2-D entropy rate is -inf")
 
-    seeds = [sampling.stream_seed(base_seed, i) for i in range(ensemble_size)]
-
-    values_by_n = [
-        np.array([information_field(fm, sampling.sample_field(fm, n, s)) for s in seeds])
-        for n in n_grid
-    ]
+    seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
+    values_by_n = []
+    for n in n_grid:
+        values = np.empty(ensemble_size)
+        for i0, X in sampling.field_chunks(fm, n, seeds):
+            values[i0 : i0 + len(X)] = -fm.log_block_density_2d(X) / (n * n)
+        values_by_n.append(values)
     means = np.array([float(v.mean()) for v in values_by_n])
     sds = np.array([float(v.std(ddof=_ddof(ensemble_size))) for v in values_by_n])
     hn = np.array([fm.block_entropy_2d(n) / (n * n) for n in n_grid])

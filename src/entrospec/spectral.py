@@ -101,6 +101,19 @@ class _CosineSums:
         return np.fft.rfft(self.grid)[: len(self.deconvolve)].real * self.deconvolve
 
 
+class _PlainSum:
+    """S(0) = sum_j c_j, the N = 0 case of `_CosineSums` without its grid."""
+
+    def __init__(self):
+        self.total = 0.0
+
+    def add(self, x: np.ndarray, c: np.ndarray) -> None:
+        self.total += float(np.sum(c))
+
+    def sums(self) -> np.ndarray:
+        return np.array([self.total])
+
+
 def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL):
     """(c, points): c[n] = int g(t) cos(nt) dlambda, n = 0..max_n, by
     tanh-sinh quadrature (Takahasi & Mori 1974) on [-pi, 0] and [0, pi],
@@ -115,7 +128,7 @@ def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL):
     A node x and its mirror -x share cos(nx) and are summed folded.  A
     non-finite g value, or the level cap, raises QuadratureNotConverged.
     """
-    sums = _CosineSums(max_n)
+    sums = _CosineSums(max_n) if max_n > 0 else _PlainSum()
     points = 0
     prev = None
     change = math.inf

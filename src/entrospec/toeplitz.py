@@ -28,8 +28,10 @@ def _kahan_log_prefix(sigma2: np.ndarray) -> np.ndarray:
     out[0] = 0.0
     total = 0.0
     comp = 0.0
-    for j, term in enumerate(logs):
-        y = term - comp
+    # Python floats, read one at a time: numpy scalars cost more per step,
+    # and a list of all n terms would raise the peak memory
+    for j in range(len(logs)):
+        y = logs.item(j) - comp
         t = total + y
         comp = (t - total) - y
         total = t
@@ -131,22 +133,33 @@ def levinson(r, n: int) -> LevinsonFactorization:
         raise DimensionMismatch("order must be >= 1")
     if len(values) < n:
         raise DimensionMismatch(f"need lags through {n - 1}, have {len(values) - 1}")
-    floor = PD_FLOOR_REL * values[0]
+    floor = PD_FLOOR_REL * values.item(0)
     sigma2 = np.zeros(n)
     k = np.zeros(n - 1)
     a = np.zeros(n - 1)
-    sigma2[0] = values[0]
-    if values[0] <= floor:
-        raise NotPositiveDefinite(0, float(sigma2[0]))
+    tmp = np.empty(n - 1)
+    # r(m-1), ..., r(1) is a contiguous slice of the reversed lags
+    rev = values[::-1].copy()
+    top = len(values)
+    s2 = values.item(0)
+    sigma2[0] = s2
+    if s2 <= floor:
+        raise NotPositiveDefinite(0, s2)
+    # r(m), k_m and sigma2_m as Python floats, the predictor update into tmp:
+    # much of the loop's cost is per-order overhead, which numpy scalars and
+    # temporaries would raise.  r(m) is read one at a time, since a list of
+    # all n lags would raise the peak memory
     for m in range(1, n):
-        km = (values[m] - np.dot(a[: m - 1], values[m - 1 : 0 : -1])) / sigma2[m - 1]
+        km = (values.item(m) - float(np.dot(a[: m - 1], rev[top - m : top - 1]))) / s2
         if m > 1:
-            a[: m - 1] -= km * a[m - 2 :: -1]
+            np.multiply(a[m - 2 :: -1], km, out=tmp[: m - 1])
+            np.subtract(a[: m - 1], tmp[: m - 1], out=a[: m - 1])
         a[m - 1] = km
         k[m - 1] = km
-        sigma2[m] = sigma2[m - 1] * (1.0 - km * km)
-        if sigma2[m] <= floor:
-            raise NotPositiveDefinite(m, float(sigma2[m]))
+        s2 = s2 * (1.0 - km * km)
+        sigma2[m] = s2
+        if s2 <= floor:
+            raise NotPositiveDefinite(m, s2)
     return LevinsonFactorization(sigma2, k, values[0], _kahan_log_prefix(sigma2))
 
 

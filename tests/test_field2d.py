@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entrospec import (
+    DimensionMismatch,
     MovingAverage,
     PoissonKernel,
     SeparableFieldModel,
@@ -69,6 +70,30 @@ class TestKroneckerAgainstDense:
         X = np.random.default_rng(79).standard_normal((n, n))
         want = float(np.sum(np.linalg.solve(ra, X) * np.linalg.solve(rb, X.T).T))
         assert fm.kronecker_quadratic_form(X) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    @pytest.mark.parametrize("n", [1, 3, 4, _FACTOR_BLOCK + 2])
+    def test_stacked_quadratic_form_matches_single(self, name, n):
+        fm = FIELDS[name]()
+        stack = np.random.default_rng(80).standard_normal((5, n, n))
+        got = fm.kronecker_quadratic_form(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        for q, X in zip(got, stack):
+            single = fm.kronecker_quadratic_form(X)
+            assert isinstance(single, float)
+            assert q == single
+        dens = fm.log_block_density_2d(stack)
+        assert [float(d) for d in dens] == [fm.log_block_density_2d(X) for X in stack]
+
+    @pytest.mark.parametrize(
+        "shape", [(), (3,), (3, 4), (2, 3, 4), (0, 0), (2, 0, 0), (1, 1, 2, 2)], ids=str
+    )
+    def test_quadratic_form_rejects_non_square(self, shape):
+        fm = FIELDS["p05xp05"]()
+        with pytest.raises(DimensionMismatch):
+            fm.kronecker_quadratic_form(np.ones(shape))
+        with pytest.raises(DimensionMismatch):
+            fm.log_block_density_2d(np.ones(shape))
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_log_block_density(self, name):

@@ -7,6 +7,7 @@ import scipy.stats
 from entrospec import (
     AutocovarianceSequence,
     AutoRegressive,
+    DimensionMismatch,
     FourierTable,
     GaussianProcessModel,
     NonMonotone,
@@ -21,10 +22,14 @@ from entrospec.sampling import (
     _circulant_embedding,
     _circulant_rows,
     _normals_into,
+    _FIELD_CHUNK,
     _stream_seeds,
     ensemble_residuals,
+    ensemble_seeds,
+    field_chunks,
     path_sampler,
     sample_field,
+    sample_fields,
     sample_path,
     sample_paths,
     standard_normals,
@@ -104,6 +109,13 @@ class TestBatchedNormals:
         for index in (0, 3):
             got = _stream_seeds(bases, index)
             assert [int(v) for v in got] == [stream_seed(int(b), index) for b in bases]
+
+    @pytest.mark.parametrize("base", [0, 7, 2**63, 2**64 - 1, -3, 2**70 + 5])
+    def test_ensemble_seeds_match_scalar(self, base):
+        got = ensemble_seeds(base, 300)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [stream_seed(base, i) for i in range(300)]
+        assert ensemble_seeds(base, 0).size == 0
 
 
 class TestSamplePath:
@@ -306,7 +318,7 @@ class TestSampleField:
     def test_covariance_structure(self):
         # cov(X_{0,0}, X_{0,1}) = r_a(0) r_b(1) = 0.5; cov with X_{1,1} = 0.25
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
-        vals = np.stack([sample_field(fm, 2, s).values for s in range(100000)])
+        vals = sample_fields(fm, 2, range(100000))
         assert float(np.mean(vals[:, 0, 0] * vals[:, 0, 1])) == pytest.approx(0.5, abs=0.01)
         assert float(np.mean(vals[:, 0, 0] * vals[:, 1, 1])) == pytest.approx(0.25, abs=0.01)
         assert float(np.mean(vals[:, 0, 0] ** 2)) == pytest.approx(1.0, abs=0.015)
@@ -314,9 +326,45 @@ class TestSampleField:
     def test_anisotropic_factors(self):
         # cov(X_{0,0}, X_{1,0}) = r_a(1); cov(X_{0,0}, X_{0,1}) = r_b(1)
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
-        vals = np.stack([sample_field(fm, 2, s).values for s in range(100000)])
+        vals = sample_fields(fm, 2, range(100000))
         assert float(np.mean(vals[:, 0, 0] * vals[:, 1, 0])) == pytest.approx(0.5, abs=0.01)
         assert float(np.mean(vals[:, 0, 0] * vals[:, 0, 1])) == pytest.approx(0.0, abs=0.01)
+
+    @pytest.mark.parametrize("n", [1, 3, 45, 64, 129])
+    def test_stacks_match_single_fields(self, n):
+        # n^2 odd at 1, 3, 45 and 129; the chunks of 45 and 64 end inside the
+        # seeds, so the comparison crosses chunk seams and a partial last chunk
+        fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
+        chunk = max(1, _FIELD_CHUNK // (n * n))
+        seeds = [0, 1, 2**64 - 1] + list(range(10, 10 + 2 * chunk))
+        stack = sample_fields(fm, n, seeds)
+        assert stack.shape == (len(seeds), n, n)
+        starts = []
+        for i0, X in field_chunks(fm, n, seeds):
+            starts.append(i0)
+            assert len(X) <= chunk
+            assert np.array_equal(X, stack[i0 : i0 + len(X)])
+        assert starts == list(range(0, len(seeds), chunk))
+        for i in {0, 1, 2, chunk - 1, chunk, len(seeds) - 1}:
+            assert np.array_equal(stack[i], sample_field(fm, n, seeds[i]).values)
+
+    def test_single_field_is_cholesky_draw(self):
+        # L_a Z L_b^T from the seed's own stream, independent of the stacking
+        fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
+        n = 5
+        z = standard_normals(stream_seed(11, 0), n * n).reshape(n, n)
+        want = fm.cholesky_a(n) @ z @ fm.cholesky_b(n).T
+        assert np.max(np.abs(sample_field(fm, n, 11).values - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bad_size_raises(self, n):
+        fm = SeparableFieldModel(White(1.0), White(1.0))
+        with pytest.raises(DimensionMismatch):
+            sample_field(fm, n, 0)
+        with pytest.raises(DimensionMismatch):
+            sample_fields(fm, n, [0, 1])
+        with pytest.raises(DimensionMismatch):
+            next(field_chunks(fm, n, [0, 1]))
 
     def test_csv_format(self):
         fm = SeparableFieldModel(White(1.0), White(1.0))

@@ -14,7 +14,7 @@ from entrospec import (
     White,
 )
 from entrospec import smb
-from entrospec.sampling import Trajectory, sample_field, sample_path, transform_path
+from entrospec.sampling import Trajectory, sample_field, sample_path, stream_seed, transform_path
 from entrospec.smb import (
     expected_log_derivative,
     information_field,
@@ -186,6 +186,17 @@ class TestSmb2d:
         assert rep.all_passed
         mad = rep.mean_abs_deviation(rep.values_by_n)
         assert np.all(np.diff(mad) < 0.0)
+
+    def test_values_match_per_field_loop(self):
+        # stacked chunks (64 fields at n = 16, 4 at n = 64, 1 at n = 128)
+        # against one sample_field and one information_field per seed
+        fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
+        grid, m, base = [16, 64, 128], 70, 5
+        rep = smb2d_experiment(fm, grid, m, base_seed=base)
+        seeds = [stream_seed(base, i) for i in range(m)]
+        for n, got in zip(grid, rep.values_by_n):
+            want = [information_field(fm, sample_field(fm, n, s)) for s in seeds]
+            assert got.tolist() == want
 
     def test_worker_count_does_not_change_results(self):
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))

@@ -286,7 +286,17 @@ class TestLogDensityFourierCoeffs:
         # the same rule with every sum w_j g(t_j) cos(n t_j) taken term by term
         fast = log_cosine_quadrature(CUSP_SUM, max_n)
         monkeypatch.setattr(spectral, "_CosineSums", _DirectSums)
+        monkeypatch.setattr(spectral, "_PlainSum", lambda: _DirectSums(0))
         assert np.max(np.abs(fast - log_cosine_quadrature(CUSP_SUM, max_n))) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "density", [CUSP_SUM, White(4.0), PoissonKernel(0.5), PowerSingular(0.3, 2.0)], ids=repr
+    )
+    def test_plain_sum_matches_grid_at_n0(self, density):
+        # N = 0 sums the folded values without the grid; N = 1 spreads them
+        plain = log_cosine_quadrature(density, 0)
+        assert plain.shape == (1,)
+        assert abs(plain[0] - log_cosine_quadrature(density, 1)[0]) <= 1e-14
 
     def test_power_singular(self):
         coeffs = log_density_fourier_coeffs(PowerSingular(0.3, 1.0), 5)
