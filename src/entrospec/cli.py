@@ -15,7 +15,7 @@ import sys
 from . import entropy_analysis, modelspec, prediction, smb
 from .errors import EntrospecError, ModelConfigError, NumericalError
 from .field2d import SeparableFieldModel
-from .gaussian_model import LOG_2PI, GaussianProcessModel
+from .gaussian_model import GaussianProcessModel
 from .spectral import log_abs_symbol_integral
 
 EXIT_OK = 0
@@ -69,19 +69,25 @@ def _fmt(x: float) -> str:
     return "-inf" if x == -math.inf else f"{x:.7f}"
 
 
-def cmd_rate(args) -> int:
-    model = _resolve_model(args, allow_field=True)
+def _rate_values(model):
+    """(Se, Szego integral, r0, max-entropy gap) of a 1-D or separable model.
+
+    The gap 0.5 log(2 pi e r0) - Se = 0.5 (log r0 - Szego integral) is how
+    far the rate falls below that of white noise with the same variance;
+    for a separable field the Szego integral is the sum of its factors'.
+    """
     if isinstance(model, SeparableFieldModel):
         se = model.entropy_rate_2d()
-        szego = (
-            model.factor_a.szego_integral() + model.factor_b.szego_integral()
-        )
-        r0 = model.r0
+        szego = model.factor_a.szego_integral() + model.factor_b.szego_integral()
     else:
         se = model.entropy_rate()
         szego = model.szego_integral()
-        r0 = model.r0
-    gap = 0.5 * (LOG_2PI + r0) - se
+    r0 = model.r0
+    return se, szego, r0, 0.5 * (math.log(r0) - szego)
+
+
+def cmd_rate(args) -> int:
+    se, szego, r0, gap = _rate_values(_resolve_model(args, allow_field=True))
     print(f"Se = {_fmt(se)}")
     print(f"szego_integral = {_fmt(szego)}")
     print(f"r0 = {r0:.7f}")

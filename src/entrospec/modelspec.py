@@ -20,6 +20,7 @@ JSON schema (docs/model_schema.md has worked examples):
 from __future__ import annotations
 
 import json
+import math
 
 from . import spectral
 from .errors import ModelConfigError
@@ -27,9 +28,18 @@ from .field2d import SeparableFieldModel
 from .gaussian_model import GaussianProcessModel
 
 
+def _finite(value) -> float:
+    """float(value), or ModelConfigError for nan and +-inf (also the JSON
+    literals NaN and Infinity, and overflowing numbers such as 1e999)."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ModelConfigError(f"model parameter {value!r} is not finite")
+    return number
+
+
 def _floats(text: str):
     try:
-        return [float(p) for p in text.split(",") if p != ""]
+        return [_finite(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
         raise ModelConfigError(f"bad numeric list {text!r}") from exc
 
@@ -49,7 +59,8 @@ def density_from_string(text: str) -> spectral.SpectralDensity:
         coeff_text, _, var_text = rest.rpartition(":")
         if not coeff_text:
             raise ModelConfigError("ar needs 'ar:c1,...,cp:s2'")
-        return spectral.AutoRegressive(_floats(coeff_text), float(var_text))
+        (variance,) = _floats(var_text)
+        return spectral.AutoRegressive(_floats(coeff_text), variance)
     if kind == "power_singular":
         vals = _floats(rest)
         if len(vals) == 1:
@@ -64,23 +75,25 @@ def density_from_config(cfg: dict) -> spectral.SpectralDensity:
     kind = cfg["kind"]
     try:
         if kind == "white":
-            return spectral.White(float(cfg.get("level", 1.0)))
+            return spectral.White(_finite(cfg.get("level", 1.0)))
         if kind == "poisson":
-            return spectral.PoissonKernel(float(cfg["r"]))
+            return spectral.PoissonKernel(_finite(cfg["r"]))
         if kind == "ma":
-            return spectral.MovingAverage([float(c) for c in cfg["coeffs"]])
+            return spectral.MovingAverage([_finite(c) for c in cfg["coeffs"]])
         if kind == "ar":
             return spectral.AutoRegressive(
-                [float(c) for c in cfg["coeffs"]], float(cfg["innovation_variance"])
+                [_finite(c) for c in cfg["coeffs"]], _finite(cfg["innovation_variance"])
             )
         if kind == "power_singular":
-            return spectral.PowerSingular(float(cfg["alpha"]), float(cfg.get("scale", 1.0)))
+            return spectral.PowerSingular(_finite(cfg["alpha"]), _finite(cfg.get("scale", 1.0)))
         if kind == "fourier_table":
             return spectral.FourierTable(
-                spectral.AutocovarianceSequence(cfg["covariances"], origin="table")
+                spectral.AutocovarianceSequence(
+                    [_finite(c) for c in cfg["covariances"]], origin="table"
+                )
             )
         if kind == "scaled":
-            return spectral.Scaled(density_from_config(cfg["base"]), float(cfg["factor"]))
+            return spectral.Scaled(density_from_config(cfg["base"]), _finite(cfg["factor"]))
         if kind == "sum":
             terms = [density_from_config(t) for t in cfg["terms"]]
             if len(terms) < 2:
@@ -91,7 +104,7 @@ def density_from_config(cfg: dict) -> spectral.SpectralDensity:
             return acc
         if kind == "filter":
             return spectral.FilterProduct(
-                [float(c) for c in cfg["symbol"]], density_from_config(cfg["base"])
+                [_finite(c) for c in cfg["symbol"]], density_from_config(cfg["base"])
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelConfigError(f"bad parameters for kind {kind!r}: {exc}") from exc

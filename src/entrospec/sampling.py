@@ -37,9 +37,9 @@ _MIX_ROUNDS = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), N
 # field elements per stacked draw of `smb2d_experiment`: c = max(1, 2**14 // n^2)
 # fields, so that each of a chunk's buffers (128 KB) stays in cache
 _FIELD_CHUNK = 2**14
-# rows per circulant synthesis pass: a row takes 2(n-1) normals, and 32 rows
-# keep the pass's temporaries to a few MB at n = 4096
-_CE_CHUNK = 32
+# rows per circulant synthesis pass: a row takes 2(n-1) normals, and 8 rows
+# keep each of the pass's buffers to 0.5-1 MB at n = 4096, within L2
+_CE_CHUNK = 8
 # embedding eigenvalues down to -_CE_CLIP * (largest eigenvalue) are rounding
 # error of a nonnegative spectrum and are set to 0
 _CE_CLIP = 1e-13

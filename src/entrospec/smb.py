@@ -18,8 +18,8 @@ from .field2d import SeparableFieldModel
 from .gaussian_model import LOG_2PI, GaussianProcessModel
 from .sampling import Trajectory
 
-# seeds per sample_paths/ensemble_residuals call in smb_experiment; a slice
-# holds a few (slice x n) float64 arrays at once
+# seeds per sample_paths call in smb_experiment; a slice holds one
+# (slice x n) float64 path matrix
 _ENSEMBLE_SLICE = 256
 
 
@@ -152,9 +152,10 @@ def smb_experiment(
     `transform` is an optional (phi, dphi) pair applied coordinatewise;
     the report then compares against Se + E[log phi'(X_0)] via the stored
     Jacobian terms entering I_n, and phi' <= 0 at a sample raises
-    NonMonotone.  `workers` is only recorded in the report: paths are
-    sampled and evaluated by BLAS-blocked calls, one pair per slice of at
-    most _ENSEMBLE_SLICE seeds, which bounds the working set.
+    NonMonotone.  `workers` is only recorded in the report.  Paths are
+    sampled in slices of at most _ENSEMBLE_SLICE seeds, and each slice is
+    scored one residual block of `LevinsonFactorization.residual_blocks` at
+    a time, so the working set is the paths and a few block-sized buffers.
     """
     n_grid = sorted(int(n) for n in n_grid)
     se = model.entropy_rate()
@@ -162,24 +163,32 @@ def smb_experiment(
         raise RateNotFinite("entropy rate is -inf")
     n_max = n_grid[-1]
     fact = model.factorization(n_max)
-    logs = np.log(fact.sigma2[:n_max])
+    half_terms = LOG_2PI + np.log(fact.sigma2[:n_max])
 
     seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
     values = np.empty((ensemble_size, len(n_grid)))
     for i0 in range(0, ensemble_size, _ENSEMBLE_SLICE):
         X = sampling.sample_paths(model, n_max, seeds[i0 : i0 + _ENSEMBLE_SLICE])
-        # the residuals become the increments, then their running sums, in place
-        inc = sampling.ensemble_residuals(model, X)
-        inc *= inc
-        inc /= fact.sigma2[None, :n_max]
-        inc += LOG_2PI + logs[None, :]
-        inc *= 0.5
-        if transform is not None:
-            inc += sampling.log_derivative(transform[1], X)
-        np.cumsum(inc, axis=1, out=inc)
-        for col, n in enumerate(n_grid):
-            values[i0 : i0 + len(X), col] = inc[:, n - 1] / n
-        del X, inc
+        rows = slice(i0, i0 + len(X))
+        total = None  # I_{j0} of every path, the running sum before the block
+        for j0, inc in fact.residual_blocks(X):
+            # the residuals become the increments, then their running sums, in place
+            j1 = j0 + inc.shape[1]
+            inc *= inc
+            inc /= fact.sigma2[None, j0:j1]
+            inc += half_terms[None, j0:j1]
+            inc *= 0.5
+            if transform is not None:
+                inc += sampling.log_derivative(transform[1], X[:, j0:j1])
+            # a + b == b + a, so these are the sums of one cumsum along the path
+            if total is not None:
+                inc[:, 0] += total
+            np.cumsum(inc, axis=1, out=inc)
+            total = inc[:, -1]
+            for col, n in enumerate(n_grid):
+                if j0 < n <= j1:
+                    values[rows, col] = inc[:, n - 1 - j0] / n
+        del X, inc, total
 
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=_ddof(ensemble_size))
@@ -190,7 +199,7 @@ def smb_experiment(
         se = se + shift
         hn = hn + shift
     theo = np.array([1.0 / math.sqrt(2.0 * n) for n in n_grid])
-    return ConvergenceReport(
+    report = ConvergenceReport(
         model_id=model.describe() if transform is None else f"transformed({model.describe()})",
         dims=1,
         n_grid=n_grid,
@@ -204,6 +213,8 @@ def smb_experiment(
         workers=workers,
         sampler=sampling.path_sampler(model, n_max),
     )
+    report.values_by_n = list(values.T)
+    return report
 
 
 def information_field(fm: SeparableFieldModel, sample) -> float:

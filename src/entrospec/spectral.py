@@ -90,12 +90,22 @@ class _CosineSums:
 
     def add(self, x: np.ndarray, c: np.ndarray) -> None:
         offsets = np.arange(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1)
+        # one index array and one kernel buffer serve every chunk, in place
+        rows = min(_NUFFT_CHUNK, len(x))
+        index = np.empty((rows, len(offsets)), dtype=np.int64)
+        kernel = np.empty((rows, len(offsets)))
         for j in range(0, len(x), _NUFFT_CHUNK):
             xj = x[j : j + _NUFFT_CHUNK, None]
-            m = np.floor(xj / self.step).astype(np.int64) + offsets
-            kernel = np.exp((xj - m * self.step) ** 2 / (-4.0 * self.tau))
-            kernel *= c[j : j + _NUFFT_CHUNK, None]
-            self.grid += np.bincount((m % self.size).ravel(), kernel.ravel(), self.size)
+            m, kern = index[: len(xj)], kernel[: len(xj)]
+            np.add(np.floor(xj / self.step).astype(np.int64), offsets, out=m)
+            np.multiply(m, self.step, out=kern)
+            np.subtract(xj, kern, out=kern)
+            np.square(kern, out=kern)
+            kern /= -4.0 * self.tau
+            np.exp(kern, out=kern)
+            kern *= c[j : j + _NUFFT_CHUNK, None]
+            m %= self.size
+            self.grid += np.bincount(m.ravel(), kern.ravel(), self.size)
 
     def sums(self) -> np.ndarray:
         return np.fft.rfft(self.grid)[: len(self.deconvolve)].real * self.deconvolve

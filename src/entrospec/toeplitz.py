@@ -17,8 +17,8 @@ from .spectral import AutocovarianceSequence
 
 PD_FLOOR_REL = 1e-13
 # rows per inverse-factor block: large enough for BLAS-3 efficiency, small
-# enough that one block (8 * 128 * n bytes) stays a few MB at n = 4096
-_FACTOR_BLOCK = 128
+# enough that one block (8 * 64 * n bytes) stays 2 MB at n = 4096
+_FACTOR_BLOCK = 64
 
 
 def _kahan_log_prefix(sigma2: np.ndarray) -> np.ndarray:
@@ -75,43 +75,58 @@ class LevinsonFactorization:
         """Yield (j0, A[j0:j0+b, :j0+b]) for the unit-lower A with
         A R_n A^T = diag(sigma2_0..sigma2_{n-1}).
 
-        Row j is (-a_j reversed, 1), a_j the order-j forward predictor, so
-        (A x)_j is the innovation of x_j against x_0..x_{j-1}.  The
-        predictor is grown once per row from the reflection coefficients.
-        The blocks share one buffer: a block is valid until the next one
-        is yielded.
+        Row j is (b_j, 1), b_j = -(a_j reversed) for the order-j forward
+        predictor a_j, so (A x)_j is the innovation of x_j against
+        x_0..x_{j-1}.  Each row is grown in place from the row above it by
+        the reflection coefficient k_j: b_j = (-k_j, b_{j-1} - k_j b_{j-1}
+        reversed).  The blocks share one buffer: a block is valid until
+        the next one is yielded.
         """
         if not 1 <= n <= self.order:
             raise DimensionMismatch(f"order {n} outside factorization (n={self.order})")
         k = self.reflections
-        a = np.zeros(max(n - 1, 0))
-        # a fresh multi-MB block per step would come from new, zero-filled
-        # pages each time; one reused buffer takes those page faults once
+        # a fresh block per step would come from new, zero-filled pages each
+        # time; one reused buffer takes those page faults once
         buf = np.empty(min(_FACTOR_BLOCK, n) * n)
+        # b_{j0-1}, the last row of the previous block, which the buffer overwrites
+        prev = np.empty(max(n - 1, 0))
         for j0 in range(0, n, _FACTOR_BLOCK):
             j1 = min(j0 + _FACTOR_BLOCK, n)
             blk = buf[: (j1 - j0) * j1].reshape(j1 - j0, j1)
-            blk.fill(0.0)
-            for j in range(max(j0, 1), j1):
-                kj = k[j - 1]
-                if j > 1:
-                    a[: j - 1] -= kj * a[j - 2 :: -1]
-                a[j - 1] = kj
-                np.negative(a[j - 1 :: -1], out=blk[j - j0, :j])
-            blk[np.arange(j1 - j0), np.arange(j0, j1)] = 1.0
+            above = prev
+            for j in range(j0, j1):
+                row = blk[j - j0]
+                if j > 0:
+                    kj = k.item(j - 1)
+                    if j > 1:
+                        np.multiply(above[j - 2 :: -1], kj, out=row[1:j])
+                        np.subtract(above[: j - 1], row[1:j], out=row[1:j])
+                    row[0] = -kj
+                row[j] = 1.0
+                row[j + 1 :] = 0.0
+                above = row
             yield j0, blk
+            if j1 < n:
+                prev[: j1 - 1] = blk[-1, : j1 - 1]
 
-    def residuals(self, x) -> np.ndarray:
-        """Innovations of each row of x against its own growing past:
-        E = X A^T, one GEMM per row block.  A 1-D x is a single row."""
+    def residual_blocks(self, x):
+        """Yield (j0, E[..., j0:j0+b]) for the innovations E = X A^T of each
+        row of x against its own growing past, one GEMM per factor block.
+        A 1-D x is a single row."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2) or not 1 <= x.shape[-1] <= self.order:
             raise DimensionMismatch(
                 f"vector shape {x.shape} incompatible with order {self.order}"
             )
-        e = np.empty_like(x)
         for j0, blk in self.inverse_factor_blocks(x.shape[-1]):
-            e[..., j0 : j0 + blk.shape[0]] = x[..., : blk.shape[1]] @ blk.T
+            yield j0, x[..., : blk.shape[1]] @ blk.T
+
+    def residuals(self, x) -> np.ndarray:
+        """All blocks of `residual_blocks` in one array of x's shape."""
+        x = np.asarray(x, dtype=np.float64)
+        e = np.empty_like(x)
+        for j0, eb in self.residual_blocks(x):
+            e[..., j0 : j0 + eb.shape[-1]] = eb
         return e
 
     def quadratic_form(self, x) -> float:

@@ -15,7 +15,7 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
-from entrospec.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from entrospec.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _rate_values, main
 from entrospec.modelspec import (
     density_from_string,
     load_model_file,
@@ -127,6 +127,72 @@ class TestModelConfigs:
         path.write_text("{not json")
         with pytest.raises(ModelConfigError):
             load_model_file(str(path))
+
+
+class TestNonFiniteParameters:
+    INLINE = [
+        "white:nan", "white:inf", "poisson:-inf", "ma:1,inf", "ma:nan,1",
+        "ar:0.5:nan", "ar:0.5:inf", "ar:nan:1", "power_singular:0.3,inf",
+        "power_singular:nan",
+    ]
+    # JSON's NaN and Infinity literals, and a number that overflows to inf
+    CONFIGS = [
+        '{"kind": "white", "level": NaN}',
+        '{"kind": "poisson", "r": -Infinity}',
+        '{"kind": "ma", "coeffs": [1, 1e999]}',
+        '{"kind": "ar", "coeffs": [0.5], "innovation_variance": Infinity}',
+        '{"kind": "power_singular", "alpha": 0.3, "scale": NaN}',
+        '{"kind": "fourier_table", "covariances": [1.0, NaN, 0.0]}',
+        '{"kind": "scaled", "factor": Infinity, "base": {"kind": "white"}}',
+        '{"kind": "sum", "terms": [{"kind": "white"}, {"kind": "poisson", "r": NaN}]}',
+        '{"kind": "filter", "symbol": [1, NaN], "base": {"kind": "white"}}',
+        '{"kind": "separable", "factor_a": {"kind": "white"},'
+        ' "factor_b": {"kind": "white", "level": Infinity}}',
+    ]
+
+    @pytest.mark.parametrize("text", INLINE)
+    def test_inline_is_config_error(self, text, capsys):
+        assert main(["rate", "--model", text]) == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", CONFIGS)
+    def test_json_is_config_error(self, text, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert main(["rate", "--model-file", str(path)]) == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
+
+
+class TestMaxEntropyGap:
+    @pytest.mark.parametrize("level", [0.25, 1.0, 4.0])
+    def test_white_noise_has_no_gap(self, level):
+        assert abs(_rate_values(GaussianProcessModel(White(level)))[3]) <= 1e-12
+
+    def test_is_max_entropy_minus_rate(self):
+        # 0.5 log(2 pi e r0) - Se, and >= 0 for a correlated model
+        model = model_from_string("ar:0.5:0.75")
+        se, _, r0, gap = _rate_values(model)
+        assert gap == pytest.approx(0.5 * math.log(2 * math.pi * math.e * r0) - se, abs=1e-12)
+        assert gap == pytest.approx(0.5 * math.log(1.0 / 0.75), abs=1e-12)
+
+    def test_scaled_model_keeps_base_gap(self):
+        base = {"kind": "ma", "coeffs": [1.0, 0.5]}
+        scaled = model_from_config({"kind": "scaled", "factor": 3.0, "base": base})
+        got = _rate_values(scaled)[3]
+        assert got == pytest.approx(_rate_values(model_from_config(base))[3], abs=1e-12)
+
+    def test_separable_field(self, tmp_path, capsys):
+        # 0.5 (log r0 - s_a - s_b), the sum of the factors' gaps
+        fa, fb = PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0)
+        field = SeparableFieldModel(fa, fb)
+        se, _, r0, gap = _rate_values(field)
+        assert gap == pytest.approx(0.5 * math.log(2 * math.pi * math.e * r0) - se, abs=1e-12)
+        factors = [_rate_values(GaussianProcessModel(d))[3] for d in (fa, fb)]
+        assert gap == pytest.approx(sum(factors), abs=1e-12)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field.to_config()))
+        assert main(["rate", "--model-file", str(path)]) == EXIT_OK
+        assert f"max_entropy_gap = {gap:.7f}" in capsys.readouterr().out
 
 
 class TestCliExitCodes:

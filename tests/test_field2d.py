@@ -72,7 +72,7 @@ class TestKroneckerAgainstDense:
         assert fm.kronecker_quadratic_form(X) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
-    @pytest.mark.parametrize("n", [1, 3, 4, _FACTOR_BLOCK + 2])
+    @pytest.mark.parametrize("n", [1, 3, 4, _FACTOR_BLOCK + 2, 2 * _FACTOR_BLOCK + 2])
     def test_stacked_quadratic_form_matches_single(self, name, n):
         fm = FIELDS[name]()
         stack = np.random.default_rng(80).standard_normal((5, n, n))

@@ -209,7 +209,7 @@ class TestEnsemble:
             assert np.max(np.abs(X[i] - z @ B)) <= 1e-10
             assert np.max(np.abs(E[i] - dense_innovations(model, X[i]))) <= 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 2 * _FACTOR_BLOCK + 3])
+    @pytest.mark.parametrize("n", [2, 3, 4 * _FACTOR_BLOCK + 3])
     @pytest.mark.parametrize("name", sorted({**make_zoo(), **make_non_banded_zoo()}))
     def test_synthesis_covariance_is_exact(self, name, n):
         # the synthesis map B carries white normals to N(0, B^T B) = N(0, R_n)

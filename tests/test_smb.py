@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,19 @@ from entrospec import (
     White,
 )
 from entrospec import smb
-from entrospec.sampling import Trajectory, sample_field, sample_path, stream_seed, transform_path
+from entrospec.gaussian_model import LOG_2PI
+from entrospec.sampling import (
+    Trajectory,
+    ensemble_residuals,
+    ensemble_seeds,
+    log_derivative,
+    sample_field,
+    sample_path,
+    sample_paths,
+    stream_seed,
+    transform_path,
+)
+from entrospec.toeplitz import _FACTOR_BLOCK
 from entrospec.smb import (
     expected_log_derivative,
     information_field,
@@ -122,6 +135,57 @@ class TestSmbExperiment:
         sliced = smb_experiment(model, [16, 64], 30, base_seed=4, transform=transform)
         assert np.allclose(sliced.means, whole.means, rtol=0, atol=1e-13)
         assert np.allclose(sliced.sds, whole.sds, rtol=0, atol=1e-13)
+
+    @staticmethod
+    def _whole_matrix_values(model, grid, m, base, transform, slice_size):
+        # the increments of the full residual matrix of each slice, summed by
+        # one cumsum along the path
+        n_max = grid[-1]
+        sigma2 = model.factorization(n_max).sigma2[:n_max]
+        seeds = ensemble_seeds(base, m)
+        values = np.empty((m, len(grid)))
+        for i0 in range(0, m, slice_size):
+            X = sample_paths(model, n_max, seeds[i0 : i0 + slice_size])
+            inc = ensemble_residuals(model, X)
+            inc *= inc
+            inc /= sigma2
+            inc += LOG_2PI + np.log(sigma2)
+            inc *= 0.5
+            if transform is not None:
+                inc += log_derivative(transform[1], X)
+            np.cumsum(inc, axis=1, out=inc)
+            for col, n in enumerate(grid):
+                values[i0 : i0 + len(X), col] = inc[:, n - 1] / n
+        return values
+
+    @pytest.mark.parametrize("slice_size", [None, 7])
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_values_match_whole_residual_matrix(self, monkeypatch, transformed, slice_size):
+        # block-by-block scoring, grid points on and across the block seams
+        model = GaussianProcessModel(AutoRegressive([0.5, -0.2], 1.0))
+        transform = (lambda x: x + 0.1 * np.sin(x), lambda x: 1 + 0.1 * np.cos(x))
+        transform = transform if transformed else None
+        grid = [1, 16, _FACTOR_BLOCK, _FACTOR_BLOCK + 1, 2 * _FACTOR_BLOCK + 5]
+        if slice_size is not None:
+            monkeypatch.setattr(smb, "_ENSEMBLE_SLICE", slice_size)
+        rep = smb_experiment(model, grid, 30, base_seed=6, transform=transform)
+        want = self._whole_matrix_values(model, grid, 30, 6, transform, smb._ENSEMBLE_SLICE)
+        for col, got in enumerate(rep.values_by_n):
+            assert got.tolist() == want[:, col].tolist()
+        assert np.array_equal(rep.means, want.mean(axis=0))
+
+    def test_working_set_is_the_paths(self):
+        # the benchmark's size: the paths X, 6.55 MB, and block-sized
+        # buffers; an M x n residual matrix beside X would pass 2 X.nbytes
+        model = GaussianProcessModel(AutoRegressive([0.5], 0.75))
+        n, m = 4096, 200
+        tracemalloc.start()
+        try:
+            smb_experiment(model, [64, 256, 1024, n], m, base_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * m * n * 8
 
     def test_transformed_experiment(self):
         model = GaussianProcessModel(AutoRegressive([0.5], 0.75))

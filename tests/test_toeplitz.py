@@ -178,7 +178,9 @@ class TestPredictorCoefficients:
 
 
 class TestInverseFactorBlocks:
-    SIZES = [1, _FACTOR_BLOCK - 1, _FACTOR_BLOCK, _FACTOR_BLOCK + 1, 300]
+    # the first two block seams, and a partial last block
+    SIZES = [1, _FACTOR_BLOCK - 1, _FACTOR_BLOCK, _FACTOR_BLOCK + 1,
+             2 * _FACTOR_BLOCK - 1, 2 * _FACTOR_BLOCK, 2 * _FACTOR_BLOCK + 1, 300]
     MODELS = {**make_zoo(), **make_non_banded_zoo()}
 
     @staticmethod
@@ -210,13 +212,35 @@ class TestInverseFactorBlocks:
         # row m is (-b, 1), b the order-m predictor of the dense Yule-Walker solve
         model = self.MODELS[name]
         A = self._assemble(model.factorization(300), 300)
-        for m in (1, 2, _FACTOR_BLOCK, _FACTOR_BLOCK + 1, 299):
+        seams = (_FACTOR_BLOCK, _FACTOR_BLOCK + 1, 2 * _FACTOR_BLOCK, 2 * _FACTOR_BLOCK + 1)
+        for m in (1, 2, *seams, 299):
             assert np.max(np.abs(A[m, :m] + dense_predictor(model, m))) <= 1e-12
 
     def test_order_outside_factorization(self):
         fact = levinson([1.0, 0.5, 0.25], 3)
         with pytest.raises(DimensionMismatch):
             list(fact.inverse_factor_blocks(4))
+
+
+class TestResidualBlocks:
+    MODELS = {**make_zoo(), **make_non_banded_zoo()}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("n", [1, _FACTOR_BLOCK, _FACTOR_BLOCK + 1, 2 * _FACTOR_BLOCK + 3])
+    def test_blocks_concatenate_to_residuals(self, name, n):
+        # rows of paths and a single path, across the factor-block seams
+        fact = self.MODELS[name].factorization(n)
+        X = np.random.default_rng(n).standard_normal((5, n))
+        for x in (X, X[2]):
+            starts, blocks = zip(*fact.residual_blocks(x))
+            assert starts == tuple(range(0, n, _FACTOR_BLOCK))
+            assert np.array_equal(np.concatenate(blocks, axis=-1), fact.residuals(x))
+
+    def test_bad_shape_raises(self):
+        fact = levinson([1.0, 0.5, 0.25], 3)
+        for x in (np.ones(4), np.ones((2, 2, 2)), np.float64(1.0)):
+            with pytest.raises(DimensionMismatch):
+                list(fact.residual_blocks(x))
 
 
 class TestEmptyInput:
