@@ -88,10 +88,13 @@ def _rate_values(model):
 
 def cmd_rate(args) -> int:
     se, szego, r0, gap = _rate_values(_resolve_model(args, allow_field=True))
-    print(f"Se = {_fmt(se)}")
-    print(f"szego_integral = {_fmt(szego)}")
-    print(f"r0 = {r0:.7f}")
-    print(f"max_entropy_gap = {_fmt(gap)}")
+    _emit(
+        args,
+        f"Se = {_fmt(se)}\n"
+        f"szego_integral = {_fmt(szego)}\n"
+        f"r0 = {r0:.7f}\n"
+        f"max_entropy_gap = {_fmt(gap)}\n",
+    )
     return EXIT_OK
 
 
@@ -138,18 +141,24 @@ def cmd_predict(args) -> int:
 
 def cmd_filter(args) -> int:
     model = _resolve_model(args)
-    symbol = [float(c) for c in args.symbol.split(",")]
+    symbol = modelspec._floats(args.symbol)
+    if not symbol:
+        raise ModelConfigError("filter needs a nonempty --symbol")
     filtered = model.filtered_model(symbol)
     base_rate = model.entropy_rate()
     new_rate = filtered.entropy_rate()
     shift = log_abs_symbol_integral(symbol)
-    print(f"Se_base = {_fmt(base_rate)}")
-    print(f"Se_filtered = {_fmt(new_rate)}")
-    print(f"log_gain_integral = {_fmt(shift)}")
     if base_rate == -math.inf:
-        print("identity_residual = n/a")
+        residual = "n/a"
     else:
-        print(f"identity_residual = {abs(new_rate - (base_rate + shift)):.3e}")
+        residual = f"{abs(new_rate - (base_rate + shift)):.3e}"
+    _emit(
+        args,
+        f"Se_base = {_fmt(base_rate)}\n"
+        f"Se_filtered = {_fmt(new_rate)}\n"
+        f"log_gain_integral = {_fmt(shift)}\n"
+        f"identity_residual = {residual}\n",
+    )
     return EXIT_OK
 
 
@@ -160,15 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, field=False):
+    def add_common(p, formats=True):
         p.add_argument("--model", help="inline model string, e.g. poisson:0.5")
         p.add_argument("--model-file", help="path to a JSON model description")
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("rate", help="print the entropy rate and Szego integral")
-    add_common(p)
+    add_common(p, formats=False)
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("report", help="exact identity table")
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("filter", help="linear filter rate identity")
-    add_common(p)
+    add_common(p, formats=False)
     p.add_argument("--symbol", required=True, help="comma-separated symbol coefficients")
     p.set_defaults(func=cmd_filter)
 

@@ -130,15 +130,3 @@ def _field_size(X: np.ndarray) -> int:
     if X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2] or X.shape[-1] < 1:
         raise DimensionMismatch(f"field shape {X.shape} is not (n, n) or (k, n, n) with n >= 1")
     return X.shape[-1]
-
-
-def block_entropy_2d(fm: SeparableFieldModel, n: int) -> float:
-    return fm.block_entropy_2d(n)
-
-
-def entropy_rate_2d(fm: SeparableFieldModel) -> float:
-    return fm.entropy_rate_2d()
-
-
-def product_marginal_kl_2d(fm: SeparableFieldModel, n: int) -> float:
-    return fm.product_marginal_kl_2d(n)

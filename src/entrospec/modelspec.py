@@ -44,14 +44,23 @@ def _floats(text: str):
         raise ModelConfigError(f"bad numeric list {text!r}") from exc
 
 
+def _params(kind: str, text: str, fewest: int, most: int, usage: str) -> list:
+    """The numbers in text, or ModelConfigError naming the kind and its
+    usage unless there are fewest..most of them."""
+    values = _floats(text)
+    if not fewest <= len(values) <= most:
+        raise ModelConfigError(f"{kind} needs {usage!r}, got {len(values)} values in {text!r}")
+    return values
+
+
 def density_from_string(text: str) -> spectral.SpectralDensity:
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "white":
-        (level,) = _floats(rest) or [1.0]
+        (level,) = _params(kind, rest, 0, 1, "white:level") or [1.0]
         return spectral.White(level)
     if kind == "poisson":
-        (r,) = _floats(rest)
+        (r,) = _params(kind, rest, 1, 1, "poisson:r")
         return spectral.PoissonKernel(r)
     if kind == "ma":
         return spectral.MovingAverage(_floats(rest))
@@ -59,10 +68,10 @@ def density_from_string(text: str) -> spectral.SpectralDensity:
         coeff_text, _, var_text = rest.rpartition(":")
         if not coeff_text:
             raise ModelConfigError("ar needs 'ar:c1,...,cp:s2'")
-        (variance,) = _floats(var_text)
+        (variance,) = _params(kind, var_text, 1, 1, "ar:c1,...,cp:s2")
         return spectral.AutoRegressive(_floats(coeff_text), variance)
     if kind == "power_singular":
-        vals = _floats(rest)
+        vals = _params(kind, rest, 1, 2, "power_singular:alpha[,scale]")
         if len(vals) == 1:
             vals.append(1.0)
         return spectral.PowerSingular(vals[0], vals[1])

@@ -1,9 +1,12 @@
 """Seeded, reproducible sampling of Gaussian paths and separable fields.
 
-The generator is a counter-based SplitMix64 feeding Box-Muller, so every
-trajectory owns an independent stream derived from (base seed, index) and
-ensembles parallelize without shared state.  Identical (model, n, seed)
-always reproduces values bit-exactly.
+The generator is a counter-based SplitMix64 feeding Box-Muller.  Draws
+are ensembles: `sample_paths` and `sample_fields` give one path or field
+per seed, from that seed's own stream, so a row depends on its seed alone
+and identical (model, n, seed) reproduces it bit-exactly.
+`ensemble_seeds` derives the seeds of an experiment from (base seed,
+index).  Nothing in the package calls `standard_normals`, `sample_field`
+or `ensemble_residuals`; they stay as hooks of the benchmark's tracer.
 
 1-D paths come from circulant embedding (Davies & Harte 1987; Wood & Chan
 1994): R_n is the leading block of a circulant matrix built from the
@@ -17,9 +20,7 @@ come from the dense Cholesky factor of R_n.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +62,8 @@ def _mix64(z, tmp=None):
 
 
 def _stream_seeds(bases, index: int):
-    """stream_seed for a uint64 scalar or array of base seeds."""
+    """Decorrelated per-trajectory stream ids of (base seed, index), for a
+    uint64 scalar or array of base seeds."""
     i = np.uint64(index & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
         return _mix64(_mix64(bases + _GOLDEN) ^ _mix64(i * _GOLDEN + _GOLDEN))
@@ -72,14 +74,9 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
 
 
-def stream_seed(base_seed: int, index: int) -> int:
-    """Decorrelated per-trajectory stream id."""
-    return int(_stream_seeds(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), index))
-
-
 def ensemble_seeds(base_seed: int, count: int) -> np.ndarray:
-    """[stream_seed(base_seed, i) for i in range(count)] as uint64, in one
-    vectorized pass."""
+    """The stream ids of (base_seed, i) for i in range(count), as uint64 in
+    one vectorized pass: entry i is _stream_seeds(base_seed, i)."""
     with np.errstate(over="ignore"):
         base = _mix64(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
         index = np.arange(count, dtype=np.uint64) * _GOLDEN + _GOLDEN
@@ -129,63 +126,6 @@ def standard_normals(stream: int, count: int) -> np.ndarray:
     return out[0]
 
 
-@dataclass
-class Trajectory:
-    """A sampled path; transformed paths keep the pre-image and the
-    per-coordinate log-Jacobian terms so exact densities stay available."""
-
-    values: np.ndarray
-    model_id: str
-    seed: int
-    base_values: np.ndarray | None = None
-    log_jacobian_terms: np.ndarray | None = None
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def log_jacobian(self) -> float:
-        if self.log_jacobian_terms is None:
-            return 0.0
-        return float(np.sum(self.log_jacobian_terms))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# model={self.model_id} seed={self.seed}\n")
-        buf.write("index,value\n")
-        for i, v in enumerate(self.values):
-            buf.write(f"{i},{float(v)!r}\n")
-        return buf.getvalue()
-
-
-@dataclass
-class FieldSample:
-    values: np.ndarray
-    model_id: str
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def to_csv(self) -> str:
-        n = self.n
-        buf = io.StringIO()
-        buf.write(f"# model={self.model_id} seed={self.seed} n={n}\n")
-        buf.write("s,t,value\n")
-        for s in range(n):
-            for t in range(n):
-                buf.write(f"{s},{t},{float(self.values[s, t])!r}\n")
-        return buf.getvalue()
-
-
-def sample_path(model: GaussianProcessModel, n: int, seed: int) -> Trajectory:
-    """Draw with the exact law N(0, R_n): one row of `sample_paths`, from
-    the same stream."""
-    x = sample_paths(model, n, [seed])[0]
-    return Trajectory(values=x, model_id=model.describe(), seed=seed)
-
-
 def _circulant_embedding(model: GaussianProcessModel, n: int):
     """(m, s) for the smallest nonnegative circulant embedding of R_n, or
     None if there is none up to _CE_MAX_PAD times the minimal size.
@@ -233,7 +173,7 @@ def _circulant_rows(s: np.ndarray, z: np.ndarray, w: np.ndarray, x: np.ndarray) 
 
 
 def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
-    """Ensemble draw, one row per seed; row i is sample_path(model, n, seeds[i]).
+    """Ensemble draw of N(0, R_n) paths, one row per seed.
 
     Row i is the circulant synthesis of m normals from the stream of
     seeds[i] (see `_circulant_embedding`), drawn _CE_CHUNK rows at a time,
@@ -291,22 +231,9 @@ def log_derivative(dphi, x) -> np.ndarray:
     return np.log(deriv)
 
 
-def transform_path(traj: Trajectory, phi, dphi) -> Trajectory:
-    """Coordinatewise y_i = phi(x_i) for a strictly increasing smooth phi."""
-    x = traj.values
-    return Trajectory(
-        values=np.asarray(phi(x), dtype=np.float64),
-        model_id=f"transformed({traj.model_id})",
-        seed=traj.seed,
-        base_values=x,
-        log_jacobian_terms=log_derivative(dphi, x),
-    )
-
-
-def sample_field(field_model, n: int, seed: int) -> FieldSample:
-    """Separable-field draw X = L_a Z L_b^T: one row of `sample_fields`."""
-    x = sample_fields(field_model, n, [seed])[0]
-    return FieldSample(values=x, model_id=field_model.describe(), seed=seed)
+def sample_field(field_model, n: int, seed: int) -> np.ndarray:
+    """Separable-field draw X = L_a Z L_b^T: one field of `sample_fields`."""
+    return sample_fields(field_model, n, [seed])[0]
 
 
 def sample_fields(field_model, n: int, seeds) -> np.ndarray:

@@ -1,6 +1,11 @@
 """Shannon information along sample paths and ensemble verification of
 the pointwise (Shannon-McMillan-Breiman type) convergence, in 1-D and on
 separable Z^2 fields.
+
+`information_at` is the one kernel of the 1-D path information
+I_n = -log rho_n; `smb_experiment` runs it on slices of a seeded ensemble.
+A field's information is its Kronecker block density,
+`SeparableFieldModel.log_block_density_2d`.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sampling
-from .errors import RateNotFinite
+from .errors import DimensionMismatch, RateNotFinite
 from .field2d import SeparableFieldModel
 from .gaussian_model import LOG_2PI, GaussianProcessModel
-from .sampling import Trajectory
 
 # seeds per sample_paths call in smb_experiment; a slice holds one
 # (slice x n) float64 path matrix
@@ -91,36 +95,41 @@ class ConvergenceReport:
 # path information
 
 
-def _increments(model: GaussianProcessModel, traj: Trajectory) -> np.ndarray:
-    """Conditional-information increments: the m-th term is
-    (1/2)log 2pi + (1/2)log sigma2_{m-1} + (1/2) e_{m-1}^2 / sigma2_{m-1}."""
-    x = traj.base_values if traj.base_values is not None else traj.values
-    n = len(x)
-    fact = model.factorization(n)
-    e = fact.residuals(x)
-    inc = 0.5 * (LOG_2PI + np.log(fact.sigma2[:n]) + e * e / fact.sigma2[:n])
-    if traj.log_jacobian_terms is not None:
-        inc = inc + traj.log_jacobian_terms
-    return inc
-
-
-def information_path(model: GaussianProcessModel, traj: Trajectory) -> np.ndarray:
-    """I_1..I_n with I_m = -log rho_m(x_0..x_{m-1}) (plus the Jacobian for
-    transformed paths), built incrementally in O(n^2)."""
-    return np.cumsum(_increments(model, traj))
-
-
-def innovation_average(model: GaussianProcessModel, traj: Trajectory) -> float:
-    """(1/(N-1)) sum of squared normalized innovations at orders 1..N-1;
-    tends to 1 along Gaussian paths."""
-    x = traj.base_values if traj.base_values is not None else traj.values
-    n = len(x)
-    if n < 2:
-        raise RateNotFinite("need at least 2 coordinates")
-    fact = model.factorization(n)
-    e = fact.residuals(x)
-    ratios = e[1:] ** 2 / fact.sigma2[1:n]
-    return float(np.mean(ratios))
+def information_at(model: GaussianProcessModel, X, n_grid, dphi=None) -> np.ndarray:
+    """(rows x len(n_grid)) array of I_n = -log rho_n(x_0..x_{n-1}) for each
+    row x of X, plus the sum of log phi'(x_j), j < n, when dphi = phi' is
+    given (NonMonotone where phi' <= 0).  The m-th increment is (1/2)(log 2pi
+    + log sigma2_{m-1} + e_{m-1}^2 / sigma2_{m-1}), e the innovations, made
+    one block of `LevinsonFactorization.residual_blocks` at a time, so the
+    working set is X and a few block-sized buffers.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n_max = max(n_grid)
+    if X.ndim != 2 or not 1 <= min(n_grid) <= n_max <= X.shape[1]:
+        raise DimensionMismatch(f"n grid {list(n_grid)} does not fit paths of shape {X.shape}")
+    X = X[:, :n_max]
+    fact = model.factorization(n_max)
+    half_terms = LOG_2PI + np.log(fact.sigma2[:n_max])
+    values = np.empty((len(X), len(n_grid)))
+    total = None  # I_{j0} of every path, the running sum before the block
+    for j0, inc in fact.residual_blocks(X):
+        # the residuals become the increments, then their running sums, in place
+        j1 = j0 + inc.shape[1]
+        inc *= inc
+        inc /= fact.sigma2[None, j0:j1]
+        inc += half_terms[None, j0:j1]
+        inc *= 0.5
+        if dphi is not None:
+            inc += sampling.log_derivative(dphi, X[:, j0:j1])
+        # a + b == b + a, so these are the sums of one cumsum along the path
+        if total is not None:
+            inc[:, 0] += total
+        np.cumsum(inc, axis=1, out=inc)
+        total = inc[:, -1]
+        for col, n in enumerate(n_grid):
+            if j0 < n <= j1:
+                values[:, col] = inc[:, n - 1 - j0]
+    return values
 
 
 def expected_log_derivative(dphi, variance: float, nodes: int = 96) -> float:
@@ -154,41 +163,21 @@ def smb_experiment(
     Jacobian terms entering I_n, and phi' <= 0 at a sample raises
     NonMonotone.  `workers` is only recorded in the report.  Paths are
     sampled in slices of at most _ENSEMBLE_SLICE seeds, and each slice is
-    scored one residual block of `LevinsonFactorization.residual_blocks` at
-    a time, so the working set is the paths and a few block-sized buffers.
+    scored by `information_at`.
     """
     n_grid = sorted(int(n) for n in n_grid)
     se = model.entropy_rate()
     if se == float("-inf"):
         raise RateNotFinite("entropy rate is -inf")
     n_max = n_grid[-1]
-    fact = model.factorization(n_max)
-    half_terms = LOG_2PI + np.log(fact.sigma2[:n_max])
-
+    dphi = None if transform is None else transform[1]
     seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
     values = np.empty((ensemble_size, len(n_grid)))
     for i0 in range(0, ensemble_size, _ENSEMBLE_SLICE):
         X = sampling.sample_paths(model, n_max, seeds[i0 : i0 + _ENSEMBLE_SLICE])
-        rows = slice(i0, i0 + len(X))
-        total = None  # I_{j0} of every path, the running sum before the block
-        for j0, inc in fact.residual_blocks(X):
-            # the residuals become the increments, then their running sums, in place
-            j1 = j0 + inc.shape[1]
-            inc *= inc
-            inc /= fact.sigma2[None, j0:j1]
-            inc += half_terms[None, j0:j1]
-            inc *= 0.5
-            if transform is not None:
-                inc += sampling.log_derivative(transform[1], X[:, j0:j1])
-            # a + b == b + a, so these are the sums of one cumsum along the path
-            if total is not None:
-                inc[:, 0] += total
-            np.cumsum(inc, axis=1, out=inc)
-            total = inc[:, -1]
-            for col, n in enumerate(n_grid):
-                if j0 < n <= j1:
-                    values[rows, col] = inc[:, n - 1 - j0] / n
-        del X, inc, total
+        values[i0 : i0 + len(X)] = information_at(model, X, n_grid, dphi)
+        del X
+    values /= n_grid
 
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=_ddof(ensemble_size))
@@ -215,12 +204,6 @@ def smb_experiment(
     )
     report.values_by_n = list(values.T)
     return report
-
-
-def information_field(fm: SeparableFieldModel, sample) -> float:
-    """(1/n^2) h_n^(2): normalized negative log-density of the field block."""
-    n = sample.n
-    return -fm.log_block_density_2d(sample.values) / (n * n)
 
 
 def smb2d_experiment(

@@ -665,28 +665,10 @@ class FilterProduct(SpectralDensity):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation surface
-
-
-def eval_density(f: SpectralDensity, t):
-    """Pointwise density value(s) w.r.t. normalized Lebesgue measure."""
-    return f.eval(t)
-
-
-def autocovariance(f: SpectralDensity, max_lag: int) -> AutocovarianceSequence:
-    return f.autocovariance(max_lag)
-
-
-def szego_integral(f: SpectralDensity) -> float:
-    """int log f dlambda; -inf when f vanishes on a set of positive measure."""
-    return f.szego_integral()
+# the quadrature route of the Szego integral, a cross-check of the closed forms
 
 
 def szego_integral_quadrature(f: SpectralDensity, tol: float = _DEFAULT_TOL) -> float:
     """Closed-form-free route, kept separate as an independent cross-check."""
     value, _ = cosine_integrals(f._log_eval, 0, "szego integral", tol)
     return float(value[0])
-
-
-def log_density_fourier_coeffs(f: SpectralDensity, max_n: int) -> np.ndarray:
-    return f.log_fourier_coeffs(max_n)

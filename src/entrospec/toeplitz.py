@@ -176,15 +176,3 @@ def levinson(r, n: int) -> LevinsonFactorization:
         if s2 <= floor:
             raise NotPositiveDefinite(m, s2)
     return LevinsonFactorization(sigma2, k, values[0], _kahan_log_prefix(sigma2))
-
-
-def log_det(fact: LevinsonFactorization, m: int) -> float:
-    return fact.log_det(m)
-
-
-def quadratic_form(fact: LevinsonFactorization, x) -> float:
-    return fact.quadratic_form(x)
-
-
-def predictor_coefficients(fact: LevinsonFactorization, m: int) -> np.ndarray:
-    return fact.predictor_coefficients(m)

@@ -74,6 +74,24 @@ class TestModelStrings:
         with pytest.raises(ModelConfigError):
             density_from_string("poisson:abc")
 
+    # (model string, its kind): too few or too many parameters for the kind
+    WRONG_COUNTS = [
+        ("power_singular:", "power_singular"),
+        ("power_singular:0.3,1,2", "power_singular"),
+        ("poisson:", "poisson"),
+        ("poisson:0.5,1", "poisson"),
+        ("ar:0.5:", "ar"),
+        ("ar:0.5:1,2", "ar"),
+        ("white:1,2", "white"),
+    ]
+
+    @pytest.mark.parametrize("text, kind", WRONG_COUNTS)
+    def test_wrong_parameter_count(self, text, kind, capsys):
+        with pytest.raises(ModelConfigError, match=kind):
+            density_from_string(text)
+        assert main(["rate", "--model", text]) == EXIT_CONFIG
+        assert kind in capsys.readouterr().err
+
 
 class TestModelConfigs:
     def test_nested_config(self):
@@ -247,6 +265,24 @@ class TestCliExitCodes:
         code = main(["predict", "--model-file", str(path), "--n", "16"])
         assert code == EXIT_NUMERICAL
 
+    # r(1..20) = 0.99 fails at order 21, [1, 1, 1, ...] at order 1: only the
+    # model's eager order-64 factorization sees either table, since rate and
+    # filter need no covariances
+    NOT_POSITIVE_DEFINITE = {
+        "ramp": [1.0] + [0.99] * 20 + [0.0] * 44,
+        "ones": [1.0, 1.0, 1.0] + [0.0] * 62,
+    }
+
+    @pytest.mark.parametrize("table", sorted(NOT_POSITIVE_DEFINITE))
+    @pytest.mark.parametrize(
+        "command", [["rate"], ["filter", "--symbol", "1,-0.5"], ["report"]], ids=lambda c: c[0]
+    )
+    def test_not_positive_definite_table_is_numerical_error(self, table, command, tmp_path):
+        path = tmp_path / "table.json"
+        covariances = self.NOT_POSITIVE_DEFINITE[table]
+        path.write_text(json.dumps({"kind": "fourier_table", "covariances": covariances}))
+        assert main(command + ["--model-file", str(path)]) == EXIT_NUMERICAL
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -372,6 +408,31 @@ class TestCliOutputs:
         residual = float(out.split("identity_residual = ")[1])
         assert residual < 1e-6
 
+    @pytest.mark.parametrize("symbol", ["inf", "1e999", "1,x", "", "nan,1"])
+    def test_filter_bad_symbol_is_config_error(self, symbol, capsys):
+        argv = ["filter", "--model", "poisson:0.5", "--symbol", symbol]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    TEXT_COMMANDS = {
+        "rate": ["rate", "--model", "poisson:0.5"],
+        "filter": ["filter", "--model", "poisson:0.5", "--symbol", "1,-0.5"],
+    }
+
+    @pytest.mark.parametrize("argv", TEXT_COMMANDS.values(), ids=TEXT_COMMANDS.keys())
+    def test_out_file_takes_the_text(self, argv, tmp_path, capsys):
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        path = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == printed
+
+    @pytest.mark.parametrize("argv", TEXT_COMMANDS.values(), ids=TEXT_COMMANDS.keys())
+    def test_format_is_not_an_option(self, argv):
+        # only report, smb, smb2d and predict read --format
+        assert main(argv + ["--format", "json"]) == EXIT_CONFIG
+
     def test_workers_flag_matches_serial(self, tmp_path):
         a = tmp_path / "w1.csv"
         b = tmp_path / "w4.csv"
@@ -382,6 +443,28 @@ class TestCliOutputs:
 
 
 class TestImport:
+    def test_benchmark_tracer_installs(self):
+        # the benchmark's tracer looks its hooks up by name, and its run
+        # record reads entrospec.kernels; a deleted name fails here
+        import os
+        import subprocess
+        import sys
+
+        bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "entrobench")
+        code = (
+            f"import sys; sys.path.insert(0, {bench!r}); import tracer; "
+            "tracer.install(tracer.Tracer()); "
+            "from entrospec import kernels; print(kernels.BACKEND)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=package_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "python"
+
     def test_cli_import_leaves_scipy_out(self):
         import subprocess
         import sys

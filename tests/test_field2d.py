@@ -10,12 +10,7 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
-from entrospec.field2d import (
-    block_entropy_2d,
-    entropy_rate_2d,
-    product_marginal_kl_2d,
-    toeplitz_matrix,
-)
+from entrospec.field2d import toeplitz_matrix
 from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
 from entrospec.spectral import NEG_INF
 from entrospec.toeplitz import _FACTOR_BLOCK
@@ -112,7 +107,7 @@ class TestBlockEntropy2d:
     def test_white_field(self):
         fm = SeparableFieldModel(White(1.0), White(1.0))
         for n in (1, 2, 5):
-            assert block_entropy_2d(fm, n) == pytest.approx(
+            assert fm.block_entropy_2d(n) == pytest.approx(
                 n * n * HALF_LOG_2PI_E, abs=1e-12
             )
 
@@ -120,18 +115,18 @@ class TestBlockEntropy2d:
         # factor logdets: D_a(2) = log 0.75, D_b(2) = 0
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
         want = 4 * HALF_LOG_2PI_E + 0.5 * 2 * math.log(0.75)
-        assert block_entropy_2d(fm, 2) == pytest.approx(want, abs=1e-12)
+        assert fm.block_entropy_2d(2) == pytest.approx(want, abs=1e-12)
 
     def test_poisson_square(self):
         # both factors contribute: n(D_a + D_b) = 2(log .75 + log .75)
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
         want = 4 * HALF_LOG_2PI_E + 0.5 * 4 * math.log(0.75)
-        assert block_entropy_2d(fm, 2) == pytest.approx(want, abs=1e-12)
+        assert fm.block_entropy_2d(2) == pytest.approx(want, abs=1e-12)
 
     def test_normalized_entropy_converges_to_rate(self):
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
-        se = entropy_rate_2d(fm)
-        vals = [block_entropy_2d(fm, n) / (n * n) for n in (8, 32, 128)]
+        se = fm.entropy_rate_2d()
+        vals = [fm.block_entropy_2d(n) / (n * n) for n in (8, 32, 128)]
         errs = [abs(v - se) for v in vals]
         assert errs[1] < errs[0]
         assert errs[2] < errs[1]
@@ -142,7 +137,7 @@ class TestBlockEntropy2d:
         want = HALF_LOG_2PI_E + 0.5 * (
             fm.factor_a.szego_integral() + fm.factor_b.szego_integral()
         )
-        assert entropy_rate_2d(fm) == pytest.approx(want, abs=1e-12)
+        assert fm.entropy_rate_2d() == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_factor_gives_minus_inf(self):
         import entrospec
@@ -153,20 +148,20 @@ class TestBlockEntropy2d:
         )
         table = entrospec.FourierTable(entrospec.AutocovarianceSequence(coeffs))
         fm = SeparableFieldModel(table, White(1.0))
-        assert entropy_rate_2d(fm) == NEG_INF
+        assert fm.entropy_rate_2d() == NEG_INF
 
 
 class TestProductMarginalKL:
     def test_white_field_zero(self):
         fm = SeparableFieldModel(White(1.0), White(1.0))
         for n in (1, 3, 8):
-            assert product_marginal_kl_2d(fm, n) == pytest.approx(0.0, abs=1e-12)
+            assert fm.product_marginal_kl_2d(n) == pytest.approx(0.0, abs=1e-12)
 
     def test_independence_characterization(self):
         # KL = 0 at every n iff both factors are white
         dependent = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
-        assert product_marginal_kl_2d(dependent, 1) == pytest.approx(0.0, abs=1e-12)
-        assert product_marginal_kl_2d(dependent, 2) > 1e-3
+        assert dependent.product_marginal_kl_2d(1) == pytest.approx(0.0, abs=1e-12)
+        assert dependent.product_marginal_kl_2d(2) > 1e-3
 
     def test_nonnegative_and_superadditive_vs_1d(self):
         # 2-D product KL dominates n x (each factor's 1-D product KL)
@@ -174,7 +169,7 @@ class TestProductMarginalKL:
 
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(-0.3))
         for n in (2, 4, 16):
-            kl2 = product_marginal_kl_2d(fm, n)
+            kl2 = fm.product_marginal_kl_2d(n)
             kla = kl_to_marginal_product(fm.factor_a, n)
             klb = kl_to_marginal_product(fm.factor_b, n)
             assert kl2 >= n * (kla + klb) - 1e-10
@@ -185,7 +180,7 @@ class TestProductMarginalKL:
         R = dense_kron_cov(fm, n)
         _, logdet = np.linalg.slogdet(R)
         want = 0.5 * (n * n * math.log(R[0, 0]) - logdet)
-        assert product_marginal_kl_2d(fm, n) == pytest.approx(want, abs=1e-8)
+        assert fm.product_marginal_kl_2d(n) == pytest.approx(want, abs=1e-8)
 
 
 class TestConfigRoundTrip:

@@ -27,15 +27,14 @@ from entrospec.sampling import (
     ensemble_residuals,
     ensemble_seeds,
     field_chunks,
+    log_derivative,
     path_sampler,
     sample_field,
     sample_fields,
-    sample_path,
     sample_paths,
     standard_normals,
-    stream_seed,
-    transform_path,
 )
+from entrospec.smb import information_at
 from entrospec.toeplitz import _FACTOR_BLOCK
 
 from conftest import dense_cov, dense_innovations, make_non_banded_zoo, make_zoo
@@ -54,25 +53,37 @@ def synthesis_map(model, n):
     return m, x[:, :n]
 
 
+def normals(seed, count):
+    """The first count normals of the stream that sample_paths and
+    sample_fields draw for seed."""
+    return standard_normals(ensemble_seeds(seed, 1)[0], count)
+
+
+def scalar_stream(base, index):
+    """The stream id of (base, index) from one scalar base seed."""
+    return int(_stream_seeds(np.uint64(base & 0xFFFFFFFFFFFFFFFF), index))
+
+
 class TestStreams:
     def test_stream_seed_deterministic(self):
-        assert stream_seed(42, 0) == stream_seed(42, 0)
-        assert stream_seed(42, 0) != stream_seed(42, 1)
-        assert stream_seed(42, 0) != stream_seed(43, 0)
+        assert ensemble_seeds(42, 1)[0] == ensemble_seeds(42, 1)[0]
+        assert ensemble_seeds(42, 2)[0] != ensemble_seeds(42, 2)[1]
+        assert ensemble_seeds(42, 1)[0] != ensemble_seeds(43, 1)[0]
 
     def test_streams_decorrelated(self):
         # adjacent indices give normals with negligible empirical correlation
-        a = standard_normals(stream_seed(7, 0), 20000)
-        b = standard_normals(stream_seed(7, 1), 20000)
+        streams = ensemble_seeds(7, 2)
+        a = standard_normals(streams[0], 20000)
+        b = standard_normals(streams[1], 20000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
     def test_normals_pass_ks(self):
-        z = standard_normals(stream_seed(123, 0), 10000)
+        z = normals(123, 10000)
         stat = scipy.stats.kstest(z, "norm")
         assert stat.pvalue > 0.001
 
     def test_normals_moments(self):
-        z = standard_normals(stream_seed(5, 0), 200000)
+        z = normals(5, 200000)
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
         assert abs(scipy.stats.skew(z)) < 0.02
@@ -86,7 +97,7 @@ class TestBatchedNormals:
         X = np.empty((len(seeds), n))
         _normals_into(X, _stream_seeds(np.array(seeds, dtype=np.uint64), 0))
         for row, s in zip(X, seeds):
-            assert np.array_equal(row, standard_normals(stream_seed(s, 0), n))
+            assert np.array_equal(row, normals(s, n))
 
     def test_stream_values_pinned(self):
         # bit-exact reproducibility: values recorded from the single-stream generator
@@ -97,8 +108,8 @@ class TestBatchedNormals:
             -0.49042282539864784,
             -0.9886041246243277,
         ]
-        assert standard_normals(stream_seed(0, 0), 5).tolist() == want
-        assert standard_normals(stream_seed(2**64 - 1, 3), 3).tolist() == [
+        assert normals(0, 5).tolist() == want
+        assert standard_normals(ensemble_seeds(2**64 - 1, 4)[3], 3).tolist() == [
             1.1321284469738484,
             -0.016626757606585725,
             -1.2646342872110257,
@@ -108,28 +119,28 @@ class TestBatchedNormals:
         bases = np.array([0, 7, 2**64 - 1], dtype=np.uint64)
         for index in (0, 3):
             got = _stream_seeds(bases, index)
-            assert [int(v) for v in got] == [stream_seed(int(b), index) for b in bases]
+            assert [int(v) for v in got] == [scalar_stream(int(b), index) for b in bases]
 
     @pytest.mark.parametrize("base", [0, 7, 2**63, 2**64 - 1, -3, 2**70 + 5])
     def test_ensemble_seeds_match_scalar(self, base):
         got = ensemble_seeds(base, 300)
         assert got.dtype == np.uint64
-        assert got.tolist() == [stream_seed(base, i) for i in range(300)]
+        assert got.tolist() == [scalar_stream(base, i) for i in range(300)]
         assert ensemble_seeds(base, 0).size == 0
 
 
 class TestSamplePath:
     def test_bit_exact_reproducibility(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        a = sample_path(model, 64, 99)
-        b = sample_path(model, 64, 99)
-        assert np.array_equal(a.values, b.values)
+        a = sample_paths(model, 64, [99])[0]
+        b = sample_paths(model, 64, [99])[0]
+        assert np.array_equal(a, b)
 
     def test_seed_changes_path(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        a = sample_path(model, 64, 99)
-        b = sample_path(model, 64, 100)
-        assert not np.array_equal(a.values, b.values)
+        a = sample_paths(model, 64, [99])[0]
+        b = sample_paths(model, 64, [100])[0]
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "model, n",
@@ -152,7 +163,7 @@ class TestSamplePath:
 
     def test_marginal_is_standard_over_seeds(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        x0 = np.array([sample_path(model, 1, s).values[0] for s in range(10000)])
+        x0 = np.array([sample_paths(model, 1, [s])[0, 0] for s in range(10000)])
         stat = scipy.stats.kstest(x0, "norm")
         assert stat.pvalue > 0.001
 
@@ -172,14 +183,6 @@ class TestSamplePath:
         assert q.mean() == pytest.approx(n, abs=4 * math.sqrt(2 * n / M) * math.sqrt(n))
         assert q.var(ddof=1) == pytest.approx(2 * n, rel=0.15)
 
-    def test_csv_format(self):
-        model = GaussianProcessModel(White(1.0))
-        traj = sample_path(model, 3, 11)
-        lines = traj.to_csv().splitlines()
-        assert lines[0].startswith("# model=")
-        assert lines[1] == "index,value"
-        assert float(lines[2].split(",")[1]) == traj.values[0]
-
 
 class TestEnsemble:
     def test_rows_match_single_paths(self):
@@ -191,8 +194,8 @@ class TestEnsemble:
         X = sample_paths(model, n, seeds)
         m, B = synthesis_map(model, n)
         for i, s in enumerate(seeds):
-            assert np.array_equal(X[i], sample_path(model, n, s).values)
-            assert np.max(np.abs(X[i] - standard_normals(stream_seed(s, 0), m) @ B)) <= 1e-10
+            assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
+            assert np.max(np.abs(X[i] - normals(s, m) @ B)) <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(make_non_banded_zoo()))
     def test_non_banded_rows_across_block_seams(self, name):
@@ -205,7 +208,7 @@ class TestEnsemble:
         E = ensemble_residuals(model, X)
         m, B = synthesis_map(model, n)
         for i, s in enumerate(seeds):
-            z = standard_normals(stream_seed(s, 0), m)
+            z = normals(s, m)
             assert np.max(np.abs(X[i] - z @ B)) <= 1e-10
             assert np.max(np.abs(E[i] - dense_innovations(model, X[i]))) <= 1e-10
 
@@ -272,10 +275,10 @@ class TestSamplerChoice:
         # independent of the sampler: the Levinson innovations whiten each row
         Z = ensemble_residuals(model, X) / model.factorization(n).innovation_std(n)
         for i, s in enumerate(seeds):
-            z = standard_normals(stream_seed(s, 0), n)
+            z = normals(s, n)
             assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
             assert np.max(np.abs(Z[i] - z)) <= 1e-10
-            assert np.array_equal(X[i], sample_path(model, n, s).values)
+            assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
 
     def test_padded_embedding(self):
         # the minimal embedding of size 2(n-1) is negative; twice that is not
@@ -287,25 +290,30 @@ class TestSamplerChoice:
 
 
 class TestTransformPath:
+    # a transform phi enters the path information only through log phi'
     def test_identity_transform(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        traj = sample_path(model, 16, 1)
-        out = transform_path(traj, lambda x: x, lambda x: np.ones_like(x))
-        assert np.array_equal(out.values, traj.values)
-        assert out.log_jacobian == 0.0
+        X = sample_paths(model, 16, [1])
+        ones = lambda x: np.ones_like(x)
+        assert np.sum(log_derivative(ones, X[0])) == 0.0
+        grid = range(1, 17)
+        assert np.array_equal(information_at(model, X, grid, ones), information_at(model, X, grid))
 
     def test_affine_transform_jacobian(self):
         model = GaussianProcessModel(White(1.0))
-        traj = sample_path(model, 10, 2)
-        out = transform_path(traj, lambda x: 3 * x + 1, lambda x: 3 * np.ones_like(x))
-        assert out.log_jacobian == pytest.approx(10 * math.log(3.0), abs=1e-12)
-        assert np.array_equal(out.base_values, traj.values)
+        X = sample_paths(model, 10, [2])
+        threes = lambda x: 3 * np.ones_like(x)
+        assert np.sum(log_derivative(threes, X[0])) == pytest.approx(10 * math.log(3.0), abs=1e-12)
+        shift = information_at(model, X, [10], threes) - information_at(model, X, [10])
+        assert shift[0, 0] == pytest.approx(10 * math.log(3.0), abs=1e-12)
 
     def test_nonmonotone_rejected(self):
         model = GaussianProcessModel(White(1.0))
-        traj = sample_path(model, 10, 2)
+        X = sample_paths(model, 10, [2])
         with pytest.raises(NonMonotone):
-            transform_path(traj, lambda x: x**2, lambda x: 2 * x)
+            log_derivative(lambda x: 2 * x, X[0])
+        with pytest.raises(NonMonotone):
+            information_at(model, X, [10], lambda x: 2 * x)
 
 
 class TestSampleField:
@@ -313,7 +321,7 @@ class TestSampleField:
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
         a = sample_field(fm, 8, 4)
         b = sample_field(fm, 8, 4)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_covariance_structure(self):
         # cov(X_{0,0}, X_{0,1}) = r_a(0) r_b(1) = 0.5; cov with X_{1,1} = 0.25
@@ -346,15 +354,15 @@ class TestSampleField:
             assert np.array_equal(X, stack[i0 : i0 + len(X)])
         assert starts == list(range(0, len(seeds), chunk))
         for i in {0, 1, 2, chunk - 1, chunk, len(seeds) - 1}:
-            assert np.array_equal(stack[i], sample_field(fm, n, seeds[i]).values)
+            assert np.array_equal(stack[i], sample_field(fm, n, seeds[i]))
 
     def test_single_field_is_cholesky_draw(self):
         # L_a Z L_b^T from the seed's own stream, independent of the stacking
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
         n = 5
-        z = standard_normals(stream_seed(11, 0), n * n).reshape(n, n)
+        z = normals(11, n * n).reshape(n, n)
         want = fm.cholesky_a(n) @ z @ fm.cholesky_b(n).T
-        assert np.max(np.abs(sample_field(fm, n, 11).values - want)) <= 1e-14
+        assert np.max(np.abs(sample_field(fm, n, 11) - want)) <= 1e-14
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_bad_size_raises(self, n):
@@ -365,10 +373,3 @@ class TestSampleField:
             sample_fields(fm, n, [0, 1])
         with pytest.raises(DimensionMismatch):
             next(field_chunks(fm, n, [0, 1]))
-
-    def test_csv_format(self):
-        fm = SeparableFieldModel(White(1.0), White(1.0))
-        s = sample_field(fm, 2, 0)
-        lines = s.to_csv().splitlines()
-        assert lines[1] == "s,t,value"
-        assert len(lines) == 2 + 4

@@ -7,6 +7,7 @@ import pytest
 
 from entrospec import (
     AutoRegressive,
+    DimensionMismatch,
     GaussianProcessModel,
     NonMonotone,
     PoissonKernel,
@@ -17,62 +18,72 @@ from entrospec import (
 from entrospec import smb
 from entrospec.gaussian_model import LOG_2PI
 from entrospec.sampling import (
-    Trajectory,
     ensemble_residuals,
     ensemble_seeds,
     log_derivative,
     sample_field,
-    sample_path,
     sample_paths,
-    stream_seed,
-    transform_path,
+    standard_normals,
 )
 from entrospec.toeplitz import _FACTOR_BLOCK
 from entrospec.smb import (
     expected_log_derivative,
-    information_field,
-    information_path,
-    innovation_average,
+    information_at,
     smb2d_experiment,
     smb_experiment,
 )
+
+
+def innovation_average(model, X):
+    """(1/(n-1)) sum of the squared normalized innovations of the one path
+    in X at orders 1..n-1; it tends to 1 along Gaussian paths."""
+    n = X.shape[1]
+    e = ensemble_residuals(model, X)[0]
+    return float(np.mean(e[1:] ** 2 / model.factorization(n).sigma2[1:n]))
 
 
 class TestInformationPath:
     def test_matches_exact_block_density(self, zoo):
         # two routes to I_n: incremental innovations vs direct -log rho_n
         for model in zoo.values():
-            traj = sample_path(model, 64, 5)
-            path = information_path(model, traj)
+            X = sample_paths(model, 64, [5])
+            path = information_at(model, X, range(1, 65))[0]
             for n in (1, 2, 17, 64):
-                direct = -model.log_block_density(traj.values[:n])
+                direct = -model.log_block_density(X[0, :n])
                 assert abs(path[n - 1] - direct) <= 1e-8
 
     def test_deterministic_zero_path(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        traj = Trajectory(values=np.zeros(16), model_id="zero", seed=0)
-        path = information_path(model, traj)
+        path = information_at(model, np.zeros((1, 16)), range(1, 17))[0]
         fact = model.factorization(16)
         want = 0.5 * np.cumsum(np.log(2 * np.pi * fact.sigma2[:16]))
         assert np.allclose(path, want, atol=1e-12)
 
     def test_transformed_path_adds_jacobian(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        traj = sample_path(model, 32, 9)
-        out = transform_path(traj, lambda x: x + 0.1 * np.sin(x), lambda x: 1 + 0.1 * np.cos(x))
-        base = information_path(model, traj)
-        trans = information_path(model, out)
-        assert np.allclose(trans - base, np.cumsum(out.log_jacobian_terms), atol=1e-12)
+        X = sample_paths(model, 32, [9])
+        dphi = lambda x: 1 + 0.1 * np.cos(x)
+        base = information_at(model, X, range(1, 33))[0]
+        trans = information_at(model, X, range(1, 33), dphi)[0]
+        assert np.allclose(trans - base, np.cumsum(log_derivative(dphi, X[0])), atol=1e-12)
 
     def test_innovation_average_near_one(self):
         model = GaussianProcessModel(AutoRegressive([0.5], 0.75))
-        traj = sample_path(model, 10000, 17)
-        assert innovation_average(model, traj) == pytest.approx(1.0, abs=0.06)
+        X = sample_paths(model, 10000, [17])
+        assert innovation_average(model, X) == pytest.approx(1.0, abs=0.06)
 
     def test_innovation_average_zero_path(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        traj = Trajectory(values=np.zeros(64), model_id="zero", seed=0)
-        assert innovation_average(model, traj) == 0.0
+        assert innovation_average(model, np.zeros((1, 64))) == 0.0
+
+    @pytest.mark.parametrize("grid", [[0, 4], [4, 9], [9]])
+    def test_grid_outside_paths_raises(self, grid):
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        X = sample_paths(model, 8, [1, 2])
+        with pytest.raises(DimensionMismatch):
+            information_at(model, X, grid)
+        with pytest.raises(DimensionMismatch):
+            information_at(model, X[0], [4])
 
 
 class TestExpectedLogDerivative:
@@ -87,9 +98,7 @@ class TestExpectedLogDerivative:
         assert got == pytest.approx(0.05795692528396653, abs=1e-10)
 
     def test_monte_carlo_cross_check(self):
-        from entrospec.sampling import standard_normals, stream_seed
-
-        z = standard_normals(stream_seed(31, 0), 400000)
+        z = standard_normals(ensemble_seeds(31, 1)[0], 400000)
         mc = float(np.mean(np.log(1 + 0.1 * np.cos(z))))
         exact = expected_log_derivative(lambda x: 1 + 0.1 * np.cos(x), 1.0)
         assert mc == pytest.approx(exact, abs=5e-4)
@@ -238,10 +247,11 @@ class TestSmbExperiment:
 
 class TestSmb2d:
     def test_information_field_matches_density(self):
+        # the one field of a one-field ensemble is drawn from the base seed's stream 0
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
-        s = sample_field(fm, 8, 3)
-        got = information_field(fm, s)
-        want = -fm.log_block_density_2d(s.values) / 64
+        got = smb2d_experiment(fm, [8], 1, base_seed=3).values_by_n[0][0]
+        x = sample_field(fm, 8, ensemble_seeds(3, 1)[0])
+        want = -fm.log_block_density_2d(x) / 64
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_unbiased_and_concentrating(self):
@@ -253,13 +263,13 @@ class TestSmb2d:
 
     def test_values_match_per_field_loop(self):
         # stacked chunks (64 fields at n = 16, 4 at n = 64, 1 at n = 128)
-        # against one sample_field and one information_field per seed
+        # against one sample_field and one block density per seed
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
         grid, m, base = [16, 64, 128], 70, 5
         rep = smb2d_experiment(fm, grid, m, base_seed=base)
-        seeds = [stream_seed(base, i) for i in range(m)]
+        seeds = ensemble_seeds(base, m)
         for n, got in zip(grid, rep.values_by_n):
-            want = [information_field(fm, sample_field(fm, n, s)) for s in seeds]
+            want = [-fm.log_block_density_2d(sample_field(fm, n, s)) / (n * n) for s in seeds]
             assert got.tolist() == want
 
     def test_worker_count_does_not_change_results(self):

@@ -20,15 +20,7 @@ from entrospec import (
     White,
 )
 from entrospec import spectral
-from entrospec.spectral import (
-    NEG_INF,
-    autocovariance,
-    cosine_integrals,
-    eval_density,
-    log_density_fourier_coeffs,
-    szego_integral,
-    szego_integral_quadrature,
-)
+from entrospec.spectral import NEG_INF, cosine_integrals, szego_integral_quadrature
 
 from conftest import quad_szego
 
@@ -94,21 +86,21 @@ class _InteriorZero(SpectralDensity):
 
 class TestEvalDensity:
     def test_white_constant(self):
-        assert eval_density(White(1.0), 0.3) == 1.0
+        assert White(1.0).eval(0.3) == 1.0
 
     def test_poisson_at_zero(self):
         # (1 - 0.25) / (1 - 0.5)^2
-        assert eval_density(PoissonKernel(0.5), 0.0) == pytest.approx(3.0, abs=1e-12)
+        assert PoissonKernel(0.5).eval(0.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_poisson_matches_partial_sums(self):
         # oracle: partial sums of sum r^|n| e^{int}
         t = 0.7
         r = 0.5
         total = 1.0 + 2.0 * sum(r**n * math.cos(n * t) for n in range(1, 200))
-        assert eval_density(PoissonKernel(r), t) == pytest.approx(total, abs=1e-12)
+        assert PoissonKernel(r).eval(t) == pytest.approx(total, abs=1e-12)
 
     def test_ma_at_pi(self):
-        assert eval_density(MovingAverage([1.0, 0.5]), math.pi) == pytest.approx(
+        assert MovingAverage([1.0, 0.5]).eval(math.pi) == pytest.approx(
             0.25, abs=1e-12
         )
 
@@ -127,21 +119,21 @@ class TestEvalDensity:
 
 class TestAutocovariance:
     def test_white(self):
-        acov = autocovariance(White(1.0), 3)
+        acov = White(1.0).autocovariance(3)
         assert np.allclose(acov.values, [1, 0, 0, 0])
 
     def test_poisson_closed_form(self):
-        acov = autocovariance(PoissonKernel(0.5), 3)
+        acov = PoissonKernel(0.5).autocovariance(3)
         assert np.allclose(acov.values, [1, 0.5, 0.25, 0.125], atol=1e-12)
 
     def test_ma_normalized(self):
-        acov = autocovariance(MA1, 2)
+        acov = MA1.autocovariance(2)
         assert acov[0] == pytest.approx(1.0, abs=1e-12)
         assert acov[1] == pytest.approx(0.4, abs=1e-12)
         assert acov[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_lag_symmetry(self):
-        acov = autocovariance(PoissonKernel(0.5), 4)
+        acov = PoissonKernel(0.5).autocovariance(4)
         assert acov[-3] == acov[3]
 
     @pytest.mark.parametrize("density", [PoissonKernel(0.5), MA1])
@@ -186,23 +178,23 @@ class TestAutocovariance:
 
 class TestSzegoIntegral:
     def test_white(self):
-        assert szego_integral(White(1.0)) == 0.0
+        assert White(1.0).szego_integral() == 0.0
 
     def test_poisson(self):
-        assert szego_integral(PoissonKernel(0.5)) == pytest.approx(
+        assert PoissonKernel(0.5).szego_integral() == pytest.approx(
             -0.2876820724517809, abs=1e-12
         )
 
     def test_ma_root_outside(self):
-        assert szego_integral(MA1) == pytest.approx(-math.log(1.25), abs=1e-12)
+        assert MA1.szego_integral() == pytest.approx(-math.log(1.25), abs=1e-12)
 
     def test_power_singular_scale_only(self):
-        assert szego_integral(PowerSingular(0.3, 1.0)) == 0.0
-        assert szego_integral(PowerSingular(0.3, 2.0)) == pytest.approx(math.log(2.0))
+        assert PowerSingular(0.3, 1.0).szego_integral() == 0.0
+        assert PowerSingular(0.3, 2.0).szego_integral() == pytest.approx(math.log(2.0))
 
     @pytest.mark.parametrize("density", [PoissonKernel(0.5), MA1, AutoRegressive([0.5], 0.75)])
     def test_closed_form_vs_quadrature(self, density):
-        assert szego_integral(density) == pytest.approx(
+        assert density.szego_integral() == pytest.approx(
             szego_integral_quadrature(density), abs=1e-9
         )
 
@@ -219,17 +211,17 @@ class TestSzegoIntegral:
         ids=repr,
     )
     def test_sum_with_cusp_vs_adaptive_quadrature(self, density):
-        assert szego_integral(density) == pytest.approx(quad_szego(density), abs=1e-12)
+        assert density.szego_integral() == pytest.approx(quad_szego(density), abs=1e-12)
 
     def test_sum_with_cusp_evaluation_budget(self, monkeypatch):
         # uniform grids need about 2M points on this cusp, tanh-sinh about 200
         points = count_sum_points(monkeypatch)
-        szego_integral(CUSP_SUM)
+        CUSP_SUM.szego_integral()
         assert 0 < sum(points) <= 20_000
 
     def test_vanishing_density_raises(self):
         with pytest.raises(QuadratureNotConverged) as info:
-            szego_integral(_Gap())
+            _Gap().szego_integral()
         assert info.value.what == "szego integral"
         assert "szego integral" in str(info.value)
 
@@ -253,11 +245,11 @@ class TestSzegoIntegral:
 
 class TestLogDensityFourierCoeffs:
     def test_white_zero(self):
-        assert np.all(log_density_fourier_coeffs(White(1.0), 8) == 0.0)
+        assert np.all(White(1.0).log_fourier_coeffs(8) == 0.0)
 
     def test_poisson_closed_form_vs_quadrature(self):
         n = np.arange(1, 9)
-        closed = log_density_fourier_coeffs(PoissonKernel(0.5), 8)
+        closed = PoissonKernel(0.5).log_fourier_coeffs(8)
         assert np.allclose(closed, 0.5**n / n, atol=1e-14)
         quad = log_cosine_quadrature(PoissonKernel(0.5), 8)[1:]
         assert np.allclose(closed, quad, atol=1e-10)
@@ -265,7 +257,7 @@ class TestLogDensityFourierCoeffs:
     def test_sum_with_cusp_vs_mpmath(self):
         # L(n) of the cusp sum model from mpmath at 20-25 digits; a midpoint
         # grid was 2.78e-11 off at every n, since the cusp acts like a point mass
-        coeffs = log_density_fourier_coeffs(CUSP_SUM, 4096)
+        coeffs = CUSP_SUM.log_fourier_coeffs(4096)
         pins = {
             1: 0.105878056121954984,
             10: -0.00157729177622054603,
@@ -278,7 +270,7 @@ class TestLogDensityFourierCoeffs:
     def test_sum_with_cusp_evaluation_budget(self, monkeypatch):
         # doubled midpoint grids took 2.06M points here, tanh-sinh about 52k
         points = count_sum_points(monkeypatch)
-        log_density_fourier_coeffs(CUSP_SUM, 4096)
+        CUSP_SUM.log_fourier_coeffs(4096)
         assert 0 < sum(points) <= 100_000
 
     @pytest.mark.parametrize("max_n", [0, 1, 16, 255, 256])
@@ -299,7 +291,7 @@ class TestLogDensityFourierCoeffs:
         assert abs(plain[0] - log_cosine_quadrature(density, 1)[0]) <= 1e-14
 
     def test_power_singular(self):
-        coeffs = log_density_fourier_coeffs(PowerSingular(0.3, 1.0), 5)
+        coeffs = PowerSingular(0.3, 1.0).log_fourier_coeffs(5)
         assert np.allclose(coeffs, -0.3 / np.arange(1, 6), atol=1e-14)
 
 
@@ -308,13 +300,13 @@ class TestFourierTable:
         table = FourierTable(AutocovarianceSequence([1.0, 0.5, 0.25, 0.125]))
         t = 0.4
         expected = 1 + 2 * (0.5 * math.cos(t) + 0.25 * math.cos(2 * t) + 0.125 * math.cos(3 * t))
-        assert eval_density(table, t) == pytest.approx(expected, abs=1e-12)
+        assert table.eval(t) == pytest.approx(expected, abs=1e-12)
 
     def test_eval_raises_for_bad_table(self):
         # not a positive definite sequence: series goes clearly negative
         table = FourierTable(AutocovarianceSequence([1.0, 0.9, 0.9]))
         with pytest.raises(EvaluationUnavailable):
-            eval_density(table, np.linspace(-math.pi, math.pi, 301))
+            table.eval(np.linspace(-math.pi, math.pi, 301))
 
     def test_autocovariance_respects_table_length(self):
         table = FourierTable(AutocovarianceSequence([1.0, 0.5]))

@@ -11,13 +11,8 @@ from entrospec import (
     levinson,
 )
 from entrospec.field2d import _inverse_factor
-from entrospec.sampling import ensemble_residuals, sample_path, sample_paths
-from entrospec.toeplitz import (
-    _FACTOR_BLOCK,
-    log_det,
-    predictor_coefficients,
-    quadratic_form,
-)
+from entrospec.sampling import ensemble_residuals, sample_paths
+from entrospec.toeplitz import _FACTOR_BLOCK
 
 from conftest import (
     dense_cov,
@@ -71,15 +66,15 @@ class TestLevinson:
 class TestLogDet:
     def test_identity_is_zero(self):
         fact = levinson(np.eye(1, 70)[0], 64)
-        assert log_det(fact, 64) == 0.0
+        assert fact.log_det(64) == 0.0
 
     def test_ar1_closed_form(self):
         fact = levinson(0.5 ** np.arange(8), 3)
-        assert log_det(fact, 3) == pytest.approx(2 * math.log(0.75), abs=1e-14)
+        assert fact.log_det(3) == pytest.approx(2 * math.log(0.75), abs=1e-14)
 
     def test_ma1_closed_form(self):
         fact = levinson([1.0, 0.4, 0.0], 2)
-        assert log_det(fact, 2) == pytest.approx(math.log(0.84), abs=1e-14)
+        assert fact.log_det(2) == pytest.approx(math.log(0.84), abs=1e-14)
 
     def test_prefix_differences_are_log_sigma2(self, zoo):
         for model in zoo.values():
@@ -108,20 +103,20 @@ class TestLogDet:
 class TestQuadraticForm:
     def test_identity(self):
         fact = levinson([1.0, 0.0], 2)
-        assert quadratic_form(fact, [3.0, 4.0]) == pytest.approx(25.0, abs=1e-12)
+        assert fact.quadratic_form([3.0, 4.0]) == pytest.approx(25.0, abs=1e-12)
 
     def test_ar1_basis_vector(self):
         fact = levinson([1.0, 0.5], 2)
-        assert quadratic_form(fact, [1.0, 0.0]) == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert fact.quadratic_form([1.0, 0.0]) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_ar1_ones_vector(self):
         fact = levinson([1.0, 0.5], 2)
-        assert quadratic_form(fact, [1.0, 1.0]) == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert fact.quadratic_form([1.0, 1.0]) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         fact = levinson([1.0, 0.5], 2)
         with pytest.raises(DimensionMismatch):
-            quadratic_form(fact, [1.0, 2.0, 3.0])
+            fact.quadratic_form([1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("name", sorted(make_zoo()))
     def test_against_dense_solve(self, zoo, name):
@@ -144,16 +139,16 @@ class TestQuadraticForm:
 class TestPredictorCoefficients:
     def test_identity_zero(self):
         fact = levinson([1.0, 0, 0, 0], 4)
-        assert np.all(predictor_coefficients(fact, 3) == 0.0)
+        assert np.all(fact.predictor_coefficients(3) == 0.0)
 
     def test_ar1_markov(self):
         fact = levinson(0.5 ** np.arange(8), 8)
-        b = predictor_coefficients(fact, 3)
+        b = fact.predictor_coefficients(3)
         assert np.allclose(b, [0, 0, 0.5], atol=1e-14)
 
     def test_ma1_first_order(self):
         fact = levinson([1.0, 0.4, 0.0], 3)
-        assert predictor_coefficients(fact, 1) == pytest.approx([0.4])
+        assert fact.predictor_coefficients(1) == pytest.approx([0.4])
 
     @pytest.mark.parametrize("name", sorted(make_zoo()))
     def test_normal_equations(self, zoo, name):
@@ -249,7 +244,7 @@ class TestEmptyInput:
         "residuals": lambda model: model.factorization(4).residuals([]),
         "quadratic_form": lambda model: model.factorization(4).quadratic_form([]),
         "log_block_density": lambda model: model.log_block_density(np.array([])),
-        "sample_path": lambda model: sample_path(model, 0, 5),
+        "sample_path": lambda model: sample_paths(model, 0, [5]),
         "sample_paths": lambda model: sample_paths(model, 0, [5, 6]),
     }
 
