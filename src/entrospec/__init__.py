@@ -5,7 +5,6 @@ from .errors import (
     DegenerateProcess,
     DimensionMismatch,
     EntrospecError,
-    EvaluationUnavailable,
     ModelConfigError,
     NonMonotone,
     NotPositiveDefinite,
@@ -34,6 +33,7 @@ from .spectral import (
     PowerSingular,
     Scaled,
     SpectralDensity,
+    SpectralGap,
     SumDensity,
     White,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "DegenerateProcess",
     "DimensionMismatch",
     "EntrospecError",
-    "EvaluationUnavailable",
     "FilterProduct",
     "FourierTable",
     "GaussianProcessModel",
@@ -64,6 +63,7 @@ __all__ = [
     "Scaled",
     "SeparableFieldModel",
     "SpectralDensity",
+    "SpectralGap",
     "SumDensity",
     "White",
     "ZeroSymbol",

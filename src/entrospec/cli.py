@@ -26,7 +26,7 @@ EXIT_CONFIG = 3
 
 def _int_list(text: str):
     try:
-        values = [int(p) for p in text.split(",") if p]
+        values = [int(p) for p in text.split(",")] if text else []
     except ValueError as exc:
         raise ModelConfigError(f"bad integer list {text!r}") from exc
     if not values or any(b <= a for a, b in zip(values, values[1:])):

@@ -35,15 +35,11 @@ class NotPositiveDefinite(NumericalError):
         super().__init__(f"innovation variance {value:.3e} at order {order}")
 
 
-class EvaluationUnavailable(NumericalError):
-    """Tabulated density cannot be evaluated pointwise (too negative)."""
-
-
 class DimensionMismatch(EntrospecError):
     """Vector length incompatible with the factorization order."""
 
 
-class ZeroSymbol(EntrospecError):
+class ZeroSymbol(ModelConfigError):
     """Filter symbol identically zero."""
 
 

@@ -24,19 +24,20 @@ class GaussianProcessModel:
     Covariances and the Levinson factorization are cached.  A request past
     the cached order m factors to max(n, 2m): one large request costs
     exactly its own order, and a rising series of requests stays O(final^2)
-    in total.  Models are immutable from the caller's point of view and
-    safe to query concurrently.
+    in total.  The covariances through the initial order are read at
+    construction; until the first request the initial order counts as the
+    cached one, so a model asked only for its rate is never factored.
+    Models are immutable from the caller's point of view and safe to query
+    concurrently.
     """
 
     def __init__(self, density: SpectralDensity, initial_order: int = 64):
         self.density = density
         self._lock = threading.RLock()
-        self._acov = None
+        self._initial_order = max(1, initial_order)
+        self._acov = density.autocovariance(self._initial_order - 1)
         self._fact = None
         self._szego = None
-        if isinstance(density, spectral.FourierTable):
-            initial_order = min(initial_order, density.table.max_lag + 1)
-        self._ensure(max(1, initial_order))
 
     # -- caches ------------------------------------------------------------
 
@@ -44,10 +45,9 @@ class GaussianProcessModel:
         with self._lock:
             if self._fact is not None and self._fact.order >= n:
                 return
-            target = n if self._fact is None else max(n, 2 * self._fact.order)
-            if isinstance(self.density, spectral.FourierTable):
-                target = max(n, min(target, self.density.table.max_lag + 1))
-            if self._acov is None or self._acov.max_lag < target - 1:
+            m = self._initial_order if self._fact is None else self._fact.order
+            target = m if n <= m else max(n, 2 * m)
+            if self._acov.max_lag < target - 1:
                 self._acov = self.density.autocovariance(target - 1)
             self._fact = toeplitz.levinson(self._acov, target)
 

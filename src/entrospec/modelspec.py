@@ -11,6 +11,7 @@ JSON schema (docs/model_schema.md has worked examples):
     {"kind": "ar", "coeffs": [0.5], "innovation_variance": 0.75}
     {"kind": "power_singular", "alpha": 0.3, "scale": 1.0}
     {"kind": "fourier_table", "covariances": [...]}
+    {"kind": "gap", "fraction": 0.25, "level": 1.0}
     {"kind": "scaled", "factor": 2.0, "base": {...}}
     {"kind": "sum", "terms": [{...}, {...}]}
     {"kind": "filter", "symbol": [1, 0.5], "base": {...}}
@@ -38,8 +39,12 @@ def _finite(value) -> float:
 
 
 def _floats(text: str):
+    """The comma-separated numbers in text; [] for "", and ModelConfigError
+    for an empty field such as the middle of "1,,2"."""
+    if text == "":
+        return []
     try:
-        return [_finite(p) for p in text.split(",") if p != ""]
+        return [_finite(p) for p in text.split(",")]
     except ValueError as exc:
         raise ModelConfigError(f"bad numeric list {text!r}") from exc
 
@@ -101,6 +106,8 @@ def density_from_config(cfg: dict) -> spectral.SpectralDensity:
                     [_finite(c) for c in cfg["covariances"]], origin="table"
                 )
             )
+        if kind == "gap":
+            return spectral.SpectralGap(_finite(cfg["fraction"]), _finite(cfg.get("level", 1.0)))
         if kind == "scaled":
             return spectral.Scaled(density_from_config(cfg["base"]), _finite(cfg["factor"]))
         if kind == "sum":

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModelConfigError, NonMonotone
+from .errors import DimensionMismatch, NonMonotone
 from .field2d import toeplitz_matrix
 from .gaussian_model import GaussianProcessModel
 
@@ -134,18 +134,14 @@ def _circulant_embedding(model: GaussianProcessModel, n: int):
     first and doubled after a negative eigenvalue; its eigenvalues are
     lambda = rfft(c).  s is sqrt(m lambda) on the half-spectrum, with the
     1/sqrt(2) of the complex interior bins folded in.  The longer lags come
-    from the density; a density without them (a FourierTable past its
-    table) has no padded embedding.
+    from the density.
     """
     m_min = max(2 * (n - 1), 1)
     r = model.autocovariance(n - 1).values
     m = m_min
     while m <= _CE_MAX_PAD * m_min:
         if m > m_min:
-            try:
-                r = model.density.autocovariance(m // 2).values
-            except ModelConfigError:
-                return None
+            r = model.density.autocovariance(m // 2).values
         lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
         if lam.min() >= -_CE_CLIP * lam.max():
             s = np.sqrt(m * np.maximum(lam, 0.0))

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EvaluationUnavailable,
-    ModelConfigError,
-    QuadratureNotConverged,
-    ZeroSymbol,
-)
+from .errors import ModelConfigError, QuadratureNotConverged, ZeroSymbol
 
 NEG_INF = float("-inf")
 
@@ -204,29 +199,13 @@ def log_abs_symbol_fourier_coeffs(coeffs, max_n: int) -> np.ndarray:
     return np.real(out)
 
 
-def _grid(n: int) -> np.ndarray:
-    """The n-point midpoint grid of [-pi, pi]."""
-    return -math.pi + 2.0 * math.pi * (np.arange(n) + 0.5) / n
-
-
-def _fourier_by_fft(values: np.ndarray, max_lag: int) -> np.ndarray:
-    """Fourier coefficients int e^{int}f dlambda from samples on _grid(n)."""
-    n = len(values)
-    m = np.arange(max_lag + 1)
-    coeffs = np.fft.rfft(values)[: max_lag + 1] / n
-    # the grid is offset by half a step, and starts at -pi, not 0
-    coeffs = coeffs * np.exp(-1j * math.pi * m / n)
-    coeffs = coeffs * np.exp(1j * math.pi * m)
-    return coeffs
-
-
-def _cosine_series(t, a):
-    """a[0] + sum_n a[n] cos(nt), term by term."""
+def _trig_power(coeffs, t):
+    """|sum_k c_k e^{ikt}|^2, summed term by term."""
     t = np.asarray(t, dtype=np.float64)
-    acc = np.full_like(t, a[0])
-    for n in range(1, len(a)):
-        acc += a[n] * np.cos(n * t)
-    return acc
+    acc = np.zeros_like(t, dtype=np.complex128)
+    for k, c in enumerate(coeffs):
+        acc += c * np.exp(1j * k * t)
+    return np.abs(acc) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +324,8 @@ class MovingAverage(SpectralDensity):
         if not any(c != 0.0 for c in self.coeffs):
             raise ModelConfigError("MA coefficients are all zero")
 
-    def _symbol(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        acc = np.zeros_like(t, dtype=np.complex128)
-        for k, a in enumerate(self.coeffs):
-            acc += a * np.exp(1j * k * t)
-        return acc
-
     def eval(self, t):
-        return np.abs(self._symbol(t)) ** 2
+        return _trig_power(self.coeffs, t)
 
     def autocovariance(self, max_lag):
         a = np.asarray(self.coeffs)
@@ -396,11 +368,7 @@ class AutoRegressive(SpectralDensity):
         return np.concatenate(([1.0], -np.asarray(self.coeffs)))
 
     def eval(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        acc = np.ones_like(t, dtype=np.complex128)
-        for k, c in enumerate(self.coeffs, start=1):
-            acc -= c * np.exp(1j * k * t)
-        return self.innovation_variance / np.abs(acc) ** 2
+        return self.innovation_variance / _trig_power(self._char_poly(), t)
 
     def autocovariance(self, max_lag):
         c = np.asarray(self.coeffs)
@@ -482,77 +450,98 @@ class PowerSingular(SpectralDensity):
 
 @dataclass(frozen=True, repr=False)
 class FourierTable(SpectralDensity):
-    """Density known only through finitely many covariances."""
+    """The density of finitely many covariances r(0..q): their maximum-entropy
+    extension s^2 / |1 - sum_j phi_j e^{ijt}|^2, for the order-q Levinson
+    predictor phi and its innovation variance s^2.  Among all densities with
+    these covariances it has the largest Szego integral, log s^2 (Burg 1967;
+    Choi & Cover 1984)."""
 
     table: AutocovarianceSequence
+    predictor: np.ndarray = field(init=False, repr=False, compare=False)
+    innovation_variance: float = field(init=False, repr=False, compare=False)
 
-    def _series(self, t):
-        r = self.table.values
-        return _cosine_series(t, np.concatenate(([r[0]], 2.0 * r[1:])))
+    def __post_init__(self):
+        # toeplitz imports this module for AutocovarianceSequence, so it can
+        # only be imported once both modules are loaded
+        from .toeplitz import levinson
 
-    def _fejer(self, t, order):
-        """Cesaro mean of the partial sums; nonnegative for a true density."""
-        r = self.table.values
-        order = min(order, len(r) - 1)
-        n = np.arange(1, order + 1)
-        return _cosine_series(t, np.concatenate(([r[0]], 2.0 * (1.0 - n / (order + 1)) * r[n])))
+        q = self.table.max_lag
+        if q < 0:
+            raise ModelConfigError("fourier_table needs at least r(0)")
+        fact = levinson(self.table, q + 1)
+        object.__setattr__(self, "predictor", fact.predictor)
+        object.__setattr__(self, "innovation_variance", float(fact.sigma2[q]))
 
     def eval(self, t):
-        vals = self._series(t)
-        floor = -1e-12 * self.table[0]
-        bad = vals < floor
-        if np.any(bad):
-            raise EvaluationUnavailable(
-                f"truncated series reaches {float(np.min(vals)):.3e} "
-                f"(below {floor:.3e}); table too short or not positive definite"
-            )
-        return np.clip(vals, 0.0, None)
+        return self.innovation_variance / _trig_power(
+            np.concatenate(([1.0], -self.predictor)), t
+        )
 
     def autocovariance(self, max_lag):
-        if max_lag > self.table.max_lag:
-            raise ModelConfigError(
-                f"table holds lags through {self.table.max_lag}, requested {max_lag}"
-            )
-        return AutocovarianceSequence(self.table.values[: max_lag + 1], origin=self.table.origin)
+        # the table's own lags, then r(m) = sum_j phi_j r(m - j) past q
+        q = self.table.max_lag
+        values = np.concatenate((self.table.values[: max_lag + 1], np.empty(max(0, max_lag - q))))
+        phi = self.predictor[::-1].copy()
+        for m in range(q + 1, max_lag + 1):
+            values[m] = np.dot(phi, values[m - q : m])
+        return AutocovarianceSequence(values, origin=self.table.origin)
 
     def szego_integral(self):
-        # Fejer evaluation keeps the integrand nonnegative.  On a set where
-        # the density vanishes the Fejer mean decays like 1/order, so the
-        # truncated log-integral keeps dropping by a fixed amount per order
-        # doubling; for a log-integrable density the drops are geometric.
-        q = self.table.max_lag
-        if q < 8:
-            raise EvaluationUnavailable("table too short for a Szego integral")
-        grid = _grid(max(4096, 8 * q))
-
-        def truncated(order):
-            vals = np.clip(self._fejer(grid, order), 0.0, None)
-            with np.errstate(divide="ignore"):
-                return float(np.mean(np.maximum(np.log(vals), -60.0)))
-
-        i4, i2, i1 = truncated(q // 4), truncated(q // 2), truncated(q)
-        d1 = i2 - i1
-        d2 = i4 - i2
-        if abs(d1) < 1e-6 or d1 <= 0.0:
-            return i1
-        if d2 > 0.0 and d1 <= 0.6 * d2:
-            # geometric decay: Richardson-extrapolate the remaining bias
-            ratio = d1 / d2
-            return i1 - d1 * ratio / (1.0 - ratio)
-        return NEG_INF
+        # int log|1 - sum phi_j e^{ijt}|^2 dlambda = 0 for the minimum-phase predictor
+        return math.log(self.innovation_variance)
 
     def log_fourier_coeffs(self, max_n):
-        order = self.table.max_lag
-        grid = _grid(max(4096, 8 * order))
-        vals = np.clip(self._fejer(grid, order), 1e-300, None)
-        coeffs = _fourier_by_fft(np.log(vals), max_n)
-        return np.real(coeffs)[1:]
+        # L(n) = -c_n for the power series log(1 - sum phi_j z^j) = sum c_n z^n,
+        # whose derivative gives n L(n) = n phi_n + sum_{k<n} k L(k) phi_{n-k}
+        phi = np.zeros(max_n + 1)
+        q = min(len(self.predictor), max_n)
+        phi[1 : q + 1] = self.predictor[:q]
+        kl = np.zeros(max_n + 1)  # k L(k)
+        for n in range(1, max_n + 1):
+            lo = max(1, n - len(self.predictor))
+            kl[n] = n * phi[n] + np.dot(kl[lo:n], phi[n - lo : 0 : -1])
+        return kl[1:] / np.arange(1, max_n + 1)
 
     def describe(self):
         return f"fourier_table[{self.table.max_lag}]"
 
     def to_config(self):
         return {"kind": "fourier_table", "covariances": self.table.values.tolist()}
+
+
+@dataclass(frozen=True, repr=False)
+class SpectralGap(SpectralDensity):
+    """level on |t| > fraction * pi and 0 on the arc |t| <= fraction * pi:
+    log f = -inf on a set of positive measure, so the Szego integral is
+    -inf and the process is deterministic from its past."""
+
+    fraction: float
+    level: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.fraction < 1.0:
+            raise ModelConfigError("gap fraction must be in (0, 1)")
+        if self.level <= 0:
+            raise ModelConfigError("gap level must be positive")
+
+    def eval(self, t):
+        t = np.asarray(t, dtype=np.float64)
+        return np.where(np.abs(t) > self.fraction * math.pi, self.level, 0.0)
+
+    def autocovariance(self, max_lag):
+        # r(0) = level (1 - a), r(n) = -level sin(n pi a) / (n pi)
+        n = np.arange(1, max_lag + 1)
+        tail = -self.level * np.sin(n * math.pi * self.fraction) / (n * math.pi)
+        return AutocovarianceSequence(np.concatenate(([self.level * (1.0 - self.fraction)], tail)))
+
+    def szego_integral(self):
+        return NEG_INF
+
+    def describe(self):
+        return f"gap:{self.fraction:g},{self.level:g}"
+
+    def to_config(self):
+        return {"kind": "gap", "fraction": self.fraction, "level": self.level}
 
 
 @dataclass(frozen=True, repr=False)
@@ -622,15 +611,8 @@ class FilterProduct(SpectralDensity):
         object.__setattr__(self, "symbol", sym)
         object.__setattr__(self, "base", base)
 
-    def _gain(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        acc = np.zeros_like(t, dtype=np.complex128)
-        for k, c in enumerate(self.symbol):
-            acc += c * np.exp(1j * k * t)
-        return np.abs(acc) ** 2
-
     def eval(self, t):
-        return self._gain(t) * self.base.eval(t)
+        return _trig_power(self.symbol, t) * self.base.eval(t)
 
     def autocovariance(self, max_lag):
         g = np.asarray(self.symbol)

@@ -1,11 +1,12 @@
 """Levinson recursion on symmetric Toeplitz covariance matrices.
 
-Produces innovation variances, reflection coefficients and log-determinant
-prefix sums; predictors are rebuilt on demand from the reflection
-coefficients (O(n) storage).  Two loops update a predictor: the recursion
-itself, which finds the reflection coefficients, and `inverse_factor_blocks`,
-which rebuilds the predictors from them.  Residuals, quadratic forms and
-single predictors are all read off those blocks.
+Produces innovation variances, reflection coefficients, log-determinant
+prefix sums and the last-order predictor; the lower-order predictors are
+rebuilt on demand from the reflection coefficients (O(n) storage).  Two
+loops update a predictor: the recursion itself, which finds the reflection
+coefficients, and `inverse_factor_blocks`, which rebuilds the predictors
+from them.  Residuals, quadratic forms and single predictors are all read
+off those blocks.
 """
 
 from __future__ import annotations
@@ -40,13 +41,18 @@ def _kahan_log_prefix(sigma2: np.ndarray) -> np.ndarray:
 
 
 class LevinsonFactorization:
-    """Order-recursive factorization of R_n built from r(0..n-1)."""
+    """Order-recursive factorization of R_n built from r(0..n-1).
 
-    def __init__(self, sigma2, reflections, r0, logdet_prefix):
+    `predictor` is the forward predictor phi of the last order, n - 1:
+    x_m ~ sum_j phi_j x_{m-j}, with residual variance sigma2[n - 1].
+    """
+
+    def __init__(self, sigma2, reflections, r0, logdet_prefix, predictor):
         self.sigma2 = sigma2
         self.reflections = reflections
         self.r0 = float(r0)
         self._logdet = logdet_prefix
+        self.predictor = predictor
 
     @property
     def order(self) -> int:
@@ -175,4 +181,4 @@ def levinson(r, n: int) -> LevinsonFactorization:
         sigma2[m] = s2
         if s2 <= floor:
             raise NotPositiveDefinite(m, s2)
-    return LevinsonFactorization(sigma2, k, values[0], _kahan_log_prefix(sigma2))
+    return LevinsonFactorization(sigma2, k, values[0], _kahan_log_prefix(sigma2), a)

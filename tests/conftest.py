@@ -13,10 +13,13 @@ from entrospec import (
     MovingAverage,
     PoissonKernel,
     PowerSingular,
+    SpectralGap,
     White,
 )
 
 SQRT125 = math.sqrt(1.25)
+# 0 on |t| <= pi/4 and 4/3 elsewhere, so r(0) = 1: Szego integral -inf
+ARC_GAP = SpectralGap(0.25, 4.0 / 3.0)
 
 
 def package_env(**extra):
@@ -40,6 +43,14 @@ def make_zoo():
         "ma1": GaussianProcessModel(MovingAverage([1.0 / SQRT125, 0.5 / SQRT125])),
         "ar2": GaussianProcessModel(AutoRegressive([0.5, -0.2], 1.0)),
     }
+
+
+@pytest.fixture(scope="session")
+def arc_gap_coeffs():
+    """r(0..512) of ARC_GAP, built by hand: r(0) = 1 and
+    r(n) = -(4/3) sin(n pi/4) / (pi n)."""
+    n = np.arange(1, 513)
+    return np.concatenate(([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n)))
 
 
 @pytest.fixture(scope="session")

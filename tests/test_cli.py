@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -24,6 +26,31 @@ from entrospec.modelspec import (
 )
 
 from conftest import package_env
+
+
+SCHEMA_DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "model_schema.md"
+
+
+def schema_doc_configs():
+    """Every JSON document in the json code blocks of the schema doc."""
+    decoder = json.JSONDecoder()
+    configs = []
+    for block in re.findall(r"```json\n(.*?)```", SCHEMA_DOC.read_text(), re.S):
+        pos = 0
+        while True:
+            # the index of the next non-blank character
+            pos = len(block) - len(block[pos:].lstrip())
+            if pos == len(block):
+                break
+            cfg, pos = decoder.raw_decode(block, pos)
+            configs.append(cfg)
+    return configs
+
+
+def schema_doc_strings():
+    """The inline model strings of the schema doc's "Examples:" paragraph."""
+    paragraph = SCHEMA_DOC.read_text().split("Examples:", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"`([^`]+)`", paragraph)
 
 
 @pytest.fixture
@@ -147,6 +174,32 @@ class TestModelConfigs:
             load_model_file(str(path))
 
 
+class TestSchemaDoc:
+    """docs/model_schema.md goes through the parser, so it cannot drift."""
+
+    KINDS = {
+        "white", "poisson", "ma", "ar", "power_singular", "fourier_table", "gap",
+        "scaled", "sum", "filter", "separable",
+    }
+
+    def test_documents_every_kind(self):
+        assert {cfg["kind"] for cfg in schema_doc_configs()} == self.KINDS
+
+    @pytest.mark.parametrize("cfg", schema_doc_configs(), ids=lambda cfg: cfg["kind"])
+    def test_json_example_parses(self, cfg):
+        se, _, r0, _ = _rate_values(model_from_config(cfg))
+        assert r0 > 0.0
+        assert se < math.inf
+
+    @pytest.mark.parametrize("text", schema_doc_strings())
+    def test_inline_example_parses(self, text):
+        assert model_from_string(text).describe().startswith(text.partition(":")[0])
+
+    def test_inline_examples_found(self):
+        assert "white:" in schema_doc_strings()
+        assert model_from_string("white:").density.level == 1.0
+
+
 class TestNonFiniteParameters:
     INLINE = [
         "white:nan", "white:inf", "poisson:-inf", "ma:1,inf", "ma:nan,1",
@@ -253,21 +306,40 @@ class TestCliExitCodes:
     def test_config_error_field_where_1d_needed(self, field_file):
         assert main(["report", "--model-file", field_file, "--n", "1,2"]) == EXIT_CONFIG
 
-    def test_numerical_error_degenerate_predict(self, tmp_path):
-        n = np.arange(1, 513)
-        coeffs = np.concatenate(
-            ([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n))
-        )
+    def test_numerical_error_degenerate_predict(self, tmp_path, arc_gap_coeffs, capsys):
+        # the arc gap's own coefficients, as a table, fail Levinson at order
+        # 150; as the gap density they reach the -inf Szego integral
         path = tmp_path / "degenerate.json"
         path.write_text(
-            json.dumps({"kind": "fourier_table", "covariances": coeffs.tolist()})
+            json.dumps({"kind": "fourier_table", "covariances": arc_gap_coeffs.tolist()})
         )
         code = main(["predict", "--model-file", str(path), "--n", "16"])
         assert code == EXIT_NUMERICAL
+        assert "at order 150" in capsys.readouterr().err
+        path.write_text(json.dumps({"kind": "gap", "fraction": 0.25, "level": 4.0 / 3.0}))
+        assert main(["predict", "--model-file", str(path), "--n", "16"]) == EXIT_NUMERICAL
+        assert "-inf" in capsys.readouterr().err
+        for fraction in (0.25, 0.5):
+            path.write_text(json.dumps({"kind": "gap", "fraction": fraction}))
+            assert main(["rate", "--model-file", str(path)]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "Se = -inf" in out and "szego_integral = -inf" in out
 
-    # r(1..20) = 0.99 fails at order 21, [1, 1, 1, ...] at order 1: only the
-    # model's eager order-64 factorization sees either table, since rate and
-    # filter need no covariances
+    def test_table_of_poisson_is_exact(self, tmp_path, capsys):
+        # its maximum-entropy extension is poisson:0.9 itself: log(1 - 0.81)
+        path = tmp_path / "table.json"
+        covariances = PoissonKernel(0.9).autocovariance(64).values.tolist()
+        path.write_text(json.dumps({"kind": "fourier_table", "covariances": covariances}))
+        assert main(["rate", "--model-file", str(path)]) == EXIT_OK
+        assert "szego_integral = -1.6607312" in capsys.readouterr().out
+        assert main(["predict", "--model-file", str(path), "--n", "100"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 101
+        # the last delta_n, past the table: sigma2_n is sigma2_inf
+        assert abs(float(lines[-1].split(",")[2])) <= 1e-15
+
+    # r(1..20) = 0.99 fails at order 21, [1, 1, 1, ...] at order 1, when the
+    # table is factored as it is read
     NOT_POSITIVE_DEFINITE = {
         "ramp": [1.0] + [0.99] * 20 + [0.0] * 44,
         "ones": [1.0, 1.0, 1.0] + [0.0] * 62,
@@ -407,6 +479,24 @@ class TestCliOutputs:
         out = capsys.readouterr().out
         residual = float(out.split("identity_residual = ")[1])
         assert residual < 1e-6
+
+    def test_zero_symbol_is_config_error(self, capsys):
+        argv = ["filter", "--model", "poisson:0.5", "--symbol", "0,0"]
+        assert main(argv) == EXIT_CONFIG
+        assert "identically zero" in capsys.readouterr().err
+
+    # an empty field inside a list is a typo, not a number to drop
+    EMPTY_FIELDS = {
+        "ma": ["rate", "--model", "ma:1,,0.5"],
+        "ar": ["rate", "--model", "ar:0.5,,0.2:1"],
+        "symbol": ["filter", "--model", "poisson:0.5", "--symbol", "1,,-0.5"],
+        "n_grid": ["report", "--model", "poisson:0.5", "--n", "1,,4"],
+    }
+
+    @pytest.mark.parametrize("argv", EMPTY_FIELDS.values(), ids=EMPTY_FIELDS.keys())
+    def test_empty_list_field_is_config_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("symbol", ["inf", "1e999", "1,x", "", "nan,1"])
     def test_filter_bad_symbol_is_config_error(self, symbol, capsys):

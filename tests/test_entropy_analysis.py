@@ -6,7 +6,6 @@ import pytest
 
 from entrospec import (
     AutoRegressive,
-    FourierTable,
     GaussianProcessModel,
     MovingAverage,
     PoissonKernel,
@@ -25,17 +24,11 @@ from entrospec.entropy_analysis import (
     pinsker_entropy_rate,
 )
 
-from conftest import dense_cov
+from conftest import ARC_GAP, dense_cov
 
 
 def degenerate_model():
-    n = np.arange(1, 513)
-    coeffs = np.concatenate(
-        ([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n))
-    )
-    from entrospec import AutocovarianceSequence
-
-    return GaussianProcessModel(FourierTable(AutocovarianceSequence(coeffs)))
+    return GaussianProcessModel(ARC_GAP)
 
 
 class TestKLDivergences:

@@ -15,7 +15,7 @@ from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
 from entrospec.spectral import NEG_INF
 from entrospec.toeplitz import _FACTOR_BLOCK
 
-from conftest import dense_cov
+from conftest import ARC_GAP, dense_cov
 
 
 def dense_kron_cov(fm, n):
@@ -140,14 +140,7 @@ class TestBlockEntropy2d:
         assert fm.entropy_rate_2d() == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_factor_gives_minus_inf(self):
-        import entrospec
-
-        n = np.arange(1, 513)
-        coeffs = np.concatenate(
-            ([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n))
-        )
-        table = entrospec.FourierTable(entrospec.AutocovarianceSequence(coeffs))
-        fm = SeparableFieldModel(table, White(1.0))
+        fm = SeparableFieldModel(ARC_GAP, White(1.0))
         assert fm.entropy_rate_2d() == NEG_INF
 
 

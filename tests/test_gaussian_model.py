@@ -8,8 +8,10 @@ from entrospec import (
     FourierTable,
     GaussianProcessModel,
     MovingAverage,
+    NotPositiveDefinite,
     PoissonKernel,
     PowerSingular,
+    SpectralGap,
     White,
     ZeroSymbol,
     block_entropy,
@@ -22,6 +24,8 @@ from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
 from entrospec.prediction import prediction_gap_series
 from entrospec.sampling import sample_paths
 from entrospec.spectral import NEG_INF
+
+from conftest import ARC_GAP
 
 
 class TestLogBlockDensity:
@@ -114,15 +118,19 @@ class TestEntropyRate:
             se = entropy_rate(model)
             assert abs(block_entropy(model, 4096) / 4096 - se) < 1e-3
 
-    def test_degenerate_rate_is_minus_inf(self):
-        import entrospec
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.9])
+    def test_degenerate_rate_needs_no_factorization(self, fraction):
+        # R_n of a gap turns numerically singular at small n (order 23 for
+        # fraction 0.5), so its rate must not wait on a factorization
+        model = GaussianProcessModel(SpectralGap(fraction, 1.0))
+        assert entropy_rate(model) == NEG_INF
+        assert model.r0 == 1.0 - fraction
+        if fraction > 0.25:
+            with pytest.raises(NotPositiveDefinite):
+                model.factorization(64)
 
-        n = np.arange(1, 513)
-        coeffs = np.concatenate(
-            ([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n))
-        )
-        table = entrospec.FourierTable(entrospec.AutocovarianceSequence(coeffs))
-        model = GaussianProcessModel(table)
+    def test_degenerate_rate_is_minus_inf(self):
+        model = GaussianProcessModel(ARC_GAP)
         assert entropy_rate(model) == NEG_INF
         assert infinite_prediction_error(model) == 0.0
 
@@ -179,11 +187,17 @@ class TestCaching:
         model.factorization(300)
         assert model.factorization(301).order >= 600
 
-    def test_fourier_table_never_factors_past_table(self):
-        table = AutocovarianceSequence(0.5 ** np.arange(100))
-        model = GaussianProcessModel(FourierTable(table))
-        for n in (10, 60, 61, 99, 100):
-            assert n <= model.factorization(n).order <= 100
+    def test_fourier_table_factors_past_table(self):
+        # a table model grows like any other; past q its innovation variance
+        # stays the table's sigma2_q, the infinite-past prediction error
+        table = FourierTable(AutocovarianceSequence(0.5 ** np.arange(100)))
+        model = GaussianProcessModel(table)
+        for n in (10, 60, 61, 99, 100, 101, 300):
+            assert n <= model.factorization(n).order
+        fact = model.factorization(300)
+        assert np.array_equal(fact.sigma2[:100], toeplitz.levinson(table.table, 100).sigma2)
+        assert np.all(fact.sigma2[100:300] == fact.sigma2[99])
+        assert fact.sigma2[99] == infinite_prediction_error(model)
 
     def test_grown_prefix_bit_identical(self):
         density = PowerSingular(0.3, 1.0)

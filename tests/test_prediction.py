@@ -6,7 +6,6 @@ import pytest
 from entrospec import (
     AutoRegressive,
     DegenerateProcess,
-    FourierTable,
     GaussianProcessModel,
     MovingAverage,
     PoissonKernel,
@@ -15,7 +14,7 @@ from entrospec import (
 )
 from entrospec.prediction import prediction_gap_series, szego_integrability
 
-from conftest import dense_cov, quad_szego
+from conftest import ARC_GAP, dense_cov, quad_szego
 
 # Frozen diagnostics for the power-type singular density (alpha=0.3):
 # partial sums of delta_n = r0 prod_{j<=n} (1 - k_j^2) - 1 with the
@@ -97,13 +96,7 @@ class TestPredictionGapSeries:
             )
 
     def test_degenerate_raises(self):
-        n = np.arange(1, 513)
-        coeffs = np.concatenate(
-            ([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n))
-        )
-        from entrospec import AutocovarianceSequence
-
-        model = GaussianProcessModel(FourierTable(AutocovarianceSequence(coeffs)))
+        model = GaussianProcessModel(ARC_GAP)
         with pytest.raises(DegenerateProcess):
             prediction_gap_series(model, 16)
 
@@ -151,13 +144,7 @@ class TestSzegoIntegrability:
             assert math.isfinite(value)
 
     def test_negative_case(self):
-        n = np.arange(1, 513)
-        coeffs = np.concatenate(
-            ([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n))
-        )
-        from entrospec import AutocovarianceSequence
-
-        model = GaussianProcessModel(FourierTable(AutocovarianceSequence(coeffs)))
+        model = GaussianProcessModel(ARC_GAP)
         ok, value = szego_integrability(model)
         assert not ok
         assert value == float("-inf")

@@ -257,16 +257,12 @@ class TestEnsemble:
 class TestSamplerChoice:
     CASES = {
         "resonant_n16": (RESONANT, 16),
-        "fourier_table_n3": (
-            GaussianProcessModel(FourierTable(AutocovarianceSequence([1.0, 0.9, 0.7]))),
-            3,
-        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_levinson_fallback_matches_cholesky(self, case):
-        # no nonnegative embedding up to 4x, or no lags past the table:
-        # rows are the dense Cholesky draw L z of n normals, one GEMV each
+        # no nonnegative embedding up to 4x: rows are the dense Cholesky draw
+        # L z of n normals, one GEMV each
         model, n = self.CASES[case]
         assert path_sampler(model, n) == "cholesky"
         seeds = [3, 14, 159]
@@ -278,6 +274,21 @@ class TestSamplerChoice:
             z = normals(s, n)
             assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
             assert np.max(np.abs(Z[i] - z)) <= 1e-10
+            assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
+
+    def test_fourier_table_pads_embedding(self):
+        # the embeddings of [1, .9, .7] of size 4 and 8 are negative; the one
+        # of size 16 reads the lags of the table's maximum-entropy extension
+        model = GaussianProcessModel(FourierTable(AutocovarianceSequence([1.0, 0.9, 0.7])))
+        n = 3
+        m, B = synthesis_map(model, n)
+        assert path_sampler(model, n) == "circulant"
+        assert m == 4 * 2 * (n - 1)
+        assert np.max(np.abs(B.T @ B - dense_cov(model, n))) <= 1e-12
+        seeds = [3, 14, 159]
+        X = sample_paths(model, n, seeds)
+        for i, s in enumerate(seeds):
+            assert np.max(np.abs(X[i] - normals(s, m) @ B)) <= 1e-12
             assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
 
     def test_padded_embedding(self):

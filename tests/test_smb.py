@@ -33,6 +33,8 @@ from entrospec.smb import (
     smb_experiment,
 )
 
+from conftest import ARC_GAP
+
 
 def innovation_average(model, X):
     """(1/(n-1)) sum of the squared normalized innovations of the one path
@@ -213,15 +215,7 @@ class TestSmbExperiment:
             smb_experiment(model, [16, 32], 20, base_seed=3, transform=(np.square, lambda x: 2 * x))
 
     def test_degenerate_rate_raises(self):
-        import entrospec
-
-        n = np.arange(1, 513)
-        coeffs = np.concatenate(
-            ([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n))
-        )
-        model = GaussianProcessModel(
-            entrospec.FourierTable(entrospec.AutocovarianceSequence(coeffs))
-        )
+        model = GaussianProcessModel(ARC_GAP)
         with pytest.raises(RateNotFinite):
             smb_experiment(model, [16], 8, base_seed=0)
 

@@ -7,20 +7,22 @@ import scipy.special
 from entrospec import (
     AutocovarianceSequence,
     AutoRegressive,
-    EvaluationUnavailable,
     FilterProduct,
     FourierTable,
     ModelConfigError,
     MovingAverage,
+    NotPositiveDefinite,
     PoissonKernel,
     PowerSingular,
     QuadratureNotConverged,
     SpectralDensity,
+    SpectralGap,
     SumDensity,
     White,
 )
 from entrospec import spectral
 from entrospec.spectral import NEG_INF, cosine_integrals, szego_integral_quadrature
+from entrospec.toeplitz import levinson
 
 from conftest import quad_szego
 
@@ -68,13 +70,6 @@ class _DirectSums:
 
     def sums(self):
         return self.total.copy()
-
-
-class _Gap(SpectralDensity):
-    """1 on |t| < 1 and 0 elsewhere: log f = -inf on a set of positive measure."""
-
-    def eval(self, t):
-        return np.where(np.abs(np.asarray(t, dtype=np.float64)) < 1.0, 1.0, 0.0)
 
 
 class _InteriorZero(SpectralDensity):
@@ -221,7 +216,7 @@ class TestSzegoIntegral:
 
     def test_vanishing_density_raises(self):
         with pytest.raises(QuadratureNotConverged) as info:
-            _Gap().szego_integral()
+            szego_integral_quadrature(SpectralGap(0.25, 4.0 / 3.0))
         assert info.value.what == "szego integral"
         assert "szego integral" in str(info.value)
 
@@ -295,37 +290,155 @@ class TestLogDensityFourierCoeffs:
         assert np.allclose(coeffs, -0.3 / np.arange(1, 6), atol=1e-14)
 
 
-class TestFourierTable:
-    def test_eval_truncated_series(self):
-        table = FourierTable(AutocovarianceSequence([1.0, 0.5, 0.25, 0.125]))
-        t = 0.4
-        expected = 1 + 2 * (0.5 * math.cos(t) + 0.25 * math.cos(2 * t) + 0.125 * math.cos(3 * t))
-        assert table.eval(t) == pytest.approx(expected, abs=1e-12)
+def table_of(density, q):
+    return FourierTable(density.autocovariance(q))
 
-    def test_eval_raises_for_bad_table(self):
-        # not a positive definite sequence: series goes clearly negative
+
+class TestFourierTable:
+    # tables of AR models, whose maximum-entropy extension is the model
+    # itself, with the closed form of L(1..N): r^n/n, and for an AR
+    # polynomial A, log f = log s^2 - log|A|^2
+    AR_TABLES = {
+        "poisson09_q64": (PoissonKernel(0.9), 64, PoissonKernel(0.9).log_fourier_coeffs),
+        "ar2_q16": (
+            AutoRegressive([1.6, -0.9], 1.0),
+            16,
+            lambda n: -spectral.log_abs_symbol_fourier_coeffs([1.0, -1.6, 0.9], n),
+        ),
+    }
+
+    def test_eval_is_max_entropy_extension(self):
+        # the order-3 predictor of r = 2^-n is (0.5, 0, 0), innovation 0.75
+        table = FourierTable(AutocovarianceSequence([1.0, 0.5, 0.25, 0.125]))
+        t = np.linspace(-math.pi, math.pi, 301)
+        assert np.max(np.abs(table.eval(t) - PoissonKernel(0.5).eval(t))) <= 1e-14
+        assert np.max(np.abs(table.predictor - [0.5, 0.0, 0.0])) <= 1e-16
+        assert table.innovation_variance == pytest.approx(0.75, abs=1e-16)
+
+    def test_eval_of_positive_definite_table(self):
+        # [1, .9, .9] is positive definite; its truncated series is not
+        # nonnegative, but its AR(2) extension is positive everywhere
         table = FourierTable(AutocovarianceSequence([1.0, 0.9, 0.9]))
-        with pytest.raises(EvaluationUnavailable):
-            table.eval(np.linspace(-math.pi, math.pi, 301))
+        t = np.linspace(-math.pi, math.pi, 301)
+        phi1, phi2 = table.predictor
+        ar = AutoRegressive([phi1, phi2], table.innovation_variance)
+        assert np.min(table.eval(t)) > 0.0
+        assert np.max(np.abs(table.eval(t) / ar.eval(t) - 1.0)) <= 1e-14
+        assert table.autocovariance(2).values.tolist() == [1.0, 0.9, 0.9]
 
     def test_autocovariance_respects_table_length(self):
+        # lags through q are the table itself, later ones its AR(1) recursion
         table = FourierTable(AutocovarianceSequence([1.0, 0.5]))
-        with pytest.raises(ModelConfigError):
-            table.autocovariance(5)
+        assert table.autocovariance(1).values.tolist() == [1.0, 0.5]
+        assert np.max(np.abs(table.autocovariance(5).values - 0.5 ** np.arange(6))) <= 1e-16
 
     def test_szego_finite_case(self):
-        # Cesaro evaluation carries an O(1/n) bias; 1024 lags is plenty here
-        acov = PoissonKernel(0.5).autocovariance(1024)
-        table = FourierTable(acov)
-        assert table.szego_integral() == pytest.approx(math.log(0.75), abs=1e-3)
+        for q in (1024, 4096):
+            table = table_of(PoissonKernel(0.5), q)
+            assert abs(table.szego_integral() - math.log(0.75)) <= 1e-12
 
-    def test_szego_vanishing_density_is_minus_inf(self):
-        # density 0 on |t| <= pi/4 and 4/3 elsewhere; exact coefficients
-        # r(n) = -(4/3) sin(n pi/4) / (pi n)
-        n = np.arange(1, 513)
-        coeffs = np.concatenate(([1.0], -(4.0 / 3.0) * np.sin(n * math.pi / 4) / (math.pi * n)))
-        table = FourierTable(AutocovarianceSequence(coeffs))
-        assert table.szego_integral() == NEG_INF
+    def test_szego_vanishing_density_is_minus_inf(self, arc_gap_coeffs):
+        # density 0 on |t| <= pi/4 and 4/3 elsewhere: the closed form is -inf
+        gap = SpectralGap(0.25, 4.0 / 3.0)
+        assert gap.szego_integral() == NEG_INF
+        assert np.max(np.abs(gap.autocovariance(512).values - arc_gap_coeffs)) <= 1e-16
+        # the same coefficients as a table: sigma2_n falls geometrically,
+        # to the positive-definiteness floor at order 150
+        with pytest.raises(NotPositiveDefinite) as info:
+            FourierTable(AutocovarianceSequence(arc_gap_coeffs))
+        assert info.value.order == 150
+
+    def test_empty_table_is_config_error(self):
+        with pytest.raises(ModelConfigError):
+            FourierTable(AutocovarianceSequence([]))
+
+    @pytest.mark.parametrize("case", sorted(AR_TABLES))
+    def test_table_of_ar_model_reproduces_it(self, case):
+        density, q, closed_log_coeffs = self.AR_TABLES[case]
+        table = table_of(density, q)
+        assert abs(table.szego_integral() - density.szego_integral()) <= 1e-12
+        t = np.linspace(-math.pi, math.pi, 1001)
+        assert np.max(np.abs(table.eval(t) - density.eval(t))) <= 1e-11
+        lags = table.autocovariance(500).values
+        assert np.max(np.abs(lags - density.autocovariance(500).values)) <= 1e-13
+        coeffs = table.log_fourier_coeffs(200)
+        assert np.max(np.abs(coeffs - closed_log_coeffs(200))) <= 1e-12
+        quad, _ = cosine_integrals(table._log_eval, 200, "log-density Fourier coefficients")
+        assert np.max(np.abs(coeffs - quad[1:])) <= 1e-12
+
+    @pytest.mark.parametrize("q", [16, 64, 256])
+    @pytest.mark.parametrize(
+        "density",
+        [PowerSingular(0.3, 1.0), MovingAverage([1.0, 0.95]), PoissonKernel(0.9)],
+        ids=repr,
+    )
+    def test_extension_adds_no_information(self, density, q):
+        # past q the extension's reflections vanish and sigma2_n stays sigma2_q
+        table = table_of(density, q)
+        fact = levinson(table.autocovariance(2 * q + 10), 2 * q + 11)
+        assert np.max(np.abs(fact.reflections[q:])) <= 1e-15
+        assert np.all(fact.sigma2[q + 1 :] == fact.sigma2[q])
+        assert fact.sigma2[q] == table.innovation_variance
+
+    def test_log_fourier_coeffs_of_long_table(self):
+        # the cepstral recursion of a non-AR table against quadrature of log f
+        table = table_of(PowerSingular(0.3, 1.0), 64)
+        coeffs = table.log_fourier_coeffs(300)
+        quad, _ = cosine_integrals(table._log_eval, 300, "log-density Fourier coefficients")
+        assert np.max(np.abs(coeffs - quad[1:])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "density", [PoissonKernel(-0.6), AutoRegressive([0.5, -0.2], 1.0)], ids=repr
+    )
+    def test_sum_and_filter_of_table_past_q(self, density):
+        # eval is positive, so quadrature routes work on tables too, and a
+        # filter reads lags past the table
+        table = table_of(density, 24)
+        combined = FilterProduct([1.0, 0.5], table) + White(1.0)
+        want = FilterProduct([1.0, 0.5], density) + White(1.0)
+        assert combined.szego_integral() == pytest.approx(want.szego_integral(), abs=1e-9)
+        lags, want_lags = combined.autocovariance(40).values, want.autocovariance(40).values
+        assert np.max(np.abs(lags - want_lags)) <= 1e-9
+
+
+class TestTrigPower:
+    """One helper evaluates every |sum_k c_k e^{ikt}|^2, bit for bit as the
+    per-class loops it replaced."""
+
+    T = np.linspace(-math.pi, math.pi, 1001)
+
+    @staticmethod
+    def series(coeffs, t):
+        acc = np.zeros_like(t, dtype=np.complex128)
+        for k, c in enumerate(coeffs):
+            acc += c * np.exp(1j * k * t)
+        return acc
+
+    def test_moving_average(self):
+        coeffs = (0.3, -1.7, 0.45, 2.2)
+        want = np.abs(self.series(coeffs, self.T)) ** 2
+        assert np.array_equal(MovingAverage(coeffs).eval(self.T), want)
+
+    def test_filter_product(self):
+        symbol = (1.0, -0.35, 0.8)
+        want = np.abs(self.series(symbol, self.T)) ** 2 * White(2.0).eval(self.T)
+        assert np.array_equal(FilterProduct(symbol, White(2.0)).eval(self.T), want)
+
+    def test_autoregressive(self):
+        coeffs = (0.5, -0.2, 0.1)
+        acc = np.ones_like(self.T, dtype=np.complex128)
+        for k, c in enumerate(coeffs, start=1):
+            acc -= c * np.exp(1j * k * self.T)
+        want = 0.7 / np.abs(acc) ** 2
+        assert np.array_equal(AutoRegressive(coeffs, 0.7).eval(self.T), want)
+
+    def test_fourier_table(self):
+        table = table_of(PowerSingular(0.3, 1.0), 8)
+        acc = np.ones_like(self.T, dtype=np.complex128)
+        for k, c in enumerate(table.predictor, start=1):
+            acc -= c * np.exp(1j * k * self.T)
+        want = table.innovation_variance / np.abs(acc) ** 2
+        assert np.array_equal(table.eval(self.T), want)
 
 
 class TestClosureVariants:
