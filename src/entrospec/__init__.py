@@ -14,15 +14,7 @@ from .errors import (
     ZeroSymbol,
 )
 from .field2d import SeparableFieldModel
-from .gaussian_model import (
-    GaussianProcessModel,
-    block_entropy,
-    entropy_rate,
-    filtered_model,
-    infinite_prediction_error,
-    log_block_density,
-    sum_independent,
-)
+from .gaussian_model import GaussianProcessModel
 from .spectral import (
     AutocovarianceSequence,
     AutoRegressive,
@@ -67,11 +59,5 @@ __all__ = [
     "SumDensity",
     "White",
     "ZeroSymbol",
-    "block_entropy",
-    "entropy_rate",
-    "filtered_model",
-    "infinite_prediction_error",
     "levinson",
-    "log_block_density",
-    "sum_independent",
 ]

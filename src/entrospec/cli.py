@@ -57,7 +57,11 @@ def _resolve_model(args, allow_field=False):
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise ModelConfigError(f"cannot open output file {args.out}: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -232,9 +236,6 @@ def main(argv=None) -> int:
     except EntrospecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def entry_point():  # console_scripts hook

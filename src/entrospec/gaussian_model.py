@@ -118,26 +118,3 @@ class GaussianProcessModel:
         """Model of the sum of two independent processes: density f1 + f2."""
         return GaussianProcessModel(self.density + other.density)
 
-
-def entropy_rate(model: GaussianProcessModel) -> float:
-    return model.entropy_rate()
-
-
-def block_entropy(model: GaussianProcessModel, n: int) -> float:
-    return model.block_entropy(n)
-
-
-def log_block_density(model: GaussianProcessModel, x) -> float:
-    return model.log_block_density(x)
-
-
-def infinite_prediction_error(model: GaussianProcessModel) -> float:
-    return model.infinite_prediction_error()
-
-
-def filtered_model(model: GaussianProcessModel, symbol) -> GaussianProcessModel:
-    return model.filtered_model(symbol)
-
-
-def sum_independent(m1: GaussianProcessModel, m2: GaussianProcessModel) -> GaussianProcessModel:
-    return m1.sum_independent(m2)

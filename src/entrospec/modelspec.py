@@ -143,7 +143,7 @@ def load_model_file(path: str):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ModelConfigError(f"cannot read model file {path}: {exc}") from exc
     return model_from_config(cfg)
 

@@ -14,7 +14,7 @@ the strong Szego diagnostics (g = log f) and covariances (g = f).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,20 +119,24 @@ class _PlainSum:
         return np.array([self.total])
 
 
-def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL):
+def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL, jumps=()):
     """(c, points): c[n] = int g(t) cos(nt) dlambda, n = 0..max_n, by
-    tanh-sinh quadrature (Takahasi & Mori 1974) on [-pi, 0] and [0, pi],
-    and the number of g evaluations.  The step halves until no value
-    changes by tol; each level evaluates g at its new nodes only.
+    tanh-sinh quadrature (Takahasi & Mori 1974) on the panels of [0, pi]
+    between the jump points of g in (0, pi), each folded with its mirror in
+    [-pi, 0], and the number of g evaluations.  The step halves until no
+    value changes by tol; each level evaluates g at its new nodes only.
 
     The zoo's singularities (the power-singular cusp or zero at 0, a zero
-    at +-pi) sit at panel ends, where the nodes cluster double-exponentially,
-    so the rule converges exponentially where a uniform grid converges like
-    h^(1 + 2 alpha).  With s = (pi/2) sinh u, the nodes at +-u lie delta =
-    pi / (1 + e^(2s)) from a panel's ends, weight (pi^2/4) cosh(u) / cosh(s)^2.
-    A node x and its mirror -x share cos(nx) and are summed folded.  A
-    non-finite g value, or the level cap, raises QuadratureNotConverged.
+    at +-pi, a gap's jumps) sit at panel ends, where the nodes cluster
+    double-exponentially, so the rule converges exponentially where a
+    uniform grid converges like h^(1 + 2 alpha).  With s = (pi/2) sinh u,
+    the nodes at +-u of [0, pi] lie delta = pi / (1 + e^(2s)) from its ends,
+    weight (pi^2/4) cosh(u) / cosh(s)^2; a panel of length L scales both by
+    L / pi.  A node x and its mirror -x share cos(nx) and are summed folded.
+    A non-finite g value, or the level cap, raises QuadratureNotConverged.
     """
+    ends = [0.0, *sorted(set(jumps)), math.pi]
+    panels = [((a, b), (b - a) / math.pi) for a, b in zip(ends, ends[1:])]
     sums = _CosineSums(max_n) if max_n > 0 else _PlainSum()
     points = 0
     prev = None
@@ -147,11 +151,12 @@ def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL):
         weight = np.cosh(u) / np.cosh(s) ** 2
         if level == 0:
             weight[0] *= 0.5  # u = 0 is one node per panel, listed twice below
-        x = np.concatenate((delta, math.pi - delta))
+        x = np.concatenate([(a + k * delta, b - k * delta) for (a, b), k in panels], axis=None)
+        w = np.concatenate([np.tile(k * weight, 2) for _, k in panels])
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.asarray(g(np.concatenate((x, -x))), dtype=np.float64)
         points += vals.size
-        folded = np.tile(weight, 2) * (vals[: x.size] + vals[x.size :])
+        folded = w * (vals[: x.size] + vals[x.size :])
         if not np.all(np.isfinite(folded)):
             raise QuadratureNotConverged(what, math.inf, tol, points)
         sums.add(x, folded)
@@ -221,18 +226,26 @@ class SpectralDensity:
     def autocovariance(self, max_lag: int) -> AutocovarianceSequence:
         if max_lag < 0:
             raise ModelConfigError("max_lag must be >= 0")
-        coeffs, points = cosine_integrals(self.eval, max_lag, "autocovariance")
+        coeffs, points = cosine_integrals(
+            self.eval, max_lag, "autocovariance", jumps=self.jump_points()
+        )
         return AutocovarianceSequence(coeffs, origin=f"quadrature:{points}")
 
     def szego_integral(self) -> float:
         return szego_integral_quadrature(self)
 
     def log_fourier_coeffs(self, max_n: int) -> np.ndarray:
-        coeffs, _ = cosine_integrals(self._log_eval, max_n, "log-density Fourier coefficients")
+        coeffs, _ = cosine_integrals(
+            self._log_eval, max_n, "log-density Fourier coefficients", jumps=self.jump_points()
+        )
         return coeffs[1:]
 
     def _log_eval(self, t):
         return np.log(self.eval(t))
+
+    def jump_points(self) -> tuple:
+        """The t in (0, pi) where the density jumps, quadrature panel ends."""
+        return ()
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -314,41 +327,6 @@ class PoissonKernel(SpectralDensity):
 
 
 @dataclass(frozen=True, repr=False)
-class MovingAverage(SpectralDensity):
-    """f(t) = |sum_k a_k e^{ikt}|^2."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
-        if not any(c != 0.0 for c in self.coeffs):
-            raise ModelConfigError("MA coefficients are all zero")
-
-    def eval(self, t):
-        return _trig_power(self.coeffs, t)
-
-    def autocovariance(self, max_lag):
-        a = np.asarray(self.coeffs)
-        q = len(a) - 1
-        values = np.zeros(max_lag + 1)
-        for n in range(min(q, max_lag) + 1):
-            values[n] = float(np.dot(a[: q + 1 - n], a[n:]))
-        return AutocovarianceSequence(values)
-
-    def szego_integral(self):
-        return 2.0 * log_abs_symbol_integral(self.coeffs)
-
-    def log_fourier_coeffs(self, max_n):
-        return log_abs_symbol_fourier_coeffs(self.coeffs, max_n)
-
-    def describe(self):
-        return "ma:" + ",".join(f"{c:g}" for c in self.coeffs)
-
-    def to_config(self):
-        return {"kind": "ma", "coeffs": list(self.coeffs)}
-
-
-@dataclass(frozen=True, repr=False)
 class AutoRegressive(SpectralDensity):
     """f(t) = s^2 / |1 - sum_k c_k e^{ikt}|^2 with a stable coefficient set."""
 
@@ -367,11 +345,9 @@ class AutoRegressive(SpectralDensity):
     def _char_poly(self):
         return np.concatenate(([1.0], -np.asarray(self.coeffs)))
 
-    def eval(self, t):
-        return self.innovation_variance / _trig_power(self._char_poly(), t)
-
-    def autocovariance(self, max_lag):
-        c = np.asarray(self.coeffs)
+    def _head(self) -> AutocovarianceSequence:
+        """r(0..p), which the recursion extends."""
+        c = self.coeffs
         p = len(c)
         # Yule-Walker: r(j) = sum_k c_k r(|j-k|) + s^2 delta_{j0}, j = 0..p
         A = np.eye(p + 1)
@@ -380,16 +356,37 @@ class AutoRegressive(SpectralDensity):
                 A[j, abs(j - kk)] -= c[kk - 1]
         rhs = np.zeros(p + 1)
         rhs[0] = self.innovation_variance
-        head = np.linalg.solve(A, rhs)
+        return AutocovarianceSequence(np.linalg.solve(A, rhs))
+
+    def eval(self, t):
+        return self.innovation_variance / _trig_power(self._char_poly(), t)
+
+    def autocovariance(self, max_lag):
+        # the head, then r(n) = sum_k c_k r(n - k) past p
+        c = np.asarray(self.coeffs)
+        p = len(c)
+        head = self._head()
         values = np.zeros(max_lag + 1)
-        values[: min(p, max_lag) + 1] = head[: min(p, max_lag) + 1]
+        values[: min(p, max_lag) + 1] = head.values[: min(p, max_lag) + 1]
         for n in range(p + 1, max_lag + 1):
             values[n] = float(np.dot(c, values[n - p : n][::-1]))
-        return AutocovarianceSequence(values)
+        return AutocovarianceSequence(values, origin=head.origin)
 
     def szego_integral(self):
         # int log|1 - sum c_k e^{ikt}|^2 dlambda = 0 for a stable polynomial
         return math.log(self.innovation_variance)
+
+    def log_fourier_coeffs(self, max_n):
+        # log(1 - sum_k c_k z^k) = -sum_n L(n) z^n, whose derivative gives
+        # n L(n) = n c_n + sum_{k<n} k L(k) c_{n-k}, with c_n = 0 past p
+        p = len(self.coeffs)
+        c = np.zeros(max_n + 1)
+        c[1 : min(p, max_n) + 1] = self.coeffs[:max_n]
+        kl = np.zeros(max_n + 1)  # k L(k)
+        for n in range(1, max_n + 1):
+            lo = max(1, n - p)
+            kl[n] = n * c[n] + np.dot(kl[lo:n], c[n - lo : 0 : -1])
+        return kl[1:] / np.arange(1, max_n + 1)
 
     def describe(self):
         cs = ",".join(f"{c:g}" for c in self.coeffs)
@@ -449,58 +446,32 @@ class PowerSingular(SpectralDensity):
 
 
 @dataclass(frozen=True, repr=False)
-class FourierTable(SpectralDensity):
+class FourierTable(AutoRegressive):
     """The density of finitely many covariances r(0..q): their maximum-entropy
     extension s^2 / |1 - sum_j phi_j e^{ijt}|^2, for the order-q Levinson
     predictor phi and its innovation variance s^2.  Among all densities with
     these covariances it has the largest Szego integral, log s^2 (Burg 1967;
-    Choi & Cover 1984)."""
+    Choi & Cover 1984).  It is the AR(q) model (phi, s^2), minimum-phase
+    since every Levinson reflection has |k| < 1, whose lags through q are
+    the table itself."""
 
     table: AutocovarianceSequence
-    predictor: np.ndarray = field(init=False, repr=False, compare=False)
-    innovation_variance: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, table):
         # toeplitz imports this module for AutocovarianceSequence, so it can
         # only be imported once both modules are loaded
         from .toeplitz import levinson
 
-        q = self.table.max_lag
+        q = table.max_lag
         if q < 0:
             raise ModelConfigError("fourier_table needs at least r(0)")
-        fact = levinson(self.table, q + 1)
-        object.__setattr__(self, "predictor", fact.predictor)
+        fact = levinson(table, q + 1)
+        object.__setattr__(self, "coeffs", tuple(fact.predictor.tolist()))
         object.__setattr__(self, "innovation_variance", float(fact.sigma2[q]))
+        object.__setattr__(self, "table", table)
 
-    def eval(self, t):
-        return self.innovation_variance / _trig_power(
-            np.concatenate(([1.0], -self.predictor)), t
-        )
-
-    def autocovariance(self, max_lag):
-        # the table's own lags, then r(m) = sum_j phi_j r(m - j) past q
-        q = self.table.max_lag
-        values = np.concatenate((self.table.values[: max_lag + 1], np.empty(max(0, max_lag - q))))
-        phi = self.predictor[::-1].copy()
-        for m in range(q + 1, max_lag + 1):
-            values[m] = np.dot(phi, values[m - q : m])
-        return AutocovarianceSequence(values, origin=self.table.origin)
-
-    def szego_integral(self):
-        # int log|1 - sum phi_j e^{ijt}|^2 dlambda = 0 for the minimum-phase predictor
-        return math.log(self.innovation_variance)
-
-    def log_fourier_coeffs(self, max_n):
-        # L(n) = -c_n for the power series log(1 - sum phi_j z^j) = sum c_n z^n,
-        # whose derivative gives n L(n) = n phi_n + sum_{k<n} k L(k) phi_{n-k}
-        phi = np.zeros(max_n + 1)
-        q = min(len(self.predictor), max_n)
-        phi[1 : q + 1] = self.predictor[:q]
-        kl = np.zeros(max_n + 1)  # k L(k)
-        for n in range(1, max_n + 1):
-            lo = max(1, n - len(self.predictor))
-            kl[n] = n * phi[n] + np.dot(kl[lo:n], phi[n - lo : 0 : -1])
-        return kl[1:] / np.arange(1, max_n + 1)
+    def _head(self):
+        return self.table
 
     def describe(self):
         return f"fourier_table[{self.table.max_lag}]"
@@ -537,6 +508,9 @@ class SpectralGap(SpectralDensity):
     def szego_integral(self):
         return NEG_INF
 
+    def jump_points(self):
+        return (self.fraction * math.pi,)
+
     def describe(self):
         return f"gap:{self.fraction:g},{self.level:g}"
 
@@ -567,6 +541,9 @@ class Scaled(SpectralDensity):
     def log_fourier_coeffs(self, max_n):
         return self.base.log_fourier_coeffs(max_n)
 
+    def jump_points(self):
+        return self.base.jump_points()
+
     def describe(self):
         return f"scaled({self.factor:g},{self.base.describe()})"
 
@@ -589,6 +566,9 @@ class SumDensity(SpectralDensity):
         b = self.right.autocovariance(max_lag)
         origin = a.origin if a.origin == b.origin else f"{a.origin}+{b.origin}"
         return AutocovarianceSequence(a.values + b.values, origin=origin)
+
+    def jump_points(self):
+        return self.left.jump_points() + self.right.jump_points()
 
     def describe(self):
         return f"sum({self.left.describe()},{self.right.describe()})"
@@ -615,16 +595,12 @@ class FilterProduct(SpectralDensity):
         return _trig_power(self.symbol, t) * self.base.eval(t)
 
     def autocovariance(self, max_lag):
+        # r_Y(n) = sum_{|d| <= q} c_d r(n + d), c the symbol's autocorrelation
         g = np.asarray(self.symbol)
         q = len(g) - 1
         inner = self.base.autocovariance(max_lag + q)
-        values = np.zeros(max_lag + 1)
-        for n in range(max_lag + 1):
-            acc = 0.0
-            for j in range(q + 1):
-                for kk in range(q + 1):
-                    acc += g[j] * g[kk] * inner[n + kk - j]
-            values[n] = acc
+        lags = np.abs(np.arange(max_lag + 1)[:, None] + np.arange(-q, q + 1))
+        values = inner.values[lags] @ np.correlate(g, g, "full")
         return AutocovarianceSequence(values, origin=inner.origin)
 
     def szego_integral(self):
@@ -638,6 +614,9 @@ class FilterProduct(SpectralDensity):
             self.symbol, max_n
         )
 
+    def jump_points(self):
+        return self.base.jump_points()
+
     def describe(self):
         sym = ",".join(f"{c:g}" for c in self.symbol)
         return f"filter([{sym}],{self.base.describe()})"
@@ -646,11 +625,31 @@ class FilterProduct(SpectralDensity):
         return {"kind": "filter", "symbol": list(self.symbol), "base": self.base.to_config()}
 
 
+class MovingAverage(FilterProduct):
+    """f(t) = |sum_k a_k e^{ikt}|^2: white noise of level 1 through the filter a."""
+
+    def __init__(self, coeffs):
+        coeffs = tuple(float(c) for c in coeffs)
+        if not any(c != 0.0 for c in coeffs):
+            raise ModelConfigError("MA coefficients are all zero")
+        super().__init__(coeffs, White(1.0))
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.symbol
+
+    def describe(self):
+        return "ma:" + ",".join(f"{c:g}" for c in self.coeffs)
+
+    def to_config(self):
+        return {"kind": "ma", "coeffs": list(self.coeffs)}
+
+
 # ---------------------------------------------------------------------------
 # the quadrature route of the Szego integral, a cross-check of the closed forms
 
 
 def szego_integral_quadrature(f: SpectralDensity, tol: float = _DEFAULT_TOL) -> float:
     """Closed-form-free route, kept separate as an independent cross-check."""
-    value, _ = cosine_integrals(f._log_eval, 0, "szego integral", tol)
+    value, _ = cosine_integrals(f._log_eval, 0, "szego integral", tol, f.jump_points())
     return float(value[0])

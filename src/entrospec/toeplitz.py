@@ -5,8 +5,7 @@ prefix sums and the last-order predictor; the lower-order predictors are
 rebuilt on demand from the reflection coefficients (O(n) storage).  Two
 loops update a predictor: the recursion itself, which finds the reflection
 coefficients, and `inverse_factor_blocks`, which rebuilds the predictors
-from them.  Residuals, quadratic forms and single predictors are all read
-off those blocks.
+from them.  Residuals and quadratic forms are read off those blocks.
 """
 
 from __future__ import annotations
@@ -63,19 +62,6 @@ class LevinsonFactorization:
         if not 0 <= m <= self.order:
             raise DimensionMismatch(f"order {m} outside factorization (n={self.order})")
         return float(self._logdet[m])
-
-    def innovation_std(self, upto: int | None = None) -> np.ndarray:
-        upto = self.order if upto is None else upto
-        return np.sqrt(self.sigma2[:upto])
-
-    def predictor_coefficients(self, m: int) -> np.ndarray:
-        """Backward predictor b with v_m ~ sum_j b_j v_j, residual var sigma2_m."""
-        if not 1 <= m <= self.order - 1:
-            raise DimensionMismatch(f"predictor order {m} outside 1..{self.order - 1}")
-        # row m of the inverse factor is (-b, 1), the last row of its last block
-        for _, blk in self.inverse_factor_blocks(m + 1):
-            pass
-        return -blk[-1, :m]
 
     def inverse_factor_blocks(self, n: int):
         """Yield (j0, A[j0:j0+b, :j0+b]) for the unit-lower A with

@@ -294,6 +294,25 @@ class TestCliExitCodes:
         assert main(["rate", "--model-file", str(path)]) == EXIT_OK
         assert "szego_integral = 0.6537755" in capsys.readouterr().out
 
+    def test_rate_sum_with_gap(self, tmp_path, capsys):
+        # the log-density jumps at t = pi/4: int log f = (3/4) log 2 in closed form
+        path = tmp_path / "gap_sum.json"
+        terms = [{"kind": "gap", "fraction": 0.25}, {"kind": "white"}]
+        path.write_text(json.dumps({"kind": "sum", "terms": terms}))
+        assert main(["rate", "--model-file", str(path)]) == EXIT_OK
+        assert f"szego_integral = {0.75 * math.log(2.0):.7f}" in capsys.readouterr().out
+
+    def test_undecodable_model_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["rate", "--model-file", str(path)]) == EXIT_CONFIG
+        assert "cannot read model file" in capsys.readouterr().err
+
+    def test_unwritable_out_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.txt"
+        assert main(["rate", "--model", "poisson:0.5", "--out", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_config_error_unknown_model(self):
         assert main(["rate", "--model", "nope:1"]) == EXIT_CONFIG
 

@@ -14,10 +14,6 @@ from entrospec import (
     SpectralGap,
     White,
     ZeroSymbol,
-    block_entropy,
-    entropy_rate,
-    infinite_prediction_error,
-    log_block_density,
 )
 from entrospec import toeplitz
 from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
@@ -31,7 +27,7 @@ from conftest import ARC_GAP
 class TestLogBlockDensity:
     def test_standard_normal_at_origin(self):
         model = GaussianProcessModel(White(1.0))
-        assert log_block_density(model, [0.0]) == pytest.approx(
+        assert model.log_block_density([0.0]) == pytest.approx(
             -0.5 * LOG_2PI, abs=1e-14
         )
 
@@ -39,21 +35,21 @@ class TestLogBlockDensity:
         model = GaussianProcessModel(White(1.0))
         x = [1.0, -2.0, 0.5]
         want = -0.5 * (3 * LOG_2PI + 1 + 4 + 0.25)
-        assert log_block_density(model, x) == pytest.approx(want, abs=1e-12)
+        assert model.log_block_density(x) == pytest.approx(want, abs=1e-12)
 
     def test_ar1_pair(self):
         # R_2 = [[1,.5],[.5,1]]; x=(1,1): logdet=log .75, Q=4/3
         model = GaussianProcessModel(PoissonKernel(0.5))
         want = -0.5 * (2 * LOG_2PI + math.log(0.75) + 4.0 / 3.0)
-        assert log_block_density(model, [1.0, 1.0]) == pytest.approx(want, abs=1e-12)
+        assert model.log_block_density([1.0, 1.0]) == pytest.approx(want, abs=1e-12)
 
     def test_scaling_shift(self):
         # density of c*X is density of X shifted by -n log c in log form
         base = GaussianProcessModel(PoissonKernel(0.5))
         scaled = GaussianProcessModel(PoissonKernel(0.5).scaled(4.0))
         x = np.array([0.3, -1.1, 0.7])
-        got = log_block_density(scaled, 2.0 * x)
-        want = log_block_density(base, x) - 3 * math.log(2.0)
+        got = scaled.log_block_density(2.0 * x)
+        want = base.log_block_density(x) - 3 * math.log(2.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_monte_carlo_mean_is_block_entropy(self, zoo):
@@ -61,8 +57,8 @@ class TestLogBlockDensity:
         model = zoo["ar2"]
         n, M = 16, 4000
         X = sample_paths(model, n, range(M))
-        vals = np.array([-log_block_density(model, row) for row in X])
-        h = block_entropy(model, n)
+        vals = np.array([-model.log_block_density(row) for row in X])
+        h = model.block_entropy(n)
         assert abs(vals.mean() - h) < 4.0 * vals.std() / math.sqrt(M)
 
 
@@ -70,18 +66,18 @@ class TestBlockEntropy:
     def test_white_unit(self):
         model = GaussianProcessModel(White(1.0))
         for n in (1, 2, 10):
-            assert block_entropy(model, n) == pytest.approx(n * HALF_LOG_2PI_E, abs=1e-14)
+            assert model.block_entropy(n) == pytest.approx(n * HALF_LOG_2PI_E, abs=1e-14)
 
     def test_white_scaled(self):
         model = GaussianProcessModel(White(4.0))
-        assert block_entropy(model, 3) == pytest.approx(
+        assert model.block_entropy(3) == pytest.approx(
             3 * (HALF_LOG_2PI_E + 0.5 * math.log(4.0)), abs=1e-12
         )
 
     def test_poisson_pair(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
         want = 2 * HALF_LOG_2PI_E + 0.5 * math.log(0.75)
-        assert block_entropy(model, 2) == pytest.approx(want, abs=1e-12)
+        assert model.block_entropy(2) == pytest.approx(want, abs=1e-12)
 
     def test_max_entropy_bound(self, zoo):
         # among unit-variance models the white one maximizes H_n
@@ -89,41 +85,41 @@ class TestBlockEntropy:
             bound = (model.factorization(1).sigma2[0],)
             for n in (1, 4, 32):
                 assert (
-                    block_entropy(model, n)
+                    model.block_entropy(n)
                     <= n * (HALF_LOG_2PI_E + 0.5 * math.log(model.r0)) + 1e-10
                 )
 
     def test_rate_sequence_monotone(self, zoo):
         # H_n / n is nonincreasing and bounded below by the entropy rate
         for model in zoo.values():
-            ratios = [block_entropy(model, n) / n for n in range(1, 65)]
+            ratios = [model.block_entropy(n) / n for n in range(1, 65)]
             assert np.all(np.diff(ratios) <= 1e-12)
-            assert ratios[-1] >= entropy_rate(model) - 1e-12
+            assert ratios[-1] >= model.entropy_rate() - 1e-12
 
 
 class TestEntropyRate:
     def test_white(self):
-        assert entropy_rate(GaussianProcessModel(White(1.0))) == pytest.approx(
+        assert GaussianProcessModel(White(1.0)).entropy_rate() == pytest.approx(
             HALF_LOG_2PI_E, abs=1e-14
         )
 
     def test_poisson_closed_form(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        assert entropy_rate(model) == pytest.approx(
+        assert model.entropy_rate() == pytest.approx(
             HALF_LOG_2PI_E + 0.5 * math.log(0.75), abs=1e-12
         )
 
     def test_block_entropy_rate_limit(self, zoo):
         for model in zoo.values():
-            se = entropy_rate(model)
-            assert abs(block_entropy(model, 4096) / 4096 - se) < 1e-3
+            se = model.entropy_rate()
+            assert abs(model.block_entropy(4096) / 4096 - se) < 1e-3
 
     @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.9])
     def test_degenerate_rate_needs_no_factorization(self, fraction):
         # R_n of a gap turns numerically singular at small n (order 23 for
         # fraction 0.5), so its rate must not wait on a factorization
         model = GaussianProcessModel(SpectralGap(fraction, 1.0))
-        assert entropy_rate(model) == NEG_INF
+        assert model.entropy_rate() == NEG_INF
         assert model.r0 == 1.0 - fraction
         if fraction > 0.25:
             with pytest.raises(NotPositiveDefinite):
@@ -131,12 +127,12 @@ class TestEntropyRate:
 
     def test_degenerate_rate_is_minus_inf(self):
         model = GaussianProcessModel(ARC_GAP)
-        assert entropy_rate(model) == NEG_INF
-        assert infinite_prediction_error(model) == 0.0
+        assert model.entropy_rate() == NEG_INF
+        assert model.infinite_prediction_error() == 0.0
 
     def test_prediction_error_poisson(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        assert infinite_prediction_error(model) == pytest.approx(0.75, abs=1e-12)
+        assert model.infinite_prediction_error() == pytest.approx(0.75, abs=1e-12)
 
 
 class TestModelAlgebra:
@@ -145,7 +141,7 @@ class TestModelAlgebra:
         filt = model.filtered_model([1.0, -0.5])
         t = np.linspace(-math.pi, math.pi, 51)
         assert np.allclose(filt.density.eval(t), 0.75, atol=1e-12)
-        assert entropy_rate(filt) == pytest.approx(
+        assert filt.entropy_rate() == pytest.approx(
             HALF_LOG_2PI_E + 0.5 * math.log(0.75), abs=1e-9
         )
 
@@ -166,8 +162,8 @@ class TestModelAlgebra:
         b = GaussianProcessModel(White(1.0))
         s = a.sum_independent(b)
         for n in (1, 8, 32):
-            assert block_entropy(s, n) > block_entropy(a, n)
-            assert block_entropy(s, n) > block_entropy(b, n)
+            assert s.block_entropy(n) > a.block_entropy(n)
+            assert s.block_entropy(n) > b.block_entropy(n)
 
 
 class TestCaching:
@@ -197,7 +193,7 @@ class TestCaching:
         fact = model.factorization(300)
         assert np.array_equal(fact.sigma2[:100], toeplitz.levinson(table.table, 100).sigma2)
         assert np.all(fact.sigma2[100:300] == fact.sigma2[99])
-        assert fact.sigma2[99] == infinite_prediction_error(model)
+        assert fact.sigma2[99] == model.infinite_prediction_error()
 
     def test_grown_prefix_bit_identical(self):
         density = PowerSingular(0.3, 1.0)

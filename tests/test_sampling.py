@@ -247,7 +247,7 @@ class TestEnsemble:
         X = sample_paths(model, 4, range(20000))
         E = ensemble_residuals(model, X)
         fact = model.factorization(4)
-        Z = E / fact.innovation_std(4)[None, :]
+        Z = E / np.sqrt(fact.sigma2[:4])[None, :]
         C = np.cov(Z.T)
         assert np.allclose(np.diag(C), 1.0, atol=0.03)
         off = C - np.diag(np.diag(C))
@@ -269,7 +269,7 @@ class TestSamplerChoice:
         X = sample_paths(model, n, seeds)
         chol = np.linalg.cholesky(dense_cov(model, n))
         # independent of the sampler: the Levinson innovations whiten each row
-        Z = ensemble_residuals(model, X) / model.factorization(n).innovation_std(n)
+        Z = ensemble_residuals(model, X) / np.sqrt(model.factorization(n).sigma2[:n])
         for i, s in enumerate(seeds):
             z = normals(s, n)
             assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10

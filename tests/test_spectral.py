@@ -214,6 +214,24 @@ class TestSzegoIntegral:
         CUSP_SUM.szego_integral()
         assert 0 < sum(points) <= 20_000
 
+    # (gap fraction, gap level, white level) of gap + white sums
+    GAP_SUMS = [(0.25, 1.0, 1.0), (0.4, 2.0, 0.5), (0.1, 0.3, 3.0)]
+
+    @pytest.mark.parametrize("a,level,w", GAP_SUMS)
+    def test_sum_with_gap_closed_form(self, a, level, w):
+        # log f jumps at t = +-a pi, which the quadrature takes as panel ends
+        density = SpectralGap(a, level) + White(w)
+        want = a * math.log(w) + (1.0 - a) * math.log(level + w)
+        assert abs(density.szego_integral() - want) <= 1e-14
+
+    def test_jump_points_pass_through_closures(self):
+        # a gap inside a scaled term or a filter still splits the sum's panels
+        want = 0.25 * math.log(1.0) + 0.75 * math.log(4.0 + 1.0)
+        for term in (SpectralGap(0.25, 1.0).scaled(4.0), FilterProduct([2.0], SpectralGap(0.25))):
+            density = term + White(1.0)
+            assert density.jump_points() == (0.25 * math.pi,)
+            assert abs(density.szego_integral() - want) <= 1e-14
+
     def test_vanishing_density_raises(self):
         with pytest.raises(QuadratureNotConverged) as info:
             szego_integral_quadrature(SpectralGap(0.25, 4.0 / 3.0))
@@ -285,6 +303,14 @@ class TestLogDensityFourierCoeffs:
         assert plain.shape == (1,)
         assert abs(plain[0] - log_cosine_quadrature(density, 1)[0]) <= 1e-14
 
+    @pytest.mark.parametrize("a,level,w", TestSzegoIntegral.GAP_SUMS)
+    def test_sum_with_gap_closed_form(self, a, level, w):
+        # L(n) = (log w - log(level + w)) sin(n a pi) / (n pi)
+        n = np.arange(1, 257)
+        want = (math.log(w) - math.log(level + w)) * np.sin(n * a * math.pi) / (n * math.pi)
+        coeffs = (SpectralGap(a, level) + White(w)).log_fourier_coeffs(256)
+        assert np.max(np.abs(coeffs - want)) <= 1e-13
+
     def test_power_singular(self):
         coeffs = PowerSingular(0.3, 1.0).log_fourier_coeffs(5)
         assert np.allclose(coeffs, -0.3 / np.arange(1, 6), atol=1e-14)
@@ -312,7 +338,7 @@ class TestFourierTable:
         table = FourierTable(AutocovarianceSequence([1.0, 0.5, 0.25, 0.125]))
         t = np.linspace(-math.pi, math.pi, 301)
         assert np.max(np.abs(table.eval(t) - PoissonKernel(0.5).eval(t))) <= 1e-14
-        assert np.max(np.abs(table.predictor - [0.5, 0.0, 0.0])) <= 1e-16
+        assert np.max(np.abs(np.subtract(table.coeffs, [0.5, 0.0, 0.0]))) <= 1e-16
         assert table.innovation_variance == pytest.approx(0.75, abs=1e-16)
 
     def test_eval_of_positive_definite_table(self):
@@ -320,7 +346,7 @@ class TestFourierTable:
         # nonnegative, but its AR(2) extension is positive everywhere
         table = FourierTable(AutocovarianceSequence([1.0, 0.9, 0.9]))
         t = np.linspace(-math.pi, math.pi, 301)
-        phi1, phi2 = table.predictor
+        phi1, phi2 = table.coeffs
         ar = AutoRegressive([phi1, phi2], table.innovation_variance)
         assert np.min(table.eval(t)) > 0.0
         assert np.max(np.abs(table.eval(t) / ar.eval(t) - 1.0)) <= 1e-14
@@ -401,6 +427,74 @@ class TestFourierTable:
         assert np.max(np.abs(lags - want_lags)) <= 1e-9
 
 
+class TestRationalFamilies:
+    """One kernel per family: a table is the AR model of its Levinson
+    predictor, and an MA model is a filter of unit white noise."""
+
+    ALL_POLE = {
+        "ar2": AutoRegressive([0.5, -0.2], 1.0),
+        "ar3": AutoRegressive([0.9, -0.5, 0.2], 0.7),
+        "table5": table_of(PowerSingular(0.3, 1.0), 5),
+    }
+    MA_COEFFS = [(1.0,), (1.0, 0.9), (0.3, -1.7, 0.45, 2.2), (1.0, 0.5, -0.3, 0.1, 0.05)]
+
+    @pytest.mark.parametrize("name", sorted(ALL_POLE))
+    def test_recursion_dot_order(self, name):
+        # r(m) = c . (r(m-1), ..., r(m-p)) in this order, bit for bit: the
+        # reversed order changes the last bits, and with them seeded outputs
+        density = self.ALL_POLE[name]
+        c = np.asarray(density.coeffs)
+        p = len(c)
+        got = density.autocovariance(300).values
+        want = got.copy()
+        for m in range(p + 1, 301):
+            want[m] = np.dot(c, want[m - p : m][::-1])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(ALL_POLE))
+    def test_log_fourier_coeffs_closed_form(self, name, monkeypatch):
+        # the cepstral recursion, against the roots of 1 - sum c_k z^k, with
+        # no quadrature
+        density = self.ALL_POLE[name]
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(spectral, "cosine_integrals", no_quadrature)
+        coeffs = density.log_fourier_coeffs(4096)
+        char_poly = np.concatenate(([1.0], -np.asarray(density.coeffs)))
+        want = -spectral.log_abs_symbol_fourier_coeffs(char_poly, 4096)
+        assert np.max(np.abs(coeffs - want)) <= 1e-13
+
+    @pytest.mark.parametrize("coeffs", MA_COEFFS, ids=str)
+    def test_moving_average_is_filtered_white_noise(self, coeffs):
+        ma, filt = MovingAverage(coeffs), FilterProduct(coeffs, White(1.0))
+        t = np.linspace(-math.pi, math.pi, 1001)
+        assert np.array_equal(ma.eval(t), filt.eval(t))
+        assert np.array_equal(ma.autocovariance(40).values, filt.autocovariance(40).values)
+        assert ma.szego_integral() == filt.szego_integral()
+        assert np.array_equal(ma.log_fourier_coeffs(64), filt.log_fourier_coeffs(64))
+        # and the covariances are the coefficients' autocorrelation, exactly
+        a = np.asarray(coeffs)
+        q = len(a) - 1
+        want = [np.dot(a[: q + 1 - n], a[n:]) for n in range(q + 1)] + [0.0] * (40 - q)
+        assert np.array_equal(ma.autocovariance(40).values, want)
+
+    def test_filter_covariance_matches_double_sum(self):
+        # r_Y(n) = sum_j sum_k g_j g_k r(n + k - j), summed in this order
+        g = np.array([1.0, -0.6, 0.35, 0.2, -0.15, 0.1, 0.05, -0.02])
+        base = PowerSingular(0.3, 1.0)
+        q, max_lag = len(g) - 1, 8191
+        inner = base.autocovariance(max_lag + q).values
+        n = np.arange(max_lag + 1)
+        want = np.zeros(max_lag + 1)
+        for j in range(q + 1):
+            for k in range(q + 1):
+                want += g[j] * g[k] * inner[np.abs(n + k - j)]
+        got = FilterProduct(g, base).autocovariance(max_lag).values
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
 class TestTrigPower:
     """One helper evaluates every |sum_k c_k e^{ikt}|^2, bit for bit as the
     per-class loops it replaced."""
@@ -435,7 +529,7 @@ class TestTrigPower:
     def test_fourier_table(self):
         table = table_of(PowerSingular(0.3, 1.0), 8)
         acc = np.ones_like(self.T, dtype=np.complex128)
-        for k, c in enumerate(table.predictor, start=1):
+        for k, c in enumerate(table.coeffs, start=1):
             acc -= c * np.exp(1j * k * self.T)
         want = table.innovation_variance / np.abs(acc) ** 2
         assert np.array_equal(table.eval(self.T), want)

@@ -137,25 +137,32 @@ class TestQuadraticForm:
 
 
 class TestPredictorCoefficients:
+    """Row m of the inverse factor is (-b, 1), b the order-m backward
+    predictor with v_m ~ sum_j b_j v_j and residual variance sigma2_m."""
+
+    @staticmethod
+    def predictor(fact, m):
+        return -TestInverseFactorBlocks._assemble(fact, m + 1)[m, :m]
+
     def test_identity_zero(self):
         fact = levinson([1.0, 0, 0, 0], 4)
-        assert np.all(fact.predictor_coefficients(3) == 0.0)
+        assert np.all(self.predictor(fact, 3) == 0.0)
 
     def test_ar1_markov(self):
         fact = levinson(0.5 ** np.arange(8), 8)
-        b = fact.predictor_coefficients(3)
+        b = self.predictor(fact, 3)
         assert np.allclose(b, [0, 0, 0.5], atol=1e-14)
 
     def test_ma1_first_order(self):
         fact = levinson([1.0, 0.4, 0.0], 3)
-        assert fact.predictor_coefficients(1) == pytest.approx([0.4])
+        assert self.predictor(fact, 1) == pytest.approx([0.4])
 
     @pytest.mark.parametrize("name", sorted(make_zoo()))
     def test_normal_equations(self, zoo, name):
         # b solves R_m b = (r(m), ..., r(1)) reversed; oracle = dense solve
         model = zoo[name]
         for m in (1, 2, 7, 33):
-            b = model.factorization(m + 1).predictor_coefficients(m)
+            b = self.predictor(model.factorization(m + 1), m)
             assert np.allclose(b, dense_predictor(model, m), atol=1e-9)
 
     def test_szego_limit_of_innovation_variances(self):
