@@ -101,28 +101,48 @@ class SeparableFieldModel:
         var = self.r0
         return 0.5 * (n * n * math.log(var) - self.log_det_2d(n))
 
-    def kronecker_quadratic_form(self, X):
+    def kronecker_quadratic_form(self, X, n_grid=None):
         """vec(X)^T (R_a (x) R_b)^{-1} vec(X) = tr(R_a^{-1} X R_b^{-1} X^T).
 
         With R^{-1} = A^T diag(sigma2)^{-1} A for each Levinson factor this is
         sum((A_a X A_b^T)^2 / (sigma2_a (x) sigma2_b)).  An (n, n) X gives a
         float; a stack of k fields, (k, n, n), gives the k forms as an array.
+
+        With an n_grid, the result holds the forms of the leading m x m
+        blocks of each field for m in the grid, in a last axis of
+        len(n_grid); without one the grid is [n].  Both factors are
+        prefix-consistent (row j of A and sigma2_j do not depend on n), so
+        the leading m x m block of U = A_a X A_b^T is A_{a,m} X_m A_{b,m}^T
+        for the leading block X_m, and one product serves the whole grid.
         """
         X = np.asarray(X, dtype=np.float64)
         n = _field_size(X)
+        grid = [n] if n_grid is None else [int(m) for m in n_grid]
+        if not all(1 <= m <= n for m in grid):
+            raise DimensionMismatch(f"n grid {grid} does not fit fields of size {n}")
         aa, ab, s2 = self._inverse_pair(n)
         u = np.matmul(aa, X)
         u = np.matmul(u, ab.T)
         u *= u
         u /= s2
-        q = u.reshape(-1, n * n).sum(axis=1)
-        return float(q[0]) if X.ndim == 2 else q
+        # each block is summed as a contiguous m^2 row, the order in which
+        # a field of size m is summed on its own
+        q = np.stack(
+            [np.ascontiguousarray(u[..., :m, :m]).reshape(-1, m * m).sum(axis=1) for m in grid],
+            axis=-1,
+        )
+        if n_grid is None:
+            return float(q[0, 0]) if X.ndim == 2 else q[:, 0]
+        return q[0] if X.ndim == 2 else q
 
-    def log_block_density_2d(self, X):
-        """log density of a field block, or of each field of a stack."""
-        q = self.kronecker_quadratic_form(X)
-        n = np.shape(X)[-1]
-        return -0.5 * (n * n * LOG_2PI + self.log_det_2d(n) + q)
+    def log_block_density_2d(self, X, n_grid=None):
+        """log density of a field block, or of each field of a stack; with
+        an n_grid, of the leading m x m blocks as `kronecker_quadratic_form`
+        lays them out."""
+        q = self.kronecker_quadratic_form(X, n_grid)
+        grid = [np.shape(X)[-1]] if n_grid is None else [int(m) for m in n_grid]
+        const = [m * m * LOG_2PI + self.log_det_2d(m) for m in grid]
+        return -0.5 * ((const[0] if n_grid is None else np.array(const)) + q)
 
 
 def _field_size(X: np.ndarray) -> int:

@@ -31,8 +31,12 @@ from .gaussian_model import GaussianProcessModel
 
 def _finite(value) -> float:
     """float(value), or ModelConfigError for nan and +-inf (also the JSON
-    literals NaN and Infinity, and overflowing numbers such as 1e999)."""
-    number = float(value)
+    literals NaN and Infinity, and overflowing numbers such as 1e999 or an
+    integer literal past the float range)."""
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ModelConfigError("model parameter is not finite: too large for a float") from exc
     if not math.isfinite(number):
         raise ModelConfigError(f"model parameter {value!r} is not finite")
     return number

@@ -215,8 +215,14 @@ def smb2d_experiment(
 ) -> ConvergenceReport:
     """Ensemble statistics of (1/n^2) h_n^(2) against the 2-D rate.
 
-    `workers` is only recorded in the report.  At each n the fields are
-    drawn and scored in the cache-sized stacks of `sampling.field_chunks`.
+    `workers` is only recorded in the report.  One field per seed is drawn
+    at the largest n, in the cache-sized stacks of `sampling.field_chunks`,
+    and h_n^(2) at every n of the grid is the information of its leading
+    n x n block (`SeparableFieldModel.log_block_density_2d` with the grid):
+    nested boxes of one realization, as `smb_experiment` scores prefixes of
+    one path, so the values at different n are correlated.  The leading
+    block of a field drawn at n_max has the law of a field drawn at n,
+    because the Cholesky factors are lower triangular.
     """
     n_grid = sorted(int(n) for n in n_grid)
     se = fm.entropy_rate_2d()
@@ -224,12 +230,13 @@ def smb2d_experiment(
         raise RateNotFinite("2-D entropy rate is -inf")
 
     seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
-    values_by_n = []
-    for n in n_grid:
-        values = np.empty(ensemble_size)
-        for i0, X in sampling.field_chunks(fm, n, seeds):
-            values[i0 : i0 + len(X)] = -fm.log_block_density_2d(X) / (n * n)
-        values_by_n.append(values)
+    # one contiguous row per n, so that each n's statistics read its
+    # values in order
+    values = np.empty((len(n_grid), ensemble_size))
+    for i0, X in sampling.field_chunks(fm, n_grid[-1], seeds):
+        values[:, i0 : i0 + len(X)] = -fm.log_block_density_2d(X, n_grid).T
+    values /= np.square(n_grid)[:, None]
+    values_by_n = list(values)
     means = np.array([float(v.mean()) for v in values_by_n])
     sds = np.array([float(v.std(ddof=_ddof(ensemble_size))) for v in values_by_n])
     hn = np.array([fm.block_entropy_2d(n) / (n * n) for n in n_grid])

@@ -39,9 +39,10 @@ _NUFFT_SPREAD = 16
 _NUFFT_CHUNK = 2**14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutocovarianceSequence:
-    """Covariances r(0..N) with the symmetry r(-n) = r(n) built in."""
+    """Covariances r(0..N) with the symmetry r(-n) = r(n) built in.  Two
+    sequences are equal, and hash equal, when their values and origins are."""
 
     values: np.ndarray
     origin: str = "closed-form"
@@ -60,6 +61,15 @@ class AutocovarianceSequence:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def __eq__(self, other):
+        if not isinstance(other, AutocovarianceSequence):
+            return NotImplemented
+        return self.origin == other.origin and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        # float hashing makes -0.0 and 0.0, which compare equal, hash equal
+        return hash((self.origin, tuple(self.values.tolist())))
 
 
 # ---------------------------------------------------------------------------

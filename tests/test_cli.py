@@ -206,8 +206,11 @@ class TestNonFiniteParameters:
         "ar:0.5:nan", "ar:0.5:inf", "ar:nan:1", "power_singular:0.3,inf",
         "power_singular:nan",
     ]
-    # JSON's NaN and Infinity literals, and a number that overflows to inf
+    # JSON's NaN and Infinity literals, a number that overflows to inf, and
+    # integers past the float range, whose float() raises OverflowError
     CONFIGS = [
+        '{"kind": "white", "level": 1' + "0" * 400 + "}",
+        '{"kind": "ma", "coeffs": [1, -1' + "0" * 400 + "]}",
         '{"kind": "white", "level": NaN}',
         '{"kind": "poisson", "r": -Infinity}',
         '{"kind": "ma", "coeffs": [1, 1e999]}',

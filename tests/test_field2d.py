@@ -12,6 +12,7 @@ from entrospec import (
 )
 from entrospec.field2d import toeplitz_matrix
 from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
+from entrospec.modelspec import density_from_string
 from entrospec.spectral import NEG_INF
 from entrospec.toeplitz import _FACTOR_BLOCK
 
@@ -79,6 +80,30 @@ class TestKroneckerAgainstDense:
             assert q == single
         dens = fm.log_block_density_2d(stack)
         assert [float(d) for d in dens] == [fm.log_block_density_2d(X) for X in stack]
+
+    def test_grid_forms_match_leading_blocks(self):
+        # a dense inverse factor (every A row full): the grid forms of one
+        # product equal the size-m forms of the contiguous leading blocks
+        fm = SeparableFieldModel(
+            density_from_string("power_singular:0.3"), density_from_string("ma:1,0.9")
+        )
+        grid = [8, 16, 32, 64]
+        stack = np.random.default_rng(81).standard_normal((3, 64, 64))
+        got = fm.kronecker_quadratic_form(stack, grid)
+        assert got.shape == (3, len(grid))
+        dens = fm.log_block_density_2d(stack, grid)
+        for X, q, d in zip(stack, got, dens):
+            assert fm.kronecker_quadratic_form(X, grid).tolist() == q.tolist()
+            for col, m in enumerate(grid):
+                block = np.ascontiguousarray(X[:m, :m])
+                assert q[col] == pytest.approx(fm.kronecker_quadratic_form(block), rel=1e-12)
+                assert d[col] == pytest.approx(fm.log_block_density_2d(block), rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [[0, 4], [4, 5], [-1]], ids=str)
+    def test_grid_outside_field_rejected(self, grid):
+        fm = FIELDS["p05xp05"]()
+        with pytest.raises(DimensionMismatch):
+            fm.kronecker_quadratic_form(np.ones((4, 4)), grid)
 
     @pytest.mark.parametrize(
         "shape", [(), (3,), (3, 4), (2, 3, 4), (0, 0), (2, 0, 0), (1, 1, 2, 2)], ids=str

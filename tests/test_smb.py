@@ -15,7 +15,7 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
-from entrospec import smb
+from entrospec import sampling, smb
 from entrospec.gaussian_model import LOG_2PI
 from entrospec.sampling import (
     ensemble_residuals,
@@ -256,15 +256,42 @@ class TestSmb2d:
         assert np.all(np.diff(mad) < 0.0)
 
     def test_values_match_per_field_loop(self):
-        # stacked chunks (64 fields at n = 16, 4 at n = 64, 1 at n = 128)
-        # against one sample_field and one block density per seed
+        # one field per seed at the largest n, scored on its leading blocks,
+        # against the size-n block density of the contiguous leading n x n
+        # block of one sample_field per seed
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
         grid, m, base = [16, 64, 128], 70, 5
         rep = smb2d_experiment(fm, grid, m, base_seed=base)
-        seeds = ensemble_seeds(base, m)
+        fields = [sample_field(fm, grid[-1], s) for s in ensemble_seeds(base, m)]
         for n, got in zip(grid, rep.values_by_n):
-            want = [-fm.log_block_density_2d(sample_field(fm, n, s)) / (n * n) for s in seeds]
+            want = [
+                -fm.log_block_density_2d(np.ascontiguousarray(x[:n, :n])) / (n * n)
+                for x in fields
+            ]
             assert got.tolist() == want
+
+    def test_one_draw_per_seed_scored_through_the_class(self, monkeypatch):
+        # every n of the grid is scored from one draw per seed at the largest
+        # n, through SeparableFieldModel.kronecker_quadratic_form
+        normals, forms = [], []
+        draw = sampling._normals_into
+        score = SeparableFieldModel.kronecker_quadratic_form
+
+        def counted_draw(out, *args, **kwargs):
+            normals.append(out.size)
+            return draw(out, *args, **kwargs)
+
+        def counted_score(self, X, *args, **kwargs):
+            forms.append(np.shape(X))
+            return score(self, X, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "_normals_into", counted_draw)
+        monkeypatch.setattr(SeparableFieldModel, "kronecker_quadratic_form", counted_score)
+        fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
+        rep = smb2d_experiment(fm, [16, 32, 64, 128], 3, base_seed=8)
+        assert sum(normals) == 3 * 128 * 128
+        assert forms == [(1, 128, 128)] * 3
+        assert [len(v) for v in rep.values_by_n] == [3] * 4
 
     def test_worker_count_does_not_change_results(self):
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))

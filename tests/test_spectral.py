@@ -374,6 +374,23 @@ class TestFourierTable:
             FourierTable(AutocovarianceSequence(arc_gap_coeffs))
         assert info.value.order == 150
 
+    def test_equal_tables_compare_and_hash_equal(self):
+        # by value: values and origin, not array identity
+        v = np.array([1.0, 0.5, 0.2])
+        one = FourierTable(AutocovarianceSequence(v.copy(), origin="table"))
+        two = FourierTable(AutocovarianceSequence(v.copy(), origin="table"))
+        other = FourierTable(AutocovarianceSequence([1.0, 0.4, 0.2], origin="table"))
+        assert one == two and hash(one) == hash(two)
+        assert one != other
+        assert one.table != AutocovarianceSequence(v.copy())  # another origin
+        assert AutocovarianceSequence([0.0]) == AutocovarianceSequence([-0.0])
+        assert hash(AutocovarianceSequence([0.0])) == hash(AutocovarianceSequence([-0.0]))
+        assert len({one, two, other}) == 2
+        # a density holding a table compares and hashes the same way
+        assert one + White(1.0) == two + White(1.0)
+        assert hash(one + White(1.0)) == hash(two + White(1.0))
+        assert one + White(1.0) != other + White(1.0)
+
     def test_empty_table_is_config_error(self):
         with pytest.raises(ModelConfigError):
             FourierTable(AutocovarianceSequence([]))
