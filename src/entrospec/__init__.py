@@ -16,7 +16,6 @@ from .errors import (
 from .field2d import SeparableFieldModel
 from .gaussian_model import GaussianProcessModel
 from .spectral import (
-    AutocovarianceSequence,
     AutoRegressive,
     FilterProduct,
     FourierTable,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutoRegressive",
-    "AutocovarianceSequence",
     "DegenerateProcess",
     "DimensionMismatch",
     "EntrospecError",

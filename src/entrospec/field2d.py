@@ -19,7 +19,7 @@ from .spectral import NEG_INF, SpectralDensity
 
 def toeplitz_matrix(acov, n: int) -> np.ndarray:
     idx = np.arange(n)
-    return acov.values[np.abs(idx[:, None] - idx[None, :])]
+    return acov[np.abs(idx[:, None] - idx[None, :])]
 
 
 def _inverse_factor(fact, n: int) -> np.ndarray:
@@ -60,6 +60,9 @@ class SeparableFieldModel:
                 ra = toeplitz_matrix(self.factor_a.autocovariance(n - 1), n)
                 rb = toeplitz_matrix(self.factor_b.autocovariance(n - 1), n)
                 self._chol[n] = (np.linalg.cholesky(ra), np.linalg.cholesky(rb))
+                # callers get the cached factors themselves
+                for factor in self._chol[n]:
+                    factor.setflags(write=False)
             return self._chol[n]
 
     def _inverse_pair(self, n: int):

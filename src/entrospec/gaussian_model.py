@@ -21,21 +21,19 @@ HALF_LOG_2PI_E = 0.5 * (LOG_2PI + 1.0)
 class GaussianProcessModel:
     """Ties a spectral density to its Toeplitz machinery.
 
-    Covariances and the Levinson factorization are cached.  A request past
-    the cached order m factors to max(n, 2m): one large request costs
-    exactly its own order, and a rising series of requests stays O(final^2)
-    in total.  The covariances through the initial order are read at
-    construction; until the first request the initial order counts as the
-    cached one, so a model asked only for its rate is never factored.
-    Models are immutable from the caller's point of view and safe to query
-    concurrently.
+    Covariances and the Levinson factorization are cached, read-only.  The
+    first request factors exactly its order n; a later one past the cached
+    order m factors to max(n, 2m), so a rising series of requests stays
+    O(final^2) in total.  Construction reads r(0) only, so a model asked
+    only for its rate is never factored.  Models are immutable from the
+    caller's point of view and safe to query concurrently.
     """
 
-    def __init__(self, density: SpectralDensity, initial_order: int = 64):
+    def __init__(self, density: SpectralDensity):
         self.density = density
         self._lock = threading.RLock()
-        self._initial_order = max(1, initial_order)
-        self._acov = density.autocovariance(self._initial_order - 1)
+        self._acov = density.autocovariance(0)
+        self._acov.setflags(write=False)
         self._fact = None
         self._szego = None
 
@@ -45,10 +43,11 @@ class GaussianProcessModel:
         with self._lock:
             if self._fact is not None and self._fact.order >= n:
                 return
-            m = self._initial_order if self._fact is None else self._fact.order
-            target = m if n <= m else max(n, 2 * m)
-            if self._acov.max_lag < target - 1:
-                self._acov = self.density.autocovariance(target - 1)
+            target = max(n, 1) if self._fact is None else max(n, 2 * self._fact.order)
+            if len(self._acov) < target:
+                acov = self.density.autocovariance(target - 1)
+                acov.setflags(write=False)
+                self._acov = acov
             self._fact = toeplitz.levinson(self._acov, target)
 
     def factorization(self, n: int) -> toeplitz.LevinsonFactorization:
@@ -57,13 +56,12 @@ class GaussianProcessModel:
 
     @property
     def r0(self) -> float:
-        return self._acov[0]
+        return self._acov.item(0)
 
-    def autocovariance(self, max_lag: int):
+    def autocovariance(self, max_lag: int) -> np.ndarray:
+        """r(0..max_lag), a read-only view of the cache."""
         self._ensure(max_lag + 1)
-        return spectral.AutocovarianceSequence(
-            self._acov.values[: max_lag + 1], origin=self._acov.origin
-        )
+        return self._acov[: max_lag + 1]
 
     def szego_integral(self) -> float:
         with self._lock:

@@ -105,11 +105,7 @@ def density_from_config(cfg: dict) -> spectral.SpectralDensity:
         if kind == "power_singular":
             return spectral.PowerSingular(_finite(cfg["alpha"]), _finite(cfg.get("scale", 1.0)))
         if kind == "fourier_table":
-            return spectral.FourierTable(
-                spectral.AutocovarianceSequence(
-                    [_finite(c) for c in cfg["covariances"]], origin="table"
-                )
-            )
+            return spectral.FourierTable([_finite(c) for c in cfg["covariances"]])
         if kind == "gap":
             return spectral.SpectralGap(_finite(cfg["fraction"]), _finite(cfg.get("level", 1.0)))
         if kind == "scaled":

@@ -1,7 +1,7 @@
 """Seeded, reproducible sampling of Gaussian paths and separable fields.
 
 The generator is a counter-based SplitMix64 feeding Box-Muller.  Draws
-are ensembles: `sample_paths` and `sample_fields` give one path or field
+are ensembles: `sample_paths` and `field_chunks` give one path or field
 per seed, from that seed's own stream, so a row depends on its seed alone
 and identical (model, n, seed) reproduces it bit-exactly.
 `ensemble_seeds` derives the seeds of an experiment from (base seed,
@@ -137,11 +137,11 @@ def _circulant_embedding(model: GaussianProcessModel, n: int):
     from the density.
     """
     m_min = max(2 * (n - 1), 1)
-    r = model.autocovariance(n - 1).values
+    r = model.autocovariance(n - 1)
     m = m_min
     while m <= _CE_MAX_PAD * m_min:
         if m > m_min:
-            r = model.density.autocovariance(m // 2).values
+            r = model.density.autocovariance(m // 2)
         lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
         if lam.min() >= -_CE_CLIP * lam.max():
             s = np.sqrt(m * np.maximum(lam, 0.0))
@@ -228,47 +228,32 @@ def log_derivative(dphi, x) -> np.ndarray:
 
 
 def sample_field(field_model, n: int, seed: int) -> np.ndarray:
-    """Separable-field draw X = L_a Z L_b^T: one field of `sample_fields`."""
-    return sample_fields(field_model, n, [seed])[0]
-
-
-def sample_fields(field_model, n: int, seeds) -> np.ndarray:
-    """Stacked draw, shape (len(seeds), n, n); field i is L_a Z_i L_b^T for
-    the Cholesky factors L_a, L_b and the n^2 normals Z_i of the stream of
-    seeds[i], and depends on that seed alone."""
-    streams = _field_streams(n, seeds)
-    z, work = _field_buffers(len(streams), n)
-    return _fields_into(field_model, n, streams, z, work)
+    """Separable-field draw X = L_a Z L_b^T: the field of seed in `field_chunks`."""
+    ((_, X),) = field_chunks(field_model, n, [seed])
+    return X[0]
 
 
 def field_chunks(field_model, n: int, seeds):
-    """Yield (i0, X): the fields of seeds[i0 : i0 + len(X)], as drawn by
-    `sample_fields`, in stacks of max(1, _FIELD_CHUNK // n^2).  The stacks
-    share one set of buffers, so X is valid until the next one is yielded."""
-    streams = _field_streams(n, seeds)
+    """Yield (i0, X): X[i] is L_a Z_i L_b^T for the Cholesky factors L_a,
+    L_b and the n^2 normals Z_i of the stream of seeds[i0 + i], so a field
+    depends on its seed alone.  Stacks hold max(1, _FIELD_CHUNK // n^2)
+    fields and share one set of buffers, so X is valid until the next one
+    is yielded."""
+    if n < 1:
+        raise DimensionMismatch(f"field size must be >= 1, got {n}")
+    streams = _stream_seeds(_seed_array(seeds), 0)
     chunk = max(1, min(_FIELD_CHUNK // (n * n), len(streams)))
-    z, work = _field_buffers(chunk, n)
+    # the normals, and the uint64 scratch of `_normals_into`
+    z = np.empty((chunk, n * n))
+    work = np.empty((2, chunk, 2 * ((n * n + 1) // 2)), dtype=np.uint64)
     for i0 in range(0, len(streams), chunk):
         yield i0, _fields_into(field_model, n, streams[i0 : i0 + chunk], z, work)
 
 
-def _field_streams(n: int, seeds) -> np.ndarray:
-    if n < 1:
-        raise DimensionMismatch(f"field size must be >= 1, got {n}")
-    return _stream_seeds(_seed_array(seeds), 0)
-
-
-def _field_buffers(rows: int, n: int):
-    """The normals buffer and the uint64 scratch of `_normals_into` for rows
-    fields of n^2 normals each."""
-    z = np.empty((rows, n * n))
-    return z, np.empty((2, rows, 2 * ((n * n + 1) // 2)), dtype=np.uint64)
-
-
 def _fields_into(field_model, n: int, streams, z: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Fields of the streams, (k, n, n) for k = len(streams), from buffers
-    of `_field_buffers` with at least k rows.  The result is a view of z,
-    valid until z is next used."""
+    """Fields of the streams, (k, n, n) for k = len(streams), from the
+    buffers of `field_chunks` with at least k rows.  The result is a view of
+    z, valid until z is next used."""
     k = len(streams)
     la = field_model.cholesky_a(n)
     lb = field_model.cholesky_b(n)

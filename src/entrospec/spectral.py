@@ -5,10 +5,11 @@ All integrals are with respect to the *normalized* Lebesgue measure
 Szego integral int log f dlambda exponentiates to the infinite-past
 one-step prediction error variance.  Entropies downstream are in nats.
 
-Densities with closed forms use them.  Otherwise one quadrature rule,
-`cosine_integrals`, gives int g(t) cos(nt) dlambda for n = 0..N: the Szego
-integral (g = log f, N = 0), the log-density Fourier coefficients L(n) of
-the strong Szego diagnostics (g = log f) and covariances (g = f).
+Every density gives its covariances r(0..N) in closed form, as a float64
+array.  Where the Szego integral or the log-density Fourier coefficients
+L(n) of the strong Szego diagnostics have no closed form (sums), one
+quadrature rule, `cosine_integrals`, gives int log f(t) cos(nt) dlambda for
+n = 0..N.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import toeplitz
 from .errors import ModelConfigError, QuadratureNotConverged, ZeroSymbol
 
 NEG_INF = float("-inf")
@@ -37,39 +39,6 @@ _DE_U_MAX = 3.15
 # and nodes are spread _NUFFT_CHUNK at a time to bound the temporaries.
 _NUFFT_SPREAD = 16
 _NUFFT_CHUNK = 2**14
-
-
-@dataclass(frozen=True, eq=False)
-class AutocovarianceSequence:
-    """Covariances r(0..N) with the symmetry r(-n) = r(n) built in.  Two
-    sequences are equal, and hash equal, when their values and origins are."""
-
-    values: np.ndarray
-    origin: str = "closed-form"
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.ascontiguousarray(self.values, dtype=np.float64)
-        )
-
-    @property
-    def max_lag(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, lag: int) -> float:
-        return float(self.values[abs(int(lag))])
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, AutocovarianceSequence):
-            return NotImplemented
-        return self.origin == other.origin and np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        # float hashing makes -0.0 and 0.0, which compare equal, hash equal
-        return hash((self.origin, tuple(self.values.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +99,11 @@ class _PlainSum:
 
 
 def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL, jumps=()):
-    """(c, points): c[n] = int g(t) cos(nt) dlambda, n = 0..max_n, by
-    tanh-sinh quadrature (Takahasi & Mori 1974) on the panels of [0, pi]
-    between the jump points of g in (0, pi), each folded with its mirror in
-    [-pi, 0], and the number of g evaluations.  The step halves until no
-    value changes by tol; each level evaluates g at its new nodes only.
+    """c[n] = int g(t) cos(nt) dlambda, n = 0..max_n, by tanh-sinh
+    quadrature (Takahasi & Mori 1974) on the panels of [0, pi] between the
+    jump points of g in (0, pi), each folded with its mirror in [-pi, 0].
+    The step halves until no value changes by tol; each level evaluates g
+    at its new nodes only.
 
     The zoo's singularities (the power-singular cusp or zero at 0, a zero
     at +-pi, a gap's jumps) sit at panel ends, where the nodes cluster
@@ -174,7 +143,7 @@ def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL, jumps=
         if prev is not None:
             change = float(np.max(np.abs(cur - prev)))
             if change < tol:
-                return cur, points
+                return cur
         prev = cur
     raise QuadratureNotConverged(what, change, tol, points)
 
@@ -233,19 +202,15 @@ class SpectralDensity:
     def eval(self, t):
         raise NotImplementedError
 
-    def autocovariance(self, max_lag: int) -> AutocovarianceSequence:
-        if max_lag < 0:
-            raise ModelConfigError("max_lag must be >= 0")
-        coeffs, points = cosine_integrals(
-            self.eval, max_lag, "autocovariance", jumps=self.jump_points()
-        )
-        return AutocovarianceSequence(coeffs, origin=f"quadrature:{points}")
+    def autocovariance(self, max_lag: int) -> np.ndarray:
+        """r(0..max_lag) as a float64 array; r(n) does not depend on max_lag."""
+        raise NotImplementedError
 
     def szego_integral(self) -> float:
         return szego_integral_quadrature(self)
 
     def log_fourier_coeffs(self, max_n: int) -> np.ndarray:
-        coeffs, _ = cosine_integrals(
+        coeffs = cosine_integrals(
             self._log_eval, max_n, "log-density Fourier coefficients", jumps=self.jump_points()
         )
         return coeffs[1:]
@@ -289,7 +254,7 @@ class White(SpectralDensity):
     def autocovariance(self, max_lag):
         values = np.zeros(max_lag + 1)
         values[0] = self.level
-        return AutocovarianceSequence(values)
+        return values
 
     def szego_integral(self):
         return math.log(self.level)
@@ -320,7 +285,7 @@ class PoissonKernel(SpectralDensity):
         return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(t) + r * r)
 
     def autocovariance(self, max_lag):
-        return AutocovarianceSequence(self.r ** np.arange(max_lag + 1))
+        return self.r ** np.arange(max_lag + 1)
 
     def szego_integral(self):
         return math.log1p(-self.r * self.r)
@@ -355,7 +320,7 @@ class AutoRegressive(SpectralDensity):
     def _char_poly(self):
         return np.concatenate(([1.0], -np.asarray(self.coeffs)))
 
-    def _head(self) -> AutocovarianceSequence:
+    def _head(self) -> np.ndarray:
         """r(0..p), which the recursion extends."""
         c = self.coeffs
         p = len(c)
@@ -366,7 +331,7 @@ class AutoRegressive(SpectralDensity):
                 A[j, abs(j - kk)] -= c[kk - 1]
         rhs = np.zeros(p + 1)
         rhs[0] = self.innovation_variance
-        return AutocovarianceSequence(np.linalg.solve(A, rhs))
+        return np.linalg.solve(A, rhs)
 
     def eval(self, t):
         return self.innovation_variance / _trig_power(self._char_poly(), t)
@@ -377,10 +342,10 @@ class AutoRegressive(SpectralDensity):
         p = len(c)
         head = self._head()
         values = np.zeros(max_lag + 1)
-        values[: min(p, max_lag) + 1] = head.values[: min(p, max_lag) + 1]
+        values[: min(p, max_lag) + 1] = head[: min(p, max_lag) + 1]
         for n in range(p + 1, max_lag + 1):
             values[n] = float(np.dot(c, values[n - p : n][::-1]))
-        return AutocovarianceSequence(values, origin=head.origin)
+        return values
 
     def szego_integral(self):
         # int log|1 - sum c_k e^{ikt}|^2 dlambda = 0 for a stable polynomial
@@ -439,7 +404,7 @@ class PowerSingular(SpectralDensity):
         r0 = self.scale * math.gamma(1.0 + 2.0 * a) / math.gamma(1.0 + a) ** 2
         k = np.arange(1.0, max_lag + 1)
         steps = np.concatenate(([r0], (k - 1.0 - a) / (k + a)))
-        return AutocovarianceSequence(np.cumprod(steps))
+        return np.cumprod(steps)
 
     def szego_integral(self):
         # int log|1 - e^{it}| dlambda = 0, so only the scale survives
@@ -465,29 +430,25 @@ class FourierTable(AutoRegressive):
     since every Levinson reflection has |k| < 1, whose lags through q are
     the table itself."""
 
-    table: AutocovarianceSequence
+    table: tuple
 
     def __init__(self, table):
-        # toeplitz imports this module for AutocovarianceSequence, so it can
-        # only be imported once both modules are loaded
-        from .toeplitz import levinson
-
-        q = table.max_lag
-        if q < 0:
+        table = tuple(float(c) for c in table)
+        if not table:
             raise ModelConfigError("fourier_table needs at least r(0)")
-        fact = levinson(table, q + 1)
+        fact = toeplitz.levinson(table, len(table))
         object.__setattr__(self, "coeffs", tuple(fact.predictor.tolist()))
-        object.__setattr__(self, "innovation_variance", float(fact.sigma2[q]))
+        object.__setattr__(self, "innovation_variance", float(fact.sigma2[-1]))
         object.__setattr__(self, "table", table)
 
     def _head(self):
-        return self.table
+        return np.array(self.table)
 
     def describe(self):
-        return f"fourier_table[{self.table.max_lag}]"
+        return f"fourier_table[{len(self.table) - 1}]"
 
     def to_config(self):
-        return {"kind": "fourier_table", "covariances": self.table.values.tolist()}
+        return {"kind": "fourier_table", "covariances": list(self.table)}
 
 
 @dataclass(frozen=True, repr=False)
@@ -513,7 +474,7 @@ class SpectralGap(SpectralDensity):
         # r(0) = level (1 - a), r(n) = -level sin(n pi a) / (n pi)
         n = np.arange(1, max_lag + 1)
         tail = -self.level * np.sin(n * math.pi * self.fraction) / (n * math.pi)
-        return AutocovarianceSequence(np.concatenate(([self.level * (1.0 - self.fraction)], tail)))
+        return np.concatenate(([self.level * (1.0 - self.fraction)], tail))
 
     def szego_integral(self):
         return NEG_INF
@@ -541,8 +502,7 @@ class Scaled(SpectralDensity):
         return self.factor * self.base.eval(t)
 
     def autocovariance(self, max_lag):
-        inner = self.base.autocovariance(max_lag)
-        return AutocovarianceSequence(self.factor * inner.values, origin=inner.origin)
+        return self.factor * self.base.autocovariance(max_lag)
 
     def szego_integral(self):
         inner = self.base.szego_integral()
@@ -572,10 +532,7 @@ class SumDensity(SpectralDensity):
         return self.left.eval(t) + self.right.eval(t)
 
     def autocovariance(self, max_lag):
-        a = self.left.autocovariance(max_lag)
-        b = self.right.autocovariance(max_lag)
-        origin = a.origin if a.origin == b.origin else f"{a.origin}+{b.origin}"
-        return AutocovarianceSequence(a.values + b.values, origin=origin)
+        return self.left.autocovariance(max_lag) + self.right.autocovariance(max_lag)
 
     def jump_points(self):
         return self.left.jump_points() + self.right.jump_points()
@@ -605,13 +562,17 @@ class FilterProduct(SpectralDensity):
         return _trig_power(self.symbol, t) * self.base.eval(t)
 
     def autocovariance(self, max_lag):
-        # r_Y(n) = sum_{|d| <= q} c_d r(n + d), c the symbol's autocorrelation
+        # r_Y(n) = sum_{|d| <= q} c_d r(n + d), c the symbol's autocorrelation,
+        # one vector pass per d, so that every lag is summed in the same order
+        # whatever max_lag is; ext[q + k] = r(|k|) for k >= -q
         g = np.asarray(self.symbol)
         q = len(g) - 1
         inner = self.base.autocovariance(max_lag + q)
-        lags = np.abs(np.arange(max_lag + 1)[:, None] + np.arange(-q, q + 1))
-        values = inner.values[lags] @ np.correlate(g, g, "full")
-        return AutocovarianceSequence(values, origin=inner.origin)
+        ext = np.concatenate((inner[q:0:-1], inner))
+        values = np.zeros(max_lag + 1)
+        for j, c in enumerate(np.correlate(g, g, "full")):
+            values += c * ext[j : j + max_lag + 1]
+        return values
 
     def szego_integral(self):
         inner = self.base.szego_integral()
@@ -661,5 +622,5 @@ class MovingAverage(FilterProduct):
 
 def szego_integral_quadrature(f: SpectralDensity, tol: float = _DEFAULT_TOL) -> float:
     """Closed-form-free route, kept separate as an independent cross-check."""
-    value, _ = cosine_integrals(f._log_eval, 0, "szego integral", tol, f.jump_points())
+    value = cosine_integrals(f._log_eval, 0, "szego integral", tol, f.jump_points())
     return float(value[0])

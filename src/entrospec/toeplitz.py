@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .spectral import AutocovarianceSequence
 
 PD_FLOOR_REL = 1e-13
 # rows per inverse-factor block: large enough for BLAS-3 efficiency, small
@@ -47,6 +46,9 @@ class LevinsonFactorization:
     """
 
     def __init__(self, sigma2, reflections, r0, logdet_prefix, predictor):
+        # models share a factorization among callers, so its arrays are read-only
+        for array in (sigma2, reflections, logdet_prefix, predictor):
+            array.setflags(write=False)
         self.sigma2 = sigma2
         self.reflections = reflections
         self.r0 = float(r0)
@@ -130,12 +132,10 @@ class LevinsonFactorization:
 
 
 def levinson(r, n: int) -> LevinsonFactorization:
-    """Factor R_n from autocovariances; raises NotPositiveDefinite with the
-    failing order if an innovation variance falls to the roundoff floor."""
-    if isinstance(r, AutocovarianceSequence):
-        values = r.values
-    else:
-        values = np.ascontiguousarray(r, dtype=np.float64)
+    """Factor R_n from the autocovariances r(0..), any float sequence; raises
+    NotPositiveDefinite with the failing order if an innovation variance falls
+    to the roundoff floor."""
+    values = np.ascontiguousarray(r, dtype=np.float64)
     if n < 1:
         raise DimensionMismatch("order must be >= 1")
     if len(values) < n:

@@ -80,7 +80,7 @@ def make_non_banded_zoo():
 
 def dense_cov(model, n):
     acov = model.autocovariance(n - 1)
-    return scipy.linalg.toeplitz(acov.values[:n])
+    return scipy.linalg.toeplitz(acov[:n])
 
 
 def dense_log_det(model, n):
@@ -104,7 +104,7 @@ def dense_innovations(model, x):
 def dense_predictor(model, m):
     """Order-m backward predictor b from the dense Yule-Walker solve
     R_m b = (r(m), ..., r(1))."""
-    acov = model.autocovariance(m).values
+    acov = model.autocovariance(m)
     return np.linalg.solve(dense_cov(model, m), acov[m:0:-1])
 
 

@@ -350,7 +350,7 @@ class TestCliExitCodes:
     def test_table_of_poisson_is_exact(self, tmp_path, capsys):
         # its maximum-entropy extension is poisson:0.9 itself: log(1 - 0.81)
         path = tmp_path / "table.json"
-        covariances = PoissonKernel(0.9).autocovariance(64).values.tolist()
+        covariances = PoissonKernel(0.9).autocovariance(64).tolist()
         path.write_text(json.dumps({"kind": "fourier_table", "covariances": covariances}))
         assert main(["rate", "--model-file", str(path)]) == EXIT_OK
         assert "szego_integral = -1.6607312" in capsys.readouterr().out
@@ -557,16 +557,29 @@ class TestCliOutputs:
 class TestImport:
     def test_benchmark_tracer_installs(self):
         # the benchmark's tracer looks its hooks up by name, and its run
-        # record reads entrospec.kernels; a deleted name fails here
+        # record reads entrospec.kernels; a deleted name fails here, and a
+        # hook that breaks under wrapping fails the traced commands
+        import json
         import os
         import subprocess
         import sys
+        import textwrap
 
         bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "entrobench")
-        code = (
-            f"import sys; sys.path.insert(0, {bench!r}); import tracer; "
-            "tracer.install(tracer.Tracer()); "
-            "from entrospec import kernels; print(kernels.BACKEND)"
+        code = textwrap.dedent(
+            f"""
+            import json, sys
+            sys.path.insert(0, {bench!r})
+            import tracer
+            spans = tracer.Tracer()
+            tracer.install(spans)
+            from entrospec import cli, kernels
+            rcs = [
+                cli.main(["smb", "--model", "poisson:0.5", "--n", "8,16", "--m", "4"]),
+                cli.main(["predict", "--model", "poisson:0.5", "--n", "16"]),
+            ]
+            print(json.dumps([kernels.BACKEND, rcs, sorted({{s[0] for s in spans.spans}})]))
+            """
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -575,7 +588,11 @@ class TestImport:
             text=True,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "python"
+        backend, rcs, names = json.loads(out.stdout.splitlines()[-1])
+        assert backend == "python"
+        assert rcs == [EXIT_OK, EXIT_OK]
+        for name in ("spectral.autocovariance", "toeplitz.levinson", "sampling.sample_paths"):
+            assert name in names
 
     def test_cli_import_leaves_scipy_out(self):
         import subprocess

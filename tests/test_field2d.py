@@ -201,6 +201,16 @@ class TestProductMarginalKL:
         assert fm.product_marginal_kl_2d(n) == pytest.approx(want, abs=1e-8)
 
 
+class TestCaches:
+    def test_cholesky_factors_are_read_only(self):
+        # a caller's write into a returned factor must not reach the cache
+        fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
+        for factor in (fm.cholesky_a(4), fm.cholesky_b(4)):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 99.0
+        assert fm.cholesky_a(4)[0, 0] == 1.0
+
+
 class TestConfigRoundTrip:
     def test_to_config_and_back(self):
         from entrospec.modelspec import model_from_config

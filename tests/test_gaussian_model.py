@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from entrospec import (
-    AutocovarianceSequence,
     FourierTable,
     GaussianProcessModel,
     MovingAverage,
@@ -169,7 +168,7 @@ class TestModelAlgebra:
 class TestCaching:
     def test_growth_consistency(self):
         # quantities computed at small order survive cache growth
-        model = GaussianProcessModel(PoissonKernel(0.5), initial_order=2)
+        model = GaussianProcessModel(PoissonKernel(0.5))
         d4 = model.log_det(4)
         model.factorization(300)
         assert model.log_det(4) == d4
@@ -186,7 +185,7 @@ class TestCaching:
     def test_fourier_table_factors_past_table(self):
         # a table model grows like any other; past q its innovation variance
         # stays the table's sigma2_q, the infinite-past prediction error
-        table = FourierTable(AutocovarianceSequence(0.5 ** np.arange(100)))
+        table = FourierTable(0.5 ** np.arange(100))
         model = GaussianProcessModel(table)
         for n in (10, 60, 61, 99, 100, 101, 300):
             assert n <= model.factorization(n).order
@@ -199,14 +198,15 @@ class TestCaching:
         density = PowerSingular(0.3, 1.0)
         grown = GaussianProcessModel(density)
         grown.factorization(8193)
-        straight = GaussianProcessModel(density, initial_order=4096)
-        a, b = grown.factorization(4096), straight.factorization(4096)
+        straight = GaussianProcessModel(density)
+        b = straight.factorization(4096)
+        a = grown.factorization(4096)
         assert b.order == 4096
         assert np.array_equal(a.sigma2[:4096], b.sigma2)
         assert all(a.log_det(m) == b.log_det(m) for m in range(4097))
 
     def test_prediction_series_factors_once(self, monkeypatch):
-        # 64 for the constructor, then exactly the n_max + 1 asked for
+        # exactly the n_max + 1 asked for
         orders = []
         levinson = toeplitz.levinson
 
@@ -217,12 +217,41 @@ class TestCaching:
         monkeypatch.setattr(toeplitz, "levinson", counting)
         model = GaussianProcessModel(PowerSingular(0.3, 1.0))
         prediction_gap_series(model, 8192)
-        assert sum(orders) <= 64 + 8193
+        assert orders == [8193]
+
+    def test_construction_reads_r0_only(self, monkeypatch):
+        calls = []
+        plain = PoissonKernel.autocovariance
+
+        def counting(self, max_lag):
+            calls.append(max_lag)
+            return plain(self, max_lag)
+
+        monkeypatch.setattr(PoissonKernel, "autocovariance", counting)
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        assert calls == [0]
+        assert model.r0 == 1.0 and type(model.r0) is float
+        # the first request factors exactly its own order
+        assert model.factorization(5).order == 5
+
+    def test_caches_are_read_only(self):
+        # a caller's write into a returned array must not reach the cache
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        with pytest.raises(ValueError):
+            model.autocovariance(5)[0] = 99.0
+        assert model.r0 == 1.0
+        fact = model.factorization(8)
+        for array in (fact.sigma2, fact.reflections, fact.predictor):
+            with pytest.raises(ValueError):
+                array[2] = -5.0
+        with pytest.raises(ValueError):
+            fact._logdet[2] = -5.0
+        assert model.factorization(8).sigma2[2] == 0.75
 
     def test_concurrent_queries(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        model = GaussianProcessModel(PoissonKernel(0.5), initial_order=2)
+        model = GaussianProcessModel(PoissonKernel(0.5))
         with ThreadPoolExecutor(max_workers=8) as pool:
             vals = list(pool.map(lambda n: model.log_det(n), [64] * 32))
         assert len(set(vals)) == 1

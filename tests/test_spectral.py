@@ -5,7 +5,6 @@ import pytest
 import scipy.special
 
 from entrospec import (
-    AutocovarianceSequence,
     AutoRegressive,
     FilterProduct,
     FourierTable,
@@ -24,25 +23,31 @@ from entrospec import spectral
 from entrospec.spectral import NEG_INF, cosine_integrals, szego_integral_quadrature
 from entrospec.toeplitz import levinson
 
-from conftest import quad_szego
+from conftest import make_non_banded_zoo, make_zoo, quad_szego
 
 SQRT125 = math.sqrt(1.25)
 MA1 = MovingAverage([1.0 / SQRT125, 0.5 / SQRT125])
 # the exact-long-memory benchmark's sum model: a cusp of log f at t = 0
 CUSP_SUM = PoissonKernel(0.5) + PowerSingular(0.3, 1.0)
+# every zoo density, a q = 7 filter of a long-memory density and a table
+PREFIX_DENSITIES = {
+    **{name: m.density for name, m in {**make_zoo(), **make_non_banded_zoo()}.items()},
+    "filter7_power": FilterProduct(
+        [1.0, -0.5, 0.3, 0.2, 0.1, 0.05, -0.4, 0.7], PowerSingular(0.3, 1.0)
+    ),
+    "table": FourierTable([1.0, 0.6, 0.3, 0.1]),
+}
 
 
 def covariance_quadrature(density, max_lag):
-    values, _ = cosine_integrals(density.eval, max_lag, "autocovariance")
-    return values
+    return cosine_integrals(density.eval, max_lag, "autocovariance")
 
 
 def log_cosine_quadrature(density, max_n):
     """int log f cos(nt) dlambda for n = 0..max_n: the Szego integral, then L(1..max_n)."""
-    values, _ = cosine_integrals(
+    return cosine_integrals(
         lambda t: np.log(density.eval(t)), max_n, "log-density Fourier coefficients"
     )
-    return values
 
 
 def count_sum_points(monkeypatch):
@@ -113,13 +118,22 @@ class TestEvalDensity:
 
 
 class TestAutocovariance:
+    @pytest.mark.parametrize("name", sorted(PREFIX_DENSITIES))
+    def test_prefix_consistent(self, name):
+        # r(n) does not depend on the max_lag asked for, bit for bit, so a
+        # model's covariance cache can grow without moving its prefix
+        density = PREFIX_DENSITIES[name]
+        full = density.autocovariance(9000)
+        for max_lag in range(300):
+            assert np.array_equal(density.autocovariance(max_lag), full[: max_lag + 1])
+
     def test_white(self):
         acov = White(1.0).autocovariance(3)
-        assert np.allclose(acov.values, [1, 0, 0, 0])
+        assert np.allclose(acov, [1, 0, 0, 0])
 
     def test_poisson_closed_form(self):
         acov = PoissonKernel(0.5).autocovariance(3)
-        assert np.allclose(acov.values, [1, 0.5, 0.25, 0.125], atol=1e-12)
+        assert np.allclose(acov, [1, 0.5, 0.25, 0.125], atol=1e-12)
 
     def test_ma_normalized(self):
         acov = MA1.autocovariance(2)
@@ -127,13 +141,9 @@ class TestAutocovariance:
         assert acov[1] == pytest.approx(0.4, abs=1e-12)
         assert acov[2] == pytest.approx(0.0, abs=1e-15)
 
-    def test_negative_lag_symmetry(self):
-        acov = PoissonKernel(0.5).autocovariance(4)
-        assert acov[-3] == acov[3]
-
     @pytest.mark.parametrize("density", [PoissonKernel(0.5), MA1])
     def test_closed_form_vs_quadrature(self, density):
-        closed = density.autocovariance(64).values
+        closed = density.autocovariance(64)
         quad = covariance_quadrature(density, 64)
         assert np.max(np.abs(closed - quad)) < 1e-9
 
@@ -150,7 +160,7 @@ class TestAutocovariance:
     def test_ar_yule_walker(self):
         # AR(1) with c=0.5, s2=0.75 is the Poisson kernel at r=0.5
         ar = AutoRegressive([0.5], 0.75)
-        assert np.allclose(ar.autocovariance(8).values, 0.5 ** np.arange(9), atol=1e-12)
+        assert np.allclose(ar.autocovariance(8), 0.5 ** np.arange(9), atol=1e-12)
 
     def test_power_singular_vs_gamma_closed_form(self):
         # oracle: Fourier coefficients of |1-e^{it}|^{2a} in terms of Gamma
@@ -163,7 +173,6 @@ class TestAutocovariance:
                 / (scipy.special.gamma(1 + alpha + n) * scipy.special.gamma(1 + alpha - n))
             )
             assert acov[n] == pytest.approx(expected, abs=1e-12)
-        assert acov.origin == "closed-form"
 
     def test_variance_matches_closed_form(self, zoo):
         for model in zoo.values():
@@ -335,7 +344,7 @@ class TestFourierTable:
 
     def test_eval_is_max_entropy_extension(self):
         # the order-3 predictor of r = 2^-n is (0.5, 0, 0), innovation 0.75
-        table = FourierTable(AutocovarianceSequence([1.0, 0.5, 0.25, 0.125]))
+        table = FourierTable([1.0, 0.5, 0.25, 0.125])
         t = np.linspace(-math.pi, math.pi, 301)
         assert np.max(np.abs(table.eval(t) - PoissonKernel(0.5).eval(t))) <= 1e-14
         assert np.max(np.abs(np.subtract(table.coeffs, [0.5, 0.0, 0.0]))) <= 1e-16
@@ -344,19 +353,19 @@ class TestFourierTable:
     def test_eval_of_positive_definite_table(self):
         # [1, .9, .9] is positive definite; its truncated series is not
         # nonnegative, but its AR(2) extension is positive everywhere
-        table = FourierTable(AutocovarianceSequence([1.0, 0.9, 0.9]))
+        table = FourierTable([1.0, 0.9, 0.9])
         t = np.linspace(-math.pi, math.pi, 301)
         phi1, phi2 = table.coeffs
         ar = AutoRegressive([phi1, phi2], table.innovation_variance)
         assert np.min(table.eval(t)) > 0.0
         assert np.max(np.abs(table.eval(t) / ar.eval(t) - 1.0)) <= 1e-14
-        assert table.autocovariance(2).values.tolist() == [1.0, 0.9, 0.9]
+        assert table.autocovariance(2).tolist() == [1.0, 0.9, 0.9]
 
     def test_autocovariance_respects_table_length(self):
         # lags through q are the table itself, later ones its AR(1) recursion
-        table = FourierTable(AutocovarianceSequence([1.0, 0.5]))
-        assert table.autocovariance(1).values.tolist() == [1.0, 0.5]
-        assert np.max(np.abs(table.autocovariance(5).values - 0.5 ** np.arange(6))) <= 1e-16
+        table = FourierTable([1.0, 0.5])
+        assert table.autocovariance(1).tolist() == [1.0, 0.5]
+        assert np.max(np.abs(table.autocovariance(5) - 0.5 ** np.arange(6))) <= 1e-16
 
     def test_szego_finite_case(self):
         for q in (1024, 4096):
@@ -367,24 +376,24 @@ class TestFourierTable:
         # density 0 on |t| <= pi/4 and 4/3 elsewhere: the closed form is -inf
         gap = SpectralGap(0.25, 4.0 / 3.0)
         assert gap.szego_integral() == NEG_INF
-        assert np.max(np.abs(gap.autocovariance(512).values - arc_gap_coeffs)) <= 1e-16
+        assert np.max(np.abs(gap.autocovariance(512) - arc_gap_coeffs)) <= 1e-16
         # the same coefficients as a table: sigma2_n falls geometrically,
         # to the positive-definiteness floor at order 150
         with pytest.raises(NotPositiveDefinite) as info:
-            FourierTable(AutocovarianceSequence(arc_gap_coeffs))
+            FourierTable(arc_gap_coeffs)
         assert info.value.order == 150
 
     def test_equal_tables_compare_and_hash_equal(self):
-        # by value: values and origin, not array identity
+        # the table is a tuple of floats, so tables compare and hash by value
         v = np.array([1.0, 0.5, 0.2])
-        one = FourierTable(AutocovarianceSequence(v.copy(), origin="table"))
-        two = FourierTable(AutocovarianceSequence(v.copy(), origin="table"))
-        other = FourierTable(AutocovarianceSequence([1.0, 0.4, 0.2], origin="table"))
+        one, two = FourierTable(v.copy()), FourierTable(v.tolist())
+        other = FourierTable([1.0, 0.4, 0.2])
         assert one == two and hash(one) == hash(two)
         assert one != other
-        assert one.table != AutocovarianceSequence(v.copy())  # another origin
-        assert AutocovarianceSequence([0.0]) == AutocovarianceSequence([-0.0])
-        assert hash(AutocovarianceSequence([0.0])) == hash(AutocovarianceSequence([-0.0]))
+        assert one.table == (1.0, 0.5, 0.2)
+        # -0.0 and 0.0 compare equal, so their tables must hash equal
+        assert FourierTable([1.0, 0.0]) == FourierTable([1.0, -0.0])
+        assert hash(FourierTable([1.0, 0.0])) == hash(FourierTable([1.0, -0.0]))
         assert len({one, two, other}) == 2
         # a density holding a table compares and hashes the same way
         assert one + White(1.0) == two + White(1.0)
@@ -393,7 +402,7 @@ class TestFourierTable:
 
     def test_empty_table_is_config_error(self):
         with pytest.raises(ModelConfigError):
-            FourierTable(AutocovarianceSequence([]))
+            FourierTable([])
 
     @pytest.mark.parametrize("case", sorted(AR_TABLES))
     def test_table_of_ar_model_reproduces_it(self, case):
@@ -402,11 +411,11 @@ class TestFourierTable:
         assert abs(table.szego_integral() - density.szego_integral()) <= 1e-12
         t = np.linspace(-math.pi, math.pi, 1001)
         assert np.max(np.abs(table.eval(t) - density.eval(t))) <= 1e-11
-        lags = table.autocovariance(500).values
-        assert np.max(np.abs(lags - density.autocovariance(500).values)) <= 1e-13
+        lags = table.autocovariance(500)
+        assert np.max(np.abs(lags - density.autocovariance(500))) <= 1e-13
         coeffs = table.log_fourier_coeffs(200)
         assert np.max(np.abs(coeffs - closed_log_coeffs(200))) <= 1e-12
-        quad, _ = cosine_integrals(table._log_eval, 200, "log-density Fourier coefficients")
+        quad = cosine_integrals(table._log_eval, 200, "log-density Fourier coefficients")
         assert np.max(np.abs(coeffs - quad[1:])) <= 1e-12
 
     @pytest.mark.parametrize("q", [16, 64, 256])
@@ -427,7 +436,7 @@ class TestFourierTable:
         # the cepstral recursion of a non-AR table against quadrature of log f
         table = table_of(PowerSingular(0.3, 1.0), 64)
         coeffs = table.log_fourier_coeffs(300)
-        quad, _ = cosine_integrals(table._log_eval, 300, "log-density Fourier coefficients")
+        quad = cosine_integrals(table._log_eval, 300, "log-density Fourier coefficients")
         assert np.max(np.abs(coeffs - quad[1:])) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -440,7 +449,7 @@ class TestFourierTable:
         combined = FilterProduct([1.0, 0.5], table) + White(1.0)
         want = FilterProduct([1.0, 0.5], density) + White(1.0)
         assert combined.szego_integral() == pytest.approx(want.szego_integral(), abs=1e-9)
-        lags, want_lags = combined.autocovariance(40).values, want.autocovariance(40).values
+        lags, want_lags = combined.autocovariance(40), want.autocovariance(40)
         assert np.max(np.abs(lags - want_lags)) <= 1e-9
 
 
@@ -462,7 +471,7 @@ class TestRationalFamilies:
         density = self.ALL_POLE[name]
         c = np.asarray(density.coeffs)
         p = len(c)
-        got = density.autocovariance(300).values
+        got = density.autocovariance(300)
         want = got.copy()
         for m in range(p + 1, 301):
             want[m] = np.dot(c, want[m - p : m][::-1])
@@ -488,27 +497,27 @@ class TestRationalFamilies:
         ma, filt = MovingAverage(coeffs), FilterProduct(coeffs, White(1.0))
         t = np.linspace(-math.pi, math.pi, 1001)
         assert np.array_equal(ma.eval(t), filt.eval(t))
-        assert np.array_equal(ma.autocovariance(40).values, filt.autocovariance(40).values)
+        assert np.array_equal(ma.autocovariance(40), filt.autocovariance(40))
         assert ma.szego_integral() == filt.szego_integral()
         assert np.array_equal(ma.log_fourier_coeffs(64), filt.log_fourier_coeffs(64))
         # and the covariances are the coefficients' autocorrelation, exactly
         a = np.asarray(coeffs)
         q = len(a) - 1
         want = [np.dot(a[: q + 1 - n], a[n:]) for n in range(q + 1)] + [0.0] * (40 - q)
-        assert np.array_equal(ma.autocovariance(40).values, want)
+        assert np.array_equal(ma.autocovariance(40), want)
 
     def test_filter_covariance_matches_double_sum(self):
         # r_Y(n) = sum_j sum_k g_j g_k r(n + k - j), summed in this order
         g = np.array([1.0, -0.6, 0.35, 0.2, -0.15, 0.1, 0.05, -0.02])
         base = PowerSingular(0.3, 1.0)
         q, max_lag = len(g) - 1, 8191
-        inner = base.autocovariance(max_lag + q).values
+        inner = base.autocovariance(max_lag + q)
         n = np.arange(max_lag + 1)
         want = np.zeros(max_lag + 1)
         for j in range(q + 1):
             for k in range(q + 1):
                 want += g[j] * g[k] * inner[np.abs(n + k - j)]
-        got = FilterProduct(g, base).autocovariance(max_lag).values
+        got = FilterProduct(g, base).autocovariance(max_lag)
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -561,12 +570,12 @@ class TestClosureVariants:
     def test_sum_covariance_adds(self):
         s = PoissonKernel(0.5) + White(1.0)
         acov = s.autocovariance(3)
-        assert np.allclose(acov.values, [2, 0.5, 0.25, 0.125], atol=1e-12)
+        assert np.allclose(acov, [2, 0.5, 0.25, 0.125], atol=1e-12)
 
     def test_filter_product_covariance_matches_quadrature(self):
         # convolution-form covariance vs direct quadrature of |g|^2 f
         f = FilterProduct([1.0, 0.5], PoissonKernel(0.5))
-        closed = f.autocovariance(16).values
+        closed = f.autocovariance(16)
         quad = covariance_quadrature(f, 16)
         assert np.max(np.abs(closed - quad)) < 1e-9
 
