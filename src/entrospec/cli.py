@@ -8,14 +8,12 @@ Exit codes: 0 ok, 1 assertion failure (--assert), 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 from . import entropy_analysis, modelspec, prediction, smb
 from .errors import EntrospecError, ModelConfigError, NumericalError
 from .field2d import SeparableFieldModel
-from .gaussian_model import GaussianProcessModel
 from .spectral import log_abs_symbol_integral
 
 EXIT_OK = 0
@@ -80,14 +78,9 @@ def _rate_values(model):
     far the rate falls below that of white noise with the same variance;
     for a separable field the Szego integral is the sum of its factors'.
     """
-    if isinstance(model, SeparableFieldModel):
-        se = model.entropy_rate_2d()
-        szego = model.factor_a.szego_integral() + model.factor_b.szego_integral()
-    else:
-        se = model.entropy_rate()
-        szego = model.szego_integral()
+    szego = model.szego_integral()
     r0 = model.r0
-    return se, szego, r0, 0.5 * (math.log(r0) - szego)
+    return model.entropy_rate(), szego, r0, 0.5 * (math.log(r0) - szego)
 
 
 def cmd_rate(args) -> int:
@@ -113,23 +106,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_smb(args) -> int:
-    model = _resolve_model(args)
-    report = smb.smb_experiment(
-        model, _int_list(args.n), args.m, args.seed, workers=args.workers
-    )
-    _emit(args, report.to_json() if args.format == "json" else report.to_csv())
-    if args.assert_pass and not report.all_passed:
-        return EXIT_ASSERT
-    return EXIT_OK
-
-
-def cmd_smb2d(args) -> int:
-    model = _resolve_model(args, allow_field=True)
-    if not isinstance(model, SeparableFieldModel):
+    """`smb` on a 1-D model or `smb2d` on a separable field."""
+    field = args.command == "smb2d"
+    model = _resolve_model(args, allow_field=field)
+    if field and not isinstance(model, SeparableFieldModel):
         raise ModelConfigError("smb2d needs a separable field model (--model-file)")
-    report = smb.smb2d_experiment(
-        model, _int_list(args.n), args.m, args.seed, workers=args.workers
-    )
+    experiment = smb.smb2d_experiment if field else smb.smb_experiment
+    report = experiment(model, _int_list(args.n), args.m, args.seed, workers=args.workers)
     _emit(args, report.to_json() if args.format == "json" else report.to_csv())
     if args.assert_pass and not report.all_passed:
         return EXIT_ASSERT
@@ -190,21 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="1,2,4,8,16,32,64", help="comma-separated n grid")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("smb", help="1-D SMB ensemble experiment")
-    add_common(p)
-    p.add_argument("--n", required=True, help="comma-separated n grid")
-    p.add_argument("--m", type=_positive_int, required=True, help="ensemble size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--assert", dest="assert_pass", action="store_true")
-    p.set_defaults(func=cmd_smb)
-
-    p = sub.add_parser("smb2d", help="Z^2 SMB ensemble experiment")
-    add_common(p)
-    p.add_argument("--n", required=True)
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--assert", dest="assert_pass", action="store_true")
-    p.set_defaults(func=cmd_smb2d)
+    for name, text in (("smb", "1-D SMB ensemble experiment"),
+                       ("smb2d", "Z^2 SMB ensemble experiment")):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--n", required=True, help="comma-separated n grid")
+        p.add_argument("--m", type=_positive_int, required=True, help="ensemble size")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--assert", dest="assert_pass", action="store_true")
+        p.set_defaults(func=cmd_smb)
 
     p = sub.add_parser("predict", help="finite-past prediction diagnostics")
     add_common(p)

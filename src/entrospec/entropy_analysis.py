@@ -63,11 +63,6 @@ def pinsker_entropy_rate(model: GaussianProcessModel) -> float:
     return 0.5 * (model.r0 - 1.0 - s)
 
 
-def information_stability_gap(model: GaussianProcessModel, n: int) -> float:
-    """H_n/n - H_{2n}/(2n) = (1/2n) I(n, n)."""
-    return model.block_entropy(n) / n - model.block_entropy(2 * n) / (2 * n)
-
-
 def dyadic_decomposition(model: GaussianProcessModel, max_level: int):
     """Partial sums of the dyadic mutual-information series and the rate
     reconstructed from them.

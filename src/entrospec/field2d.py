@@ -7,14 +7,13 @@ block covariance is the Kronecker product R_{a,n} (x) R_{b,n} and every
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .gaussian_model import HALF_LOG_2PI_E, LOG_2PI, GaussianProcessModel
-from .spectral import NEG_INF, SpectralDensity
+from .spectral import SpectralDensity
 
 
 def toeplitz_matrix(acov, n: int) -> np.ndarray:
@@ -84,25 +83,22 @@ class SeparableFieldModel:
     def cholesky_b(self, n: int) -> np.ndarray:
         return self._chol_pair(n)[1]
 
-    def log_det_2d(self, n: int) -> float:
+    # -- the questions of a 1-D model, asked of the n x n block -------------
+
+    def log_det(self, n: int) -> float:
         """log det of the n^2 x n^2 Kronecker block covariance."""
         return n * (self.factor_a.log_det(n) + self.factor_b.log_det(n))
 
-    def block_entropy_2d(self, n: int) -> float:
+    def block_entropy(self, n: int) -> float:
         """H^(2)_n = (n^2/2)(log 2pi + 1) + (1/2) log det."""
-        return n * n * HALF_LOG_2PI_E + 0.5 * self.log_det_2d(n)
+        return n * n * HALF_LOG_2PI_E + 0.5 * self.log_det(n)
 
-    def entropy_rate_2d(self) -> float:
-        sa = self.factor_a.szego_integral()
-        sb = self.factor_b.szego_integral()
-        if sa == NEG_INF or sb == NEG_INF:
-            return NEG_INF
-        return HALF_LOG_2PI_E + 0.5 * (sa + sb)
+    def szego_integral(self) -> float:
+        """int log(f_a (x) f_b) = int log f_a + int log f_b; -inf if either is."""
+        return self.factor_a.szego_integral() + self.factor_b.szego_integral()
 
-    def product_marginal_kl_2d(self, n: int) -> float:
-        """KL of the n^2 block law to the product of its marginals."""
-        var = self.r0
-        return 0.5 * (n * n * math.log(var) - self.log_det_2d(n))
+    # Se = (1/2) log(2 pi e) + (1/2) szego_integral(), as on Z
+    entropy_rate = GaussianProcessModel.entropy_rate
 
     def kronecker_quadratic_form(self, X, n_grid=None):
         """vec(X)^T (R_a (x) R_b)^{-1} vec(X) = tr(R_a^{-1} X R_b^{-1} X^T).
@@ -144,7 +140,7 @@ class SeparableFieldModel:
         lays them out."""
         q = self.kronecker_quadratic_form(X, n_grid)
         grid = [np.shape(X)[-1]] if n_grid is None else [int(m) for m in n_grid]
-        const = [m * m * LOG_2PI + self.log_det_2d(m) for m in grid]
+        const = [m * m * LOG_2PI + self.log_det(m) for m in grid]
         return -0.5 * ((const[0] if n_grid is None else np.array(const)) + q)
 
 

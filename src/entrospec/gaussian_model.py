@@ -98,11 +98,6 @@ class GaussianProcessModel:
             return NEG_INF
         return HALF_LOG_2PI_E + 0.5 * s
 
-    def infinite_prediction_error(self) -> float:
-        """One-step prediction error variance from the infinite past."""
-        s = self.szego_integral()
-        return 0.0 if s == NEG_INF else math.exp(s)
-
     # -- model algebra -----------------------------------------------------
 
     def filtered_model(self, symbol) -> "GaussianProcessModel":

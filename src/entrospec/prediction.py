@@ -73,10 +73,3 @@ def prediction_gap_series(model: GaussianProcessModel, n_max: int) -> Prediction
         gap_partial_sums=np.cumsum(delta),
         strong_szego_partial_sums=np.cumsum(n * coeffs**2),
     )
-
-
-def szego_integrability(model: GaussianProcessModel):
-    """(is_integrable, value): the isomorphism criterion reduced to the
-    finiteness of the Szego integral."""
-    value = model.szego_integral()
-    return value != NEG_INF, value

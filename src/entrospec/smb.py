@@ -2,9 +2,14 @@
 the pointwise (Shannon-McMillan-Breiman type) convergence, in 1-D and on
 separable Z^2 fields.
 
-`information_at` is the one kernel of the 1-D path information
-I_n = -log rho_n; `smb_experiment` runs it on slices of a seeded ensemble.
-A field's information is its Kronecker block density,
+One driver runs the ensemble of either dimension.  It derives the seeds,
+fills an (ensemble x grid) array from a draw and a score, divides by the
+block size n^d and compares each column's mean with H_n/n^d and the rate,
+which 1-D models and separable fields answer by the same names.
+`smb_experiment` draws paths (`sampling.sample_paths`) and scores them
+with `information_at`, the one kernel of the 1-D path information
+I_n = -log rho_n; `smb2d_experiment` draws fields (`sampling.field_chunks`)
+and scores them with their Kronecker block density,
 `SeparableFieldModel.log_block_density_2d`.
 """
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sampling
-from .errors import DimensionMismatch, RateNotFinite
+from .errors import DimensionMismatch, ModelConfigError, RateNotFinite
 from .field2d import SeparableFieldModel
 from .gaussian_model import LOG_2PI, GaussianProcessModel
 
@@ -104,9 +109,9 @@ def information_at(model: GaussianProcessModel, X, n_grid, dphi=None) -> np.ndar
     working set is X and a few block-sized buffers.
     """
     X = np.asarray(X, dtype=np.float64)
-    n_max = max(n_grid)
-    if X.ndim != 2 or not 1 <= min(n_grid) <= n_max <= X.shape[1]:
+    if X.ndim != 2 or len(n_grid) == 0 or not 1 <= min(n_grid) <= max(n_grid) <= X.shape[1]:
         raise DimensionMismatch(f"n grid {list(n_grid)} does not fit paths of shape {X.shape}")
+    n_max = max(n_grid)
     X = X[:, :n_max]
     fact = model.factorization(n_max)
     half_terms = LOG_2PI + np.log(fact.sigma2[:n_max])
@@ -133,9 +138,10 @@ def information_at(model: GaussianProcessModel, X, n_grid, dphi=None) -> np.ndar
 
 
 def expected_log_derivative(dphi, variance: float, nodes: int = 96) -> float:
-    """Gauss-Hermite value of E[log phi'(X)] for X ~ N(0, variance)."""
+    """Gauss-Hermite value of E[log phi'(X)] for X ~ N(0, variance);
+    NonMonotone where phi' <= 0 at a node."""
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    vals = np.log(dphi(x * math.sqrt(variance)))
+    vals = sampling.log_derivative(dphi, x * math.sqrt(variance))
     return float(np.dot(w, vals) / np.sum(w))
 
 
@@ -143,9 +149,53 @@ def expected_log_derivative(dphi, variance: float, nodes: int = 96) -> float:
 # ensemble experiments
 
 
-def _ddof(ensemble_size: int) -> int:
-    """Sample standard deviation, or the plain one for a single draw."""
-    return 1 if ensemble_size > 1 else 0
+def _ensemble_experiment(
+    model, n_grid, ensemble_size, base_seed, workers, dims, draws, score, sampler,
+    shift=0.0, model_id=None,
+) -> ConvergenceReport:
+    """The pipeline of both dimensions: seeds, draws, scores, statistics.
+
+    `model` answers entropy_rate(), block_entropy(n) and describe() for
+    blocks of n^dims points.  `draws(n_max, seeds)` yields (i0, X), the
+    samples of seeds[i0:i0 + len(X)] at the largest n, and `score(X, n_grid)`
+    gives their information at every n as a (len(X) x len(n_grid)) array.
+    `sampler(n_max)` names the synthesis.  `shift` is added to the rate and
+    to every H_n/n^dims.  Each n's mean and sd are taken down a column of the
+    (ensemble x grid) array of normalized information.
+    """
+    n_grid = sorted(int(n) for n in n_grid)
+    if not n_grid:
+        raise DimensionMismatch("the n grid is empty")
+    if ensemble_size < 1:
+        raise ModelConfigError(f"ensemble size must be >= 1, got {ensemble_size}")
+    se = model.entropy_rate()
+    if se == float("-inf"):
+        raise RateNotFinite(f"entropy rate of {model.describe()} is -inf")
+    n_max = n_grid[-1]
+    sizes = np.power(n_grid, dims)  # points of each block
+    seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
+    values = np.empty((ensemble_size, len(n_grid)))
+    for i0, X in draws(n_max, seeds):
+        values[i0 : i0 + len(X)] = score(X, n_grid)
+        del X  # so that one draw, not two, is held while the next is made
+    values /= sizes
+
+    report = ConvergenceReport(
+        model_id=model.describe() if model_id is None else model_id,
+        dims=dims,
+        n_grid=n_grid,
+        means=values.mean(axis=0),
+        sds=values.std(axis=0, ddof=1 if ensemble_size > 1 else 0),
+        se_exact=se + shift,
+        hn_over_n=np.array([model.block_entropy(n) / b for n, b in zip(n_grid, sizes)]) + shift,
+        theoretical_sd=1.0 / np.sqrt(2.0 * sizes),
+        ensemble_size=ensemble_size,
+        base_seed=base_seed,
+        workers=workers,
+        sampler=sampler(n_max),
+    )
+    report.values_by_n = list(values.T)
+    return report
 
 
 def smb_experiment(
@@ -158,52 +208,27 @@ def smb_experiment(
 ) -> ConvergenceReport:
     """Ensemble statistics of (1/n) I_n against the entropy rate.
 
-    `transform` is an optional (phi, dphi) pair applied coordinatewise;
-    the report then compares against Se + E[log phi'(X_0)] via the stored
-    Jacobian terms entering I_n, and phi' <= 0 at a sample raises
-    NonMonotone.  `workers` is only recorded in the report.  Paths are
-    sampled in slices of at most _ENSEMBLE_SLICE seeds, and each slice is
-    scored by `information_at`.
+    `transform` is an optional (phi, dphi) pair of a coordinatewise
+    increasing map.  Paths stay Gaussian: I_n gains the Jacobian terms
+    sum log phi'(x_j), and the rate and H_n/n the exact marginal shift
+    E[log phi'(X_0)], X_0 ~ N(0, r(0)); phi' <= 0 raises NonMonotone.
+    `workers` is only recorded in the report.  Paths are sampled in slices
+    of at most _ENSEMBLE_SLICE seeds, and each slice is scored by
+    `information_at`.
     """
-    n_grid = sorted(int(n) for n in n_grid)
-    se = model.entropy_rate()
-    if se == float("-inf"):
-        raise RateNotFinite("entropy rate is -inf")
-    n_max = n_grid[-1]
     dphi = None if transform is None else transform[1]
-    seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
-    values = np.empty((ensemble_size, len(n_grid)))
-    for i0 in range(0, ensemble_size, _ENSEMBLE_SLICE):
-        X = sampling.sample_paths(model, n_max, seeds[i0 : i0 + _ENSEMBLE_SLICE])
-        values[i0 : i0 + len(X)] = information_at(model, X, n_grid, dphi)
-        del X
-    values /= n_grid
 
-    means = values.mean(axis=0)
-    sds = values.std(axis=0, ddof=_ddof(ensemble_size))
-    hn = np.array([model.block_entropy(n) / n for n in n_grid])
-    if transform is not None:
-        # exact marginal shift E[log phi'(X_0)], X_0 ~ N(0, r(0))
-        shift = expected_log_derivative(transform[1], model.r0)
-        se = se + shift
-        hn = hn + shift
-    theo = np.array([1.0 / math.sqrt(2.0 * n) for n in n_grid])
-    report = ConvergenceReport(
-        model_id=model.describe() if transform is None else f"transformed({model.describe()})",
-        dims=1,
-        n_grid=n_grid,
-        means=means,
-        sds=sds,
-        se_exact=se,
-        hn_over_n=hn,
-        theoretical_sd=theo,
-        ensemble_size=ensemble_size,
-        base_seed=base_seed,
-        workers=workers,
-        sampler=sampling.path_sampler(model, n_max),
+    def draws(n_max, seeds):
+        for i0 in range(0, len(seeds), _ENSEMBLE_SLICE):
+            yield i0, sampling.sample_paths(model, n_max, seeds[i0 : i0 + _ENSEMBLE_SLICE])
+
+    return _ensemble_experiment(
+        model, n_grid, ensemble_size, base_seed, workers, dims=1, draws=draws,
+        score=lambda X, grid: information_at(model, X, grid, dphi),
+        sampler=lambda n_max: sampling.path_sampler(model, n_max),
+        shift=0.0 if dphi is None else expected_log_derivative(dphi, model.r0),
+        model_id=None if dphi is None else f"transformed({model.describe()})",
     )
-    report.values_by_n = list(values.T)
-    return report
 
 
 def smb2d_experiment(
@@ -224,36 +249,9 @@ def smb2d_experiment(
     block of a field drawn at n_max has the law of a field drawn at n,
     because the Cholesky factors are lower triangular.
     """
-    n_grid = sorted(int(n) for n in n_grid)
-    se = fm.entropy_rate_2d()
-    if se == float("-inf"):
-        raise RateNotFinite("2-D entropy rate is -inf")
-
-    seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
-    # one contiguous row per n, so that each n's statistics read its
-    # values in order
-    values = np.empty((len(n_grid), ensemble_size))
-    for i0, X in sampling.field_chunks(fm, n_grid[-1], seeds):
-        values[:, i0 : i0 + len(X)] = -fm.log_block_density_2d(X, n_grid).T
-    values /= np.square(n_grid)[:, None]
-    values_by_n = list(values)
-    means = np.array([float(v.mean()) for v in values_by_n])
-    sds = np.array([float(v.std(ddof=_ddof(ensemble_size))) for v in values_by_n])
-    hn = np.array([fm.block_entropy_2d(n) / (n * n) for n in n_grid])
-    theo = np.array([1.0 / math.sqrt(2.0 * n * n) for n in n_grid])
-    report = ConvergenceReport(
-        model_id=fm.describe(),
-        dims=2,
-        n_grid=n_grid,
-        means=means,
-        sds=sds,
-        se_exact=se,
-        hn_over_n=hn,
-        theoretical_sd=theo,
-        ensemble_size=ensemble_size,
-        base_seed=base_seed,
-        workers=workers,
-        sampler="cholesky",
+    return _ensemble_experiment(
+        fm, n_grid, ensemble_size, base_seed, workers, dims=2,
+        draws=lambda n_max, seeds: sampling.field_chunks(fm, n_max, seeds),
+        score=lambda X, grid: -fm.log_block_density_2d(X, grid),
+        sampler=lambda n_max: "cholesky",
     )
-    report.values_by_n = values_by_n
-    return report

@@ -555,10 +555,11 @@ class TestCliOutputs:
 
 
 class TestImport:
-    def test_benchmark_tracer_installs(self):
+    def test_benchmark_tracer_installs(self, field_file):
         # the benchmark's tracer looks its hooks up by name, and its run
-        # record reads entrospec.kernels; a deleted name fails here, and a
-        # hook that breaks under wrapping fails the traced commands
+        # record reads entrospec.kernels; a deleted name fails here, a hook
+        # that breaks under wrapping fails the traced commands, and a CLI
+        # that went round a wrapped layer records no span for it
         import json
         import os
         import subprocess
@@ -577,6 +578,7 @@ class TestImport:
             rcs = [
                 cli.main(["smb", "--model", "poisson:0.5", "--n", "8,16", "--m", "4"]),
                 cli.main(["predict", "--model", "poisson:0.5", "--n", "16"]),
+                cli.main(["smb2d", "--model-file", {field_file!r}, "--n", "4,8", "--m", "3"]),
             ]
             print(json.dumps([kernels.BACKEND, rcs, sorted({{s[0] for s in spans.spans}})]))
             """
@@ -590,8 +592,15 @@ class TestImport:
         assert out.returncode == 0, out.stderr
         backend, rcs, names = json.loads(out.stdout.splitlines()[-1])
         assert backend == "python"
-        assert rcs == [EXIT_OK, EXIT_OK]
-        for name in ("spectral.autocovariance", "toeplitz.levinson", "sampling.sample_paths"):
+        assert rcs == [EXIT_OK, EXIT_OK, EXIT_OK]
+        for name in (
+            "spectral.autocovariance",
+            "toeplitz.levinson",
+            "sampling.sample_paths",
+            "smb.experiment",
+            "field2d.cholesky",
+            "field2d.quadratic_form",
+        ):
             assert name in names
 
     def test_cli_import_leaves_scipy_out(self):

@@ -17,7 +17,6 @@ from entrospec.entropy_analysis import (
     block_mutual_information,
     dyadic_decomposition,
     independence_defect,
-    information_stability_gap,
     kl_to_marginal_product,
     kl_to_standard_gaussian,
     markov_defect,
@@ -124,12 +123,12 @@ class TestMutualInformation:
                     )
 
     def test_stability_gap_identity(self, zoo):
+        # H_n/n - H_2n/(2n) = I(n, n)/(2n)
         for model in zoo.values():
             for n in (1, 4, 16):
+                gap = model.block_entropy(n) / n - model.block_entropy(2 * n) / (2 * n)
                 want = block_mutual_information(model, n, n) / (2 * n)
-                assert information_stability_gap(model, n) == pytest.approx(
-                    want, abs=1e-12
-                )
+                assert gap == pytest.approx(want, abs=1e-12)
 
     def test_mi_saturates_for_finite_memory(self):
         # MA(1): I(n, p) is controlled by the single boundary lag

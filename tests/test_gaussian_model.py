@@ -127,11 +127,12 @@ class TestEntropyRate:
     def test_degenerate_rate_is_minus_inf(self):
         model = GaussianProcessModel(ARC_GAP)
         assert model.entropy_rate() == NEG_INF
-        assert model.infinite_prediction_error() == 0.0
+        # the infinite-past prediction error exp(int log f) is 0
+        assert math.exp(model.szego_integral()) == 0.0
 
     def test_prediction_error_poisson(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        assert model.infinite_prediction_error() == pytest.approx(0.75, abs=1e-12)
+        assert math.exp(model.szego_integral()) == pytest.approx(0.75, abs=1e-12)
 
 
 class TestModelAlgebra:
@@ -192,7 +193,7 @@ class TestCaching:
         fact = model.factorization(300)
         assert np.array_equal(fact.sigma2[:100], toeplitz.levinson(table.table, 100).sigma2)
         assert np.all(fact.sigma2[100:300] == fact.sigma2[99])
-        assert fact.sigma2[99] == model.infinite_prediction_error()
+        assert fact.sigma2[99] == math.exp(model.szego_integral())
 
     def test_grown_prefix_bit_identical(self):
         density = PowerSingular(0.3, 1.0)

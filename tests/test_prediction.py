@@ -12,7 +12,7 @@ from entrospec import (
     PowerSingular,
     White,
 )
-from entrospec.prediction import prediction_gap_series, szego_integrability
+from entrospec.prediction import prediction_gap_series
 
 from conftest import ARC_GAP, dense_cov, quad_szego
 
@@ -137,14 +137,11 @@ class TestLongMemory:
 
 
 class TestSzegoIntegrability:
+    # the isomorphism criterion is the finiteness of the Szego integral
     def test_positive_cases(self, zoo_with_singular):
         for model in zoo_with_singular.values():
-            ok, value = szego_integrability(model)
-            assert ok
-            assert math.isfinite(value)
+            assert math.isfinite(model.szego_integral())
 
     def test_negative_case(self):
         model = GaussianProcessModel(ARC_GAP)
-        ok, value = szego_integrability(model)
-        assert not ok
-        assert value == float("-inf")
+        assert model.szego_integral() == float("-inf")

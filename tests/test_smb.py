@@ -9,6 +9,7 @@ from entrospec import (
     AutoRegressive,
     DimensionMismatch,
     GaussianProcessModel,
+    ModelConfigError,
     NonMonotone,
     PoissonKernel,
     RateNotFinite,
@@ -78,7 +79,7 @@ class TestInformationPath:
         model = GaussianProcessModel(PoissonKernel(0.5))
         assert innovation_average(model, np.zeros((1, 64))) == 0.0
 
-    @pytest.mark.parametrize("grid", [[0, 4], [4, 9], [9]])
+    @pytest.mark.parametrize("grid", [[0, 4], [4, 9], [9], []])
     def test_grid_outside_paths_raises(self, grid):
         model = GaussianProcessModel(PoissonKernel(0.5))
         X = sample_paths(model, 8, [1, 2])
@@ -104,6 +105,48 @@ class TestExpectedLogDerivative:
         mc = float(np.mean(np.log(1 + 0.1 * np.cos(z))))
         exact = expected_log_derivative(lambda x: 1 + 0.1 * np.cos(x), 1.0)
         assert mc == pytest.approx(exact, abs=5e-4)
+
+    @pytest.mark.parametrize("dphi", [lambda x: 2 * x, lambda x: np.maximum(x, 0.0)])
+    def test_nonpositive_derivative_raises(self, dphi):
+        # phi' < 0 at some nodes gave nan, and phi' = 0 gave -inf, with
+        # only RuntimeWarnings
+        with pytest.raises(NonMonotone):
+            expected_log_derivative(dphi, 1.0)
+
+
+# both public experiments, through the driver they share
+EXPERIMENTS = {
+    "1d": lambda grid, m, seed: smb_experiment(
+        GaussianProcessModel(AutoRegressive([0.5], 0.75)), grid, m, seed
+    ),
+    "2d": lambda grid, m, seed: smb2d_experiment(
+        SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0)), grid, m, seed
+    ),
+}
+
+
+class TestEnsembleDriver:
+    @pytest.mark.parametrize("dims", sorted(EXPERIMENTS))
+    def test_statistics_are_column_reductions(self, dims):
+        # each n's mean and sd reduce a C-ordered (ensemble x grid) array
+        # down a column, in one summation order for both dimensions (numpy
+        # would sum a transposed copy along its contiguous axis, pairwise)
+        rep = EXPERIMENTS[dims]([4, 16, 64], 200, 5)
+        values = np.column_stack(rep.values_by_n)
+        assert np.array_equal(rep.means, values.mean(axis=0))
+        assert np.array_equal(rep.sds, values.std(axis=0, ddof=1))
+
+    @pytest.mark.parametrize("dims", sorted(EXPERIMENTS))
+    def test_empty_ensemble_raises(self, dims):
+        # NaN means and all_passed False, with only RuntimeWarnings
+        with pytest.raises(ModelConfigError):
+            EXPERIMENTS[dims]([4, 8], 0, 1)
+
+    @pytest.mark.parametrize("dims", sorted(EXPERIMENTS))
+    def test_empty_grid_raises(self, dims):
+        # an IndexError from the grid's last entry
+        with pytest.raises(DimensionMismatch):
+            EXPERIMENTS[dims]([], 4, 1)
 
 
 class TestSmbExperiment:
