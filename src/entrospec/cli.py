@@ -129,8 +129,6 @@ def cmd_predict(args) -> int:
 def cmd_filter(args) -> int:
     model = _resolve_model(args)
     symbol = modelspec._floats(args.symbol)
-    if not symbol:
-        raise ModelConfigError("filter needs a nonempty --symbol")
     filtered = model.filtered_model(symbol)
     base_rate = model.entropy_rate()
     new_rate = filtered.entropy_rate()

@@ -2,12 +2,13 @@
 
 Covariance Cov(x_{s,t}, x_{s',t'}) = r_a(s-s') r_b(t-t'), so the n x n
 block covariance is the Kronecker product R_{a,n} (x) R_{b,n} and every
-2-D entropy quantity reduces to the two factor factorizations.
+2-D entropy quantity reduces to the two factor models.  A field is those
+two 1-D models and nothing more: each holds its own Levinson
+factorization, Cholesky factor (which draws fields) and whitening factor
+(which scores them), cached under its own lock.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -16,28 +17,12 @@ from .gaussian_model import HALF_LOG_2PI_E, LOG_2PI, GaussianProcessModel
 from .spectral import SpectralDensity
 
 
-def toeplitz_matrix(acov, n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return acov[np.abs(idx[:, None] - idx[None, :])]
-
-
-def _inverse_factor(fact, n: int) -> np.ndarray:
-    """Full n x n unit-lower A with A R_n A^T = diag(sigma2)."""
-    A = np.zeros((n, n))
-    for j0, blk in fact.inverse_factor_blocks(n):
-        A[j0 : j0 + blk.shape[0], : blk.shape[1]] = blk
-    return A
-
-
 class SeparableFieldModel:
     """Product of a T-direction factor f_a and an S-direction factor f_b."""
 
     def __init__(self, factor_a: SpectralDensity, factor_b: SpectralDensity):
         self.factor_a = GaussianProcessModel(factor_a)
         self.factor_b = GaussianProcessModel(factor_b)
-        self._lock = threading.RLock()
-        self._chol = {}
-        self._inverse = {}
 
     @property
     def r0(self) -> float:
@@ -53,35 +38,11 @@ class SeparableFieldModel:
             "factor_b": self.factor_b.density.to_config(),
         }
 
-    def _chol_pair(self, n: int):
-        with self._lock:
-            if n not in self._chol:
-                ra = toeplitz_matrix(self.factor_a.autocovariance(n - 1), n)
-                rb = toeplitz_matrix(self.factor_b.autocovariance(n - 1), n)
-                self._chol[n] = (np.linalg.cholesky(ra), np.linalg.cholesky(rb))
-                # callers get the cached factors themselves
-                for factor in self._chol[n]:
-                    factor.setflags(write=False)
-            return self._chol[n]
-
-    def _inverse_pair(self, n: int):
-        """(A_a, A_b, sigma2_a (x) sigma2_b) of the two Levinson factors."""
-        with self._lock:
-            if n not in self._inverse:
-                fa = self.factor_a.factorization(n)
-                fb = self.factor_b.factorization(n)
-                self._inverse[n] = (
-                    _inverse_factor(fa, n),
-                    _inverse_factor(fb, n),
-                    np.outer(fa.sigma2[:n], fb.sigma2[:n]),
-                )
-            return self._inverse[n]
-
     def cholesky_a(self, n: int) -> np.ndarray:
-        return self._chol_pair(n)[0]
+        return self.factor_a.cholesky(n)
 
     def cholesky_b(self, n: int) -> np.ndarray:
-        return self._chol_pair(n)[1]
+        return self.factor_b.cholesky(n)
 
     # -- the questions of a 1-D model, asked of the n x n block -------------
 
@@ -103,27 +64,27 @@ class SeparableFieldModel:
     def kronecker_quadratic_form(self, X, n_grid=None):
         """vec(X)^T (R_a (x) R_b)^{-1} vec(X) = tr(R_a^{-1} X R_b^{-1} X^T).
 
-        With R^{-1} = A^T diag(sigma2)^{-1} A for each Levinson factor this is
-        sum((A_a X A_b^T)^2 / (sigma2_a (x) sigma2_b)).  An (n, n) X gives a
-        float; a stack of k fields, (k, n, n), gives the k forms as an array.
+        With R^{-1} = W^T W for each factor's whitening factor W this is
+        sum((W_a X W_b^T)^2).  An (n, n) X gives a float; a stack of k
+        fields, (k, n, n), gives the k forms as an array.
 
         With an n_grid, the result holds the forms of the leading m x m
         blocks of each field for m in the grid, in a last axis of
-        len(n_grid); without one the grid is [n].  Both factors are
-        prefix-consistent (row j of A and sigma2_j do not depend on n), so
-        the leading m x m block of U = A_a X A_b^T is A_{a,m} X_m A_{b,m}^T
-        for the leading block X_m, and one product serves the whole grid.
+        len(n_grid); without one the grid is [n].  Row j of W does not
+        depend on n, so the leading m x m block of U = W_a X W_b^T is
+        W_{a,m} X_m W_{b,m}^T for the leading block X_m, and one product
+        serves the whole grid.
         """
         X = np.asarray(X, dtype=np.float64)
-        n = _field_size(X)
+        if X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2] or X.shape[-1] < 1:
+            raise DimensionMismatch(f"field shape {X.shape} is not (n, n) or (k, n, n), n >= 1")
+        n = X.shape[-1]
         grid = [n] if n_grid is None else [int(m) for m in n_grid]
-        if not all(1 <= m <= n for m in grid):
+        if not grid or not all(1 <= m <= n for m in grid):
             raise DimensionMismatch(f"n grid {grid} does not fit fields of size {n}")
-        aa, ab, s2 = self._inverse_pair(n)
-        u = np.matmul(aa, X)
-        u = np.matmul(u, ab.T)
+        u = np.matmul(self.factor_a.whitening_factor(n), X)
+        u = np.matmul(u, self.factor_b.whitening_factor(n).T)
         u *= u
-        u /= s2
         # each block is summed as a contiguous m^2 row, the order in which
         # a field of size m is summed on its own
         q = np.stack(
@@ -142,10 +103,3 @@ class SeparableFieldModel:
         grid = [np.shape(X)[-1]] if n_grid is None else [int(m) for m in n_grid]
         const = [m * m * LOG_2PI + self.log_det(m) for m in grid]
         return -0.5 * ((const[0] if n_grid is None else np.array(const)) + q)
-
-
-def _field_size(X: np.ndarray) -> int:
-    """n of an (n, n) field or a (k, n, n) stack; DimensionMismatch otherwise."""
-    if X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2] or X.shape[-1] < 1:
-        raise DimensionMismatch(f"field shape {X.shape} is not (n, n) or (k, n, n) with n >= 1")
-    return X.shape[-1]

@@ -11,7 +11,6 @@ import threading
 import numpy as np
 
 from . import spectral, toeplitz
-from .errors import ZeroSymbol
 from .spectral import NEG_INF, SpectralDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -21,12 +20,13 @@ HALF_LOG_2PI_E = 0.5 * (LOG_2PI + 1.0)
 class GaussianProcessModel:
     """Ties a spectral density to its Toeplitz machinery.
 
-    Covariances and the Levinson factorization are cached, read-only.  The
-    first request factors exactly its order n; a later one past the cached
-    order m factors to max(n, 2m), so a rising series of requests stays
-    O(final^2) in total.  Construction reads r(0) only, so a model asked
-    only for its rate is never factored.  Models are immutable from the
-    caller's point of view and safe to query concurrently.
+    Covariances, the Levinson factorization and the two dense factors of
+    R_n (`cholesky`, `whitening_factor`, kept per n) are cached, read-only.
+    The first request factors exactly its order n; a later one past the
+    cached order m factors to max(n, 2m), so a rising series of requests
+    stays O(final^2) in total.  Construction reads r(0) only, so a model
+    asked only for its rate is never factored.  Models are immutable from
+    the caller's point of view and safe to query concurrently.
     """
 
     def __init__(self, density: SpectralDensity):
@@ -36,6 +36,8 @@ class GaussianProcessModel:
         self._acov.setflags(write=False)
         self._fact = None
         self._szego = None
+        self._chol = {}
+        self._whiten = {}
 
     # -- caches ------------------------------------------------------------
 
@@ -53,6 +55,32 @@ class GaussianProcessModel:
     def factorization(self, n: int) -> toeplitz.LevinsonFactorization:
         self._ensure(n)
         return self._fact
+
+    def cholesky(self, n: int) -> np.ndarray:
+        """L with R_n = L L^T (LAPACK on the dense R_n), the samplers' factor.
+        The covariances are read first, so a non-positive-definite R_n
+        raises NotPositiveDefinite from the Levinson recursion."""
+        with self._lock:
+            if n not in self._chol:
+                chol = np.linalg.cholesky(toeplitz.toeplitz_matrix(self.autocovariance(n - 1), n))
+                chol.setflags(write=False)
+                self._chol[n] = chol
+            return self._chol[n]
+
+    def whitening_factor(self, n: int) -> np.ndarray:
+        """W = diag(sigma2)^{-1/2} A with W R_n W^T = I, for the unit-lower
+        inverse Levinson factor A, the evaluators' factor.  Row j of W does
+        not depend on n, so W_m is the leading m x m block of W_n."""
+        with self._lock:
+            if n not in self._whiten:
+                fact = self.factorization(n)
+                w = np.zeros((n, n))
+                for j0, blk in fact.inverse_factor_blocks(n):
+                    w[j0 : j0 + blk.shape[0], : blk.shape[1]] = blk
+                w /= np.sqrt(fact.sigma2[:n])[:, None]
+                w.setflags(write=False)
+                self._whiten[n] = w
+            return self._whiten[n]
 
     @property
     def r0(self) -> float:
@@ -102,9 +130,6 @@ class GaussianProcessModel:
 
     def filtered_model(self, symbol) -> "GaussianProcessModel":
         """Model of Y_t = sum_k g_k X_{t+k}: density |g|^2 f."""
-        symbol = tuple(float(c) for c in symbol)
-        if not any(c != 0.0 for c in symbol):
-            raise ZeroSymbol("filter symbol is identically zero")
         return GaussianProcessModel(spectral.FilterProduct(symbol, self.density))
 
     def sum_independent(self, other: "GaussianProcessModel") -> "GaussianProcessModel":

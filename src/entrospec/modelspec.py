@@ -42,6 +42,26 @@ def _finite(value) -> float:
     return number
 
 
+def _number(cfg: dict, name: str, default=None) -> float:
+    """cfg[name] (or default, if given, where it is absent) as a finite float;
+    ModelConfigError naming the field for a boolean, a string or any other
+    value that is not a JSON number."""
+    value = cfg[name] if default is None else cfg.get(name, default)
+    # type(True) is bool, not int
+    if type(value) not in (int, float):
+        raise ModelConfigError(f"field {name!r} must be a number, got {value!r}")
+    return _finite(value)
+
+
+def _numbers(cfg: dict, name: str) -> list:
+    """cfg[name], a JSON array of numbers, as finite floats; ModelConfigError
+    naming the field for anything else, a string included."""
+    values = cfg[name]
+    if type(values) is not list or any(type(v) not in (int, float) for v in values):
+        raise ModelConfigError(f"field {name!r} must be an array of numbers, got {values!r}")
+    return [_finite(v) for v in values]
+
+
 def _floats(text: str):
     """The comma-separated numbers in text; [] for "", and ModelConfigError
     for an empty field such as the middle of "1,,2"."""
@@ -93,23 +113,22 @@ def density_from_config(cfg: dict) -> spectral.SpectralDensity:
     kind = cfg["kind"]
     try:
         if kind == "white":
-            return spectral.White(_finite(cfg.get("level", 1.0)))
+            return spectral.White(_number(cfg, "level", 1.0))
         if kind == "poisson":
-            return spectral.PoissonKernel(_finite(cfg["r"]))
+            return spectral.PoissonKernel(_number(cfg, "r"))
         if kind == "ma":
-            return spectral.MovingAverage([_finite(c) for c in cfg["coeffs"]])
+            return spectral.MovingAverage(_numbers(cfg, "coeffs"))
         if kind == "ar":
-            return spectral.AutoRegressive(
-                [_finite(c) for c in cfg["coeffs"]], _finite(cfg["innovation_variance"])
-            )
+            coeffs = _numbers(cfg, "coeffs")
+            return spectral.AutoRegressive(coeffs, _number(cfg, "innovation_variance"))
         if kind == "power_singular":
-            return spectral.PowerSingular(_finite(cfg["alpha"]), _finite(cfg.get("scale", 1.0)))
+            return spectral.PowerSingular(_number(cfg, "alpha"), _number(cfg, "scale", 1.0))
         if kind == "fourier_table":
-            return spectral.FourierTable([_finite(c) for c in cfg["covariances"]])
+            return spectral.FourierTable(_numbers(cfg, "covariances"))
         if kind == "gap":
-            return spectral.SpectralGap(_finite(cfg["fraction"]), _finite(cfg.get("level", 1.0)))
+            return spectral.SpectralGap(_number(cfg, "fraction"), _number(cfg, "level", 1.0))
         if kind == "scaled":
-            return spectral.Scaled(density_from_config(cfg["base"]), _finite(cfg["factor"]))
+            return spectral.Scaled(density_from_config(cfg["base"]), _number(cfg, "factor"))
         if kind == "sum":
             terms = [density_from_config(t) for t in cfg["terms"]]
             if len(terms) < 2:
@@ -119,9 +138,8 @@ def density_from_config(cfg: dict) -> spectral.SpectralDensity:
                 acc = acc + t
             return acc
         if kind == "filter":
-            return spectral.FilterProduct(
-                [_finite(c) for c in cfg["symbol"]], density_from_config(cfg["base"])
-            )
+            symbol = _numbers(cfg, "symbol")
+            return spectral.FilterProduct(symbol, density_from_config(cfg["base"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelConfigError(f"bad parameters for kind {kind!r}: {exc}") from exc
     raise ModelConfigError(f"unknown model kind {kind!r}")

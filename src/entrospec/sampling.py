@@ -15,7 +15,7 @@ half-spectrum of normals draws one path.  The evaluator, the inverse
 Levinson factor, is not the sampler's inverse, so an ensemble check of the
 path information tests the factorization.  Where no embedding up to four
 times the minimal size is nonnegative, which happens only at small n, paths
-come from the dense Cholesky factor of R_n.
+come from the model's Cholesky factor of R_n, `model.cholesky(n)`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NonMonotone
-from .field2d import toeplitz_matrix
 from .gaussian_model import GaussianProcessModel
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -200,10 +199,10 @@ def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
 
 
 def _cholesky_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
-    """Row i is L z_i, one GEMV per row so that a row does not depend on the
-    ensemble; O(n^3), but taken only at small n.  `model.autocovariance`
-    factors first, so a non-positive-definite R_n raises NotPositiveDefinite."""
-    chol = np.linalg.cholesky(toeplitz_matrix(model.autocovariance(n - 1), n))
+    """Row i is L z_i for L = `model.cholesky(n)`, one GEMV per row so that
+    a row does not depend on the ensemble; O(n^3), but taken only at small
+    n.  A non-positive-definite R_n raises NotPositiveDefinite."""
+    chol = model.cholesky(n)
     X = np.empty((len(streams), n))
     _normals_into(X, streams)
     for x in X:

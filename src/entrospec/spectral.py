@@ -229,8 +229,6 @@ class SpectralDensity:
         raise NotImplementedError
 
     def scaled(self, c: float) -> "SpectralDensity":
-        if c <= 0:
-            raise ModelConfigError("scale factor must be positive")
         return Scaled(self, c)
 
     def __add__(self, other: "SpectralDensity") -> "SpectralDensity":

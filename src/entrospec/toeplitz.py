@@ -5,7 +5,8 @@ prefix sums and the last-order predictor; the lower-order predictors are
 rebuilt on demand from the reflection coefficients (O(n) storage).  Two
 loops update a predictor: the recursion itself, which finds the reflection
 coefficients, and `inverse_factor_blocks`, which rebuilds the predictors
-from them.  Residuals and quadratic forms are read off those blocks.
+from them.  Residuals and quadratic forms are read off those blocks;
+`toeplitz_matrix` builds the dense R_n that LAPACK factors.
 """
 
 from __future__ import annotations
@@ -129,6 +130,12 @@ class LevinsonFactorization:
             raise DimensionMismatch(f"quadratic form needs a vector, got {np.shape(x)}")
         e = self.residuals(x)
         return float(np.sum(e * e / self.sigma2[: len(e)]))
+
+
+def toeplitz_matrix(acov, n: int) -> np.ndarray:
+    """The dense n x n symmetric Toeplitz matrix of r(0..n-1)."""
+    idx = np.arange(n)
+    return acov[np.abs(idx[:, None] - idx[None, :])]
 
 
 def levinson(r, n: int) -> LevinsonFactorization:

@@ -237,6 +237,31 @@ class TestNonFiniteParameters:
         assert "not finite" in capsys.readouterr().err
 
 
+class TestJsonParameterTypes:
+    # a list field given as a string would be read one character at a time,
+    # and a boolean or a numeric string would pass as a number
+    CONFIGS = [
+        ('{"kind": "ma", "coeffs": "12"}', "coeffs"),
+        ('{"kind": "fourier_table", "covariances": "21"}', "covariances"),
+        ('{"kind": "ar", "coeffs": "5", "innovation_variance": 1}', "coeffs"),
+        ('{"kind": "filter", "symbol": "1", "base": {"kind": "white"}}', "symbol"),
+        ('{"kind": "white", "level": true}', "level"),
+        ('{"kind": "poisson", "r": "0.5"}', "r"),
+        ('{"kind": "ma", "coeffs": [1, false]}', "coeffs"),
+        ('{"kind": "scaled", "factor": "2", "base": {"kind": "white"}}', "factor"),
+        ('{"kind": "gap", "fraction": null}', "fraction"),
+        ('{"kind": "separable", "factor_a": {"kind": "white"},'
+         ' "factor_b": {"kind": "poisson", "r": [0.5]}}', "r"),
+    ]
+
+    @pytest.mark.parametrize("text,name", CONFIGS)
+    def test_json_is_config_error(self, text, name, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert main(["rate", "--model-file", str(path)]) == EXIT_CONFIG
+        assert f"field {name!r}" in capsys.readouterr().err
+
+
 class TestMaxEntropyGap:
     @pytest.mark.parametrize("level", [0.25, 1.0, 4.0])
     def test_white_noise_has_no_gap(self, level):
@@ -579,6 +604,8 @@ class TestImport:
                 cli.main(["smb", "--model", "poisson:0.5", "--n", "8,16", "--m", "4"]),
                 cli.main(["predict", "--model", "poisson:0.5", "--n", "16"]),
                 cli.main(["smb2d", "--model-file", {field_file!r}, "--n", "4,8", "--m", "3"]),
+                # no nonnegative circulant embedding: the Cholesky fallback
+                cli.main(["smb", "--model", "ar:1.8,-0.9:1", "--n", "4,8", "--m", "3"]),
             ]
             print(json.dumps([kernels.BACKEND, rcs, sorted({{s[0] for s in spans.spans}})]))
             """
@@ -592,7 +619,7 @@ class TestImport:
         assert out.returncode == 0, out.stderr
         backend, rcs, names = json.loads(out.stdout.splitlines()[-1])
         assert backend == "python"
-        assert rcs == [EXIT_OK, EXIT_OK, EXIT_OK]
+        assert rcs == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
         for name in (
             "spectral.autocovariance",
             "toeplitz.levinson",

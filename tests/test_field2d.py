@@ -10,11 +10,10 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
-from entrospec.field2d import toeplitz_matrix
 from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
 from entrospec.modelspec import density_from_string
 from entrospec.spectral import NEG_INF
-from entrospec.toeplitz import _FACTOR_BLOCK
+from entrospec.toeplitz import _FACTOR_BLOCK, toeplitz_matrix
 
 from conftest import ARC_GAP, dense_cov
 
@@ -99,11 +98,13 @@ class TestKroneckerAgainstDense:
                 assert q[col] == pytest.approx(fm.kronecker_quadratic_form(block), rel=1e-12)
                 assert d[col] == pytest.approx(fm.log_block_density_2d(block), rel=1e-12)
 
-    @pytest.mark.parametrize("grid", [[0, 4], [4, 5], [-1]], ids=str)
+    @pytest.mark.parametrize("grid", [[0, 4], [4, 5], [-1], []], ids=str)
     def test_grid_outside_field_rejected(self, grid):
         fm = FIELDS["p05xp05"]()
         with pytest.raises(DimensionMismatch):
             fm.kronecker_quadratic_form(np.ones((4, 4)), grid)
+        with pytest.raises(DimensionMismatch):
+            fm.log_block_density_2d(np.ones((4, 4)), grid)
 
     @pytest.mark.parametrize(
         "shape", [(), (3,), (3, 4), (2, 3, 4), (0, 0), (2, 0, 0), (1, 1, 2, 2)], ids=str
@@ -177,6 +178,33 @@ class TestCaches:
             with pytest.raises(ValueError):
                 factor[0, 0] = 99.0
         assert fm.cholesky_a(4)[0, 0] == 1.0
+
+    def test_concurrent_queries_share_cached_factors(self):
+        # more threads than cores, switching often: a cache filled twice for
+        # one n would hand some thread an object that is not the cached one
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        fm = SeparableFieldModel(PoissonKernel(0.5), MovingAverage([1.0, 0.5]))
+        X = np.random.default_rng(3).standard_normal((256, 256))
+        # eight threads ask for each n at once
+        sizes = [n for n in (64, 128, 256) for _ in range(8)]
+
+        def query(n):
+            chol = fm.cholesky_a(n)
+            return fm.log_block_density_2d(X[:n, :n]), chol, fm.factor_a.whitening_factor(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(query, sizes, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for n, (density, chol, white) in zip(sizes, results):
+            assert chol is fm.factor_a.cholesky(n)
+            assert white is fm.factor_a.whitening_factor(n)
+            assert density == fm.log_block_density_2d(X[:n, :n])
 
 
 class TestConfigRoundTrip:

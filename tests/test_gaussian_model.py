@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entrospec import (
+    AutoRegressive,
     FourierTable,
     GaussianProcessModel,
     MovingAverage,
@@ -20,7 +21,7 @@ from entrospec.prediction import prediction_gap_series
 from entrospec.sampling import sample_paths
 from entrospec.spectral import NEG_INF
 
-from conftest import ARC_GAP
+from conftest import ARC_GAP, make_zoo
 
 
 class TestLogBlockDensity:
@@ -248,6 +249,11 @@ class TestCaching:
         with pytest.raises(ValueError):
             fact._logdet[2] = -5.0
         assert model.factorization(8).sigma2[2] == 0.75
+        for factor in (model.cholesky(8), model.whitening_factor(8)):
+            with pytest.raises(ValueError):
+                factor[2, 1] = -5.0
+        assert model.cholesky(8)[0, 0] == 1.0
+        assert model.whitening_factor(8)[1, 0] == -0.5 / math.sqrt(0.75)
 
     def test_concurrent_queries(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -256,3 +262,18 @@ class TestCaching:
         with ThreadPoolExecutor(max_workers=8) as pool:
             vals = list(pool.map(lambda n: model.log_det(n), [64] * 32))
         assert len(set(vals)) == 1
+
+
+class TestDenseFactors:
+    # the zoo and an AR(2) with roots near the circle, whose R_n is the
+    # worst conditioned here
+    MODELS = {**make_zoo(), "ar_1.8_-0.9": GaussianProcessModel(AutoRegressive([1.8, -0.9], 1.0))}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("n", [1, 64, 65, 300])
+    def test_whitening_inverts_cholesky(self, name, n):
+        # two independent routes to R_n: LAPACK's L L^T and the Levinson
+        # W R_n W^T = I, so W L is orthogonal and lower triangular, hence I
+        model = self.MODELS[name]
+        product = model.whitening_factor(n) @ model.cholesky(n)
+        assert np.max(np.abs(product - np.eye(n))) <= 1e-12

@@ -10,7 +10,6 @@ from entrospec import (
     PoissonKernel,
     levinson,
 )
-from entrospec.field2d import _inverse_factor
 from entrospec.sampling import ensemble_residuals, sample_paths
 from entrospec.toeplitz import _FACTOR_BLOCK
 
@@ -187,14 +186,16 @@ class TestInverseFactorBlocks:
 
     @staticmethod
     def _assemble(fact, n):
-        # block layout here; the full matrix comes from field2d's assembly
+        # the block layout, then the full A from the blocks
+        A = np.zeros((n, n))
         rows = []
         for j0, blk in fact.inverse_factor_blocks(n):
             assert j0 % _FACTOR_BLOCK == 0
             assert blk.shape == (min(_FACTOR_BLOCK, n - j0), j0 + blk.shape[0])
             rows.extend(range(j0, j0 + blk.shape[0]))
+            A[j0 : j0 + blk.shape[0], : blk.shape[1]] = blk
         assert rows == list(range(n))
-        return _inverse_factor(fact, n)
+        return A
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("n", SIZES)
