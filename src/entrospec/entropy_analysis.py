@@ -19,6 +19,9 @@ from .errors import RateNotFinite
 from .gaussian_model import LOG_2PI, GaussianProcessModel
 from .spectral import NEG_INF
 
+MARKOV_MAX_P = 4  # a report's Markov defects are for p = 1..MARKOV_MAX_P
+DYADIC_LEVELS = 8  # and its dyadic terms I(2^p, 2^p) for p = 0..DYADIC_LEVELS
+
 
 def kl_to_standard_gaussian(model: GaussianProcessModel, n: int) -> float:
     """KL of the n-block law to the standard Gaussian:
@@ -74,7 +77,6 @@ def dyadic_decomposition(model: GaussianProcessModel, max_level: int):
     se = model.entropy_rate()
     if se == NEG_INF:
         raise RateNotFinite("dyadic decomposition requires a finite rate")
-    model.factorization(2 ** (max_level + 1))
     terms = np.array(
         [block_mutual_information(model, 2**p, 2**p) for p in range(max_level + 1)]
     )
@@ -99,24 +101,23 @@ class EntropyReport:
     kl_gauss: np.ndarray
     kl_prod: np.ndarray
     mi_table: np.ndarray  # (len(n_grid), len(n_grid)): I(n, p)
-    markov_defects: np.ndarray  # defect at p = 1..max_p
+    markov_defects: np.ndarray
     independence: float
     pinsker: float
     dyadic_terms: np.ndarray
     dyadic_residual: float
 
     @classmethod
-    def build(cls, model: GaussianProcessModel, n_grid, max_p: int = 4, dyadic_levels: int = 8):
+    def build(cls, model: GaussianProcessModel, n_grid):
         n_grid = sorted(int(n) for n in n_grid)
-        model.factorization(2 * n_grid[-1])
         h_n = np.array([model.block_entropy(n) for n in n_grid])
         kl_g = np.array([kl_to_standard_gaussian(model, n) for n in n_grid])
         kl_p = np.array([kl_to_marginal_product(model, n) for n in n_grid])
         mi = np.array(
             [[block_mutual_information(model, n, p) for p in n_grid] for n in n_grid]
         )
-        defects = np.array([markov_defect(model, p) for p in range(1, max_p + 1)])
-        terms, _, residual = dyadic_decomposition(model, dyadic_levels)
+        defects = np.array([markov_defect(model, p) for p in range(1, MARKOV_MAX_P + 1)])
+        terms, _, residual = dyadic_decomposition(model, DYADIC_LEVELS)
         return cls(
             model_id=model.describe(),
             n_grid=n_grid,

@@ -22,11 +22,11 @@ class GaussianProcessModel:
 
     Covariances, the Levinson factorization and the two dense factors of
     R_n (`cholesky`, `whitening_factor`, kept per n) are cached, read-only.
-    The first request factors exactly its order n; a later one past the
-    cached order m factors to max(n, 2m), so a rising series of requests
-    stays O(final^2) in total.  Construction reads r(0) only, so a model
-    asked only for its rate is never factored.  Models are immutable from
-    the caller's point of view and safe to query concurrently.
+    The first request factors exactly its order n, and a later one past the
+    cached order extends the factorization to exactly its n, so each order
+    is computed once.  Construction reads r(0) only, so a model asked only
+    for its rate is never factored.  Models are immutable from the
+    caller's point of view and safe to query concurrently.
     """
 
     def __init__(self, density: SpectralDensity):
@@ -45,12 +45,12 @@ class GaussianProcessModel:
         with self._lock:
             if self._fact is not None and self._fact.order >= n:
                 return
-            target = max(n, 1) if self._fact is None else max(n, 2 * self._fact.order)
-            if len(self._acov) < target:
-                acov = self.density.autocovariance(target - 1)
+            if len(self._acov) < n:
+                acov = self.density.autocovariance(n - 1)
                 acov.setflags(write=False)
                 self._acov = acov
-            self._fact = toeplitz.levinson(self._acov, target)
+            grow = toeplitz.levinson if self._fact is None else self._fact.extend
+            self._fact = grow(self._acov, max(n, 1))
 
     def factorization(self, n: int) -> toeplitz.LevinsonFactorization:
         self._ensure(n)
@@ -58,8 +58,8 @@ class GaussianProcessModel:
 
     def cholesky(self, n: int) -> np.ndarray:
         """L with R_n = L L^T (LAPACK on the dense R_n), the samplers' factor.
-        The covariances are read first, so a non-positive-definite R_n
-        raises NotPositiveDefinite from the Levinson recursion."""
+        The covariances are read first, which factors R_n to order n, so a
+        non-positive-definite R_n raises NotPositiveDefinite from Levinson."""
         with self._lock:
             if n not in self._chol:
                 chol = np.linalg.cholesky(toeplitz.toeplitz_matrix(self.autocovariance(n - 1), n))

@@ -62,6 +62,13 @@ def _numbers(cfg: dict, name: str) -> list:
     return [_finite(v) for v in values]
 
 
+def _density(value, name: str) -> spectral.SpectralDensity:
+    """density_from_config(value), or ModelConfigError naming the field."""
+    if type(value) is not dict:
+        raise ModelConfigError(f"field {name!r} must be a model object, got {value!r}")
+    return density_from_config(value)
+
+
 def _floats(text: str):
     """The comma-separated numbers in text; [] for "", and ModelConfigError
     for an empty field such as the middle of "1,,2"."""
@@ -128,18 +135,16 @@ def density_from_config(cfg: dict) -> spectral.SpectralDensity:
         if kind == "gap":
             return spectral.SpectralGap(_number(cfg, "fraction"), _number(cfg, "level", 1.0))
         if kind == "scaled":
-            return spectral.Scaled(density_from_config(cfg["base"]), _number(cfg, "factor"))
+            return spectral.Scaled(_density(cfg["base"], "base"), _number(cfg, "factor"))
         if kind == "sum":
-            terms = [density_from_config(t) for t in cfg["terms"]]
-            if len(terms) < 2:
-                raise ModelConfigError("sum needs at least two terms")
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = acc + t
-            return acc
+            configs = cfg["terms"]
+            if type(configs) is not list or len(configs) < 2:
+                raise ModelConfigError(f"field 'terms' must list 2+ models, got {configs!r}")
+            terms = [_density(t, "terms") for t in configs]
+            return sum(terms[1:], terms[0])
         if kind == "filter":
             symbol = _numbers(cfg, "symbol")
-            return spectral.FilterProduct(symbol, density_from_config(cfg["base"]))
+            return spectral.FilterProduct(symbol, _density(cfg["base"], "base"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelConfigError(f"bad parameters for kind {kind!r}: {exc}") from exc
     raise ModelConfigError(f"unknown model kind {kind!r}")
@@ -149,8 +154,8 @@ def model_from_config(cfg: dict):
     """GaussianProcessModel or SeparableFieldModel from a JSON object."""
     if isinstance(cfg, dict) and cfg.get("kind") == "separable":
         try:
-            fa = density_from_config(cfg["factor_a"])
-            fb = density_from_config(cfg["factor_b"])
+            fa = _density(cfg["factor_a"], "factor_a")
+            fb = _density(cfg["factor_b"], "factor_b")
         except KeyError as exc:
             raise ModelConfigError(f"separable model missing {exc}") from exc
         return SeparableFieldModel(fa, fb)

@@ -24,7 +24,7 @@ from .errors import ModelConfigError, QuadratureNotConverged, ZeroSymbol
 
 NEG_INF = float("-inf")
 
-_DEFAULT_TOL = 1e-10
+_QUADRATURE_TOL = 1e-10
 
 # Tanh-sinh steps run from _DE_STEP down to _DE_STEP / 2**_DE_MAX_LEVEL, at
 # most about 8e5 points.  Nodes stop at |u| = _DE_U_MAX, about 4e-16 from a
@@ -98,12 +98,12 @@ class _PlainSum:
         return np.array([self.total])
 
 
-def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL, jumps=()):
+def cosine_integrals(g, max_n: int, what: str, jumps=()):
     """c[n] = int g(t) cos(nt) dlambda, n = 0..max_n, by tanh-sinh
     quadrature (Takahasi & Mori 1974) on the panels of [0, pi] between the
     jump points of g in (0, pi), each folded with its mirror in [-pi, 0].
-    The step halves until no value changes by tol; each level evaluates g
-    at its new nodes only.
+    The step halves until no value changes by _QUADRATURE_TOL; each level
+    evaluates g at its new nodes only.
 
     The zoo's singularities (the power-singular cusp or zero at 0, a zero
     at +-pi, a gap's jumps) sit at panel ends, where the nodes cluster
@@ -137,15 +137,15 @@ def cosine_integrals(g, max_n: int, what: str, tol: float = _DEFAULT_TOL, jumps=
         points += vals.size
         folded = w * (vals[: x.size] + vals[x.size :])
         if not np.all(np.isfinite(folded)):
-            raise QuadratureNotConverged(what, math.inf, tol, points)
+            raise QuadratureNotConverged(what, math.inf, _QUADRATURE_TOL, points)
         sums.add(x, folded)
         cur = sums.sums() * (h * math.pi / 8.0)  # (pi^2/4) h, over the measure's 2 pi
         if prev is not None:
             change = float(np.max(np.abs(cur - prev)))
-            if change < tol:
+            if change < _QUADRATURE_TOL:
                 return cur
         prev = cur
-    raise QuadratureNotConverged(what, change, tol, points)
+    raise QuadratureNotConverged(what, change, _QUADRATURE_TOL, points)
 
 
 def _poly_roots(coeffs: np.ndarray):
@@ -618,7 +618,7 @@ class MovingAverage(FilterProduct):
 # the quadrature route of the Szego integral, a cross-check of the closed forms
 
 
-def szego_integral_quadrature(f: SpectralDensity, tol: float = _DEFAULT_TOL) -> float:
+def szego_integral_quadrature(f: SpectralDensity) -> float:
     """Closed-form-free route, kept separate as an independent cross-check."""
-    value = cosine_integrals(f._log_eval, 0, "szego integral", tol, f.jump_points())
+    value = cosine_integrals(f._log_eval, 0, "szego integral", f.jump_points())
     return float(value[0])

@@ -21,32 +21,15 @@ PD_FLOOR_REL = 1e-13
 _FACTOR_BLOCK = 64
 
 
-def _kahan_log_prefix(sigma2: np.ndarray) -> np.ndarray:
-    """Compensated prefix sums D_m = sum_{j<m} log sigma2_j."""
-    logs = np.log(sigma2)
-    out = np.empty(len(sigma2) + 1)
-    out[0] = 0.0
-    total = 0.0
-    comp = 0.0
-    # Python floats, read one at a time: numpy scalars cost more per step,
-    # and a list of all n terms would raise the peak memory
-    for j in range(len(logs)):
-        y = logs.item(j) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[j + 1] = total
-    return out
-
-
 class LevinsonFactorization:
     """Order-recursive factorization of R_n built from r(0..n-1).
 
     `predictor` is the forward predictor phi of the last order, n - 1:
     x_m ~ sum_j phi_j x_{m-j}, with residual variance sigma2[n - 1].
+    `log_comp` is the Kahan compensation of the last log-det prefix sum.
     """
 
-    def __init__(self, sigma2, reflections, r0, logdet_prefix, predictor):
+    def __init__(self, sigma2, reflections, r0, logdet_prefix, predictor, log_comp):
         # models share a factorization among callers, so its arrays are read-only
         for array in (sigma2, reflections, logdet_prefix, predictor):
             array.setflags(write=False)
@@ -54,11 +37,54 @@ class LevinsonFactorization:
         self.reflections = reflections
         self.r0 = float(r0)
         self._logdet = logdet_prefix
+        self._log_comp = float(log_comp)
         self.predictor = predictor
 
     @property
     def order(self) -> int:
         return len(self.sigma2)
+
+    def extend(self, r, n: int) -> "LevinsonFactorization":
+        """The factorization of R_n, n >= order, from the lags r(0..n-1):
+        the recursion goes on from this one's last order.  Raises
+        NotPositiveDefinite with the failing order, as `levinson` does."""
+        values = np.ascontiguousarray(r, dtype=np.float64)
+        m0 = self.order
+        if not m0 <= n <= len(values):
+            raise DimensionMismatch(f"cannot extend order {m0} to {n} from {len(values)} lags")
+        floor = PD_FLOOR_REL * self.r0
+        sigma2 = np.append(self.sigma2, np.empty(n - m0))
+        k = np.append(self.reflections, np.empty(n - m0))
+        a = np.append(self.predictor, np.empty(n - m0))
+        tmp = np.empty(n - 1)
+        # r(m-1), ..., r(1) is a contiguous slice of the reversed lags
+        rev = values[::-1].copy()
+        s2 = self.sigma2.item(-1)
+        # r(m), k_m and sigma2_m as Python floats, the predictor update into
+        # tmp: much of the loop's cost is per-order overhead, which numpy
+        # scalars and temporaries would raise.  r(m) is read one at a time,
+        # since a list of all n lags would raise the peak memory
+        for m in range(m0, n):
+            km = (values.item(m) - float(np.dot(a[: m - 1], rev[-m:-1]))) / s2
+            if m > 1:
+                np.multiply(a[m - 2 :: -1], km, out=tmp[: m - 1])
+                np.subtract(a[: m - 1], tmp[: m - 1], out=a[: m - 1])
+            a[m - 1] = km
+            k[m - 1] = km
+            s2 = s2 * (1.0 - km * km)
+            sigma2[m] = s2
+            if s2 <= floor:
+                raise NotPositiveDefinite(m, s2)
+        # compensated prefix sums D_m = sum_{j<m} log sigma2_j, continued
+        logdet = np.append(self._logdet, np.empty(n - m0))
+        logs = np.log(sigma2[m0:])
+        total, comp = self._logdet.item(-1), self._log_comp
+        for j in range(len(logs)):
+            y = logs.item(j) - comp
+            t = total + y
+            comp, total = (t - total) - y, t
+            logdet[m0 + 1 + j] = total
+        return LevinsonFactorization(sigma2, k, self.r0, logdet, a, comp)
 
     def log_det(self, m: int) -> float:
         """log det R_m (telescoped product of innovation variances)."""
@@ -139,39 +165,15 @@ def toeplitz_matrix(acov, n: int) -> np.ndarray:
 
 
 def levinson(r, n: int) -> LevinsonFactorization:
-    """Factor R_n from the autocovariances r(0..), any float sequence; raises
-    NotPositiveDefinite with the failing order if an innovation variance falls
-    to the roundoff floor."""
+    """Factor R_n from the autocovariances r(0..), any float sequence: the
+    order-1 factorization of r(0), extended to n.  NotPositiveDefinite, raised
+    where an innovation variance falls to the roundoff floor, names the order."""
     values = np.ascontiguousarray(r, dtype=np.float64)
-    if n < 1:
-        raise DimensionMismatch("order must be >= 1")
-    if len(values) < n:
-        raise DimensionMismatch(f"need lags through {n - 1}, have {len(values) - 1}")
-    floor = PD_FLOOR_REL * values.item(0)
-    sigma2 = np.zeros(n)
-    k = np.zeros(n - 1)
-    a = np.zeros(n - 1)
-    tmp = np.empty(n - 1)
-    # r(m-1), ..., r(1) is a contiguous slice of the reversed lags
-    rev = values[::-1].copy()
-    top = len(values)
-    s2 = values.item(0)
-    sigma2[0] = s2
-    if s2 <= floor:
-        raise NotPositiveDefinite(0, s2)
-    # r(m), k_m and sigma2_m as Python floats, the predictor update into tmp:
-    # much of the loop's cost is per-order overhead, which numpy scalars and
-    # temporaries would raise.  r(m) is read one at a time, since a list of
-    # all n lags would raise the peak memory
-    for m in range(1, n):
-        km = (values.item(m) - float(np.dot(a[: m - 1], rev[top - m : top - 1]))) / s2
-        if m > 1:
-            np.multiply(a[m - 2 :: -1], km, out=tmp[: m - 1])
-            np.subtract(a[: m - 1], tmp[: m - 1], out=a[: m - 1])
-        a[m - 1] = km
-        k[m - 1] = km
-        s2 = s2 * (1.0 - km * km)
-        sigma2[m] = s2
-        if s2 <= floor:
-            raise NotPositiveDefinite(m, s2)
-    return LevinsonFactorization(sigma2, k, values[0], _kahan_log_prefix(sigma2), a)
+    if not 1 <= n <= len(values):
+        raise DimensionMismatch(f"cannot factor order {n} from {len(values)} lags")
+    r0 = values.item(0)
+    if r0 <= PD_FLOOR_REL * r0:
+        raise NotPositiveDefinite(0, r0)
+    sigma2, empty = values[:1].copy(), np.empty(0)
+    first = LevinsonFactorization(sigma2, empty, r0, np.append(0.0, np.log(sigma2)), empty, 0.0)
+    return first.extend(values, n)

@@ -252,6 +252,14 @@ class TestJsonParameterTypes:
         ('{"kind": "gap", "fraction": null}', "fraction"),
         ('{"kind": "separable", "factor_a": {"kind": "white"},'
          ' "factor_b": {"kind": "poisson", "r": [0.5]}}', "r"),
+        # a nested model that is not an object
+        ('{"kind": "sum", "terms": "ab"}', "terms"),
+        ('{"kind": "sum", "terms": {"kind": "white"}}', "terms"),
+        ('{"kind": "sum", "terms": [{"kind": "white"}]}', "terms"),
+        ('{"kind": "scaled", "factor": 2, "base": "white"}', "base"),
+        ('{"kind": "filter", "symbol": [1], "base": [{"kind": "white"}]}', "base"),
+        ('{"kind": "separable", "factor_a": "white", "factor_b": {"kind": "white"}}', "factor_a"),
+        ('{"kind": "separable", "factor_a": {"kind": "white"}, "factor_b": 1}', "factor_b"),
     ]
 
     @pytest.mark.parametrize("text,name", CONFIGS)
@@ -607,7 +615,11 @@ class TestImport:
                 # no nonnegative circulant embedding: the Cholesky fallback
                 cli.main(["smb", "--model", "ar:1.8,-0.9:1", "--n", "4,8", "--m", "3"]),
             ]
-            print(json.dumps([kernels.BACKEND, rcs, sorted({{s[0] for s in spans.spans}})]))
+            before = len(spans.spans)
+            # a report extends its model's factorization request by request
+            rcs.append(cli.main(["report", "--model", "poisson:0.5", "--n", "1,4,16"]))
+            report = sorted({{s[0] for s in spans.spans[before:]}})
+            print(json.dumps([kernels.BACKEND, rcs, sorted({{s[0] for s in spans.spans}}), report]))
             """
         )
         out = subprocess.run(
@@ -617,9 +629,10 @@ class TestImport:
             text=True,
         )
         assert out.returncode == 0, out.stderr
-        backend, rcs, names = json.loads(out.stdout.splitlines()[-1])
+        backend, rcs, names, report = json.loads(out.stdout.splitlines()[-1])
         assert backend == "python"
-        assert rcs == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert rcs == [EXIT_OK] * 5
+        assert "toeplitz.levinson" in report
         for name in (
             "spectral.autocovariance",
             "toeplitz.levinson",

@@ -179,10 +179,50 @@ class TestCaching:
         model = GaussianProcessModel(PoissonKernel(0.5))
         assert model.factorization(8193).order == 8193
 
-    def test_small_steps_grow_geometrically(self):
+    def test_small_step_computes_one_order(self, monkeypatch):
+        steps = []
+        extend = toeplitz.LevinsonFactorization.extend
+
+        def counting(self, r, n):
+            steps.append(n - self.order)
+            return extend(self, r, n)
+
+        monkeypatch.setattr(toeplitz.LevinsonFactorization, "extend", counting)
         model = GaussianProcessModel(PoissonKernel(0.5))
         model.factorization(300)
-        assert model.factorization(301).order >= 600
+        steps.clear()
+        assert model.factorization(301).order == 301
+        assert steps == [1]
+
+    GROWN = {**make_zoo(), "ar_1.8_-0.9": GaussianProcessModel(AutoRegressive([1.8, -0.9], 1.0))}
+
+    @pytest.mark.parametrize("name", sorted(GROWN))
+    def test_growth_matches_fresh_levinson(self, name):
+        # extending from every cached order must give the bits of one run
+        model = GaussianProcessModel(self.GROWN[name].density)
+        for n in (1, 2, 63, 64, 65, 300, 4097):
+            grown = model.factorization(n)
+            fresh = toeplitz.levinson(model.autocovariance(n - 1), n)
+            assert grown.order == n
+            for attr in ("sigma2", "reflections", "predictor"):
+                assert np.array_equal(getattr(grown, attr), getattr(fresh, attr))
+            assert [grown.log_det(m) for m in range(n + 1)] == [
+                fresh.log_det(m) for m in range(n + 1)
+            ]
+
+    def test_growth_stops_at_order_asked_for(self):
+        # the gap's R_n is positive definite up to some m* and not past it;
+        # a model grown to m* - 1 must still factor m*, and fail only past it
+        with pytest.raises(NotPositiveDefinite) as err:
+            GaussianProcessModel(SpectralGap(0.25, 1.0)).factorization(4096)
+        m_star = err.value.order
+        model = GaussianProcessModel(SpectralGap(0.25, 1.0))
+        model.factorization(m_star - 1)
+        assert model.factorization(m_star).order == m_star
+        with pytest.raises(NotPositiveDefinite) as err:
+            model.factorization(m_star + 1)
+        assert err.value.order == m_star
+        assert model.factorization(m_star).order == m_star
 
     def test_fourier_table_factors_past_table(self):
         # a table model grows like any other; past q its innovation variance
@@ -262,6 +302,26 @@ class TestCaching:
         with ThreadPoolExecutor(max_workers=8) as pool:
             vals = list(pool.map(lambda n: model.log_det(n), [64] * 32))
         assert len(set(vals)) == 1
+
+    def test_concurrent_growth(self):
+        # threads extend whatever order another one left; no extension may
+        # be lost or overwritten by a smaller one
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        density = AutoRegressive([0.5, -0.2], 1.0)
+        model = GaussianProcessModel(density)
+        sizes = list(range(2, 600, 5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                dets = list(pool.map(model.log_det, sizes, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert model.factorization(1).order == max(sizes)
+        fresh = GaussianProcessModel(density).factorization(max(sizes))
+        assert dets == [fresh.log_det(n) for n in sizes]
 
 
 class TestDenseFactors:

@@ -238,7 +238,7 @@ class TestEnsemble:
             k = fact.reflections.copy()
             k[0] += 0.1
             return toeplitz.LevinsonFactorization(
-                fact.sigma2, k, fact.r0, fact._logdet, fact.predictor
+                fact.sigma2, k, fact.r0, fact._logdet, fact.predictor, fact._log_comp
             )
 
         monkeypatch.setattr(toeplitz, "levinson", mutated)

@@ -49,6 +49,11 @@ class TestLevinson:
     def test_requires_enough_lags(self):
         with pytest.raises(DimensionMismatch):
             levinson([1.0, 0.5], 4)
+        fact = levinson([1.0, 0.5, 0.25], 2)
+        with pytest.raises(DimensionMismatch):
+            fact.extend([1.0, 0.5, 0.25], 4)
+        with pytest.raises(DimensionMismatch):
+            fact.extend([1.0, 0.5, 0.25], 1)
 
     def test_innovation_variances_nonincreasing(self, zoo):
         for model in zoo.values():
