@@ -2,7 +2,6 @@
 Gaussian (and coordinatewise-transformed Gaussian) models."""
 
 from .errors import (
-    DegenerateProcess,
     DimensionMismatch,
     EntrospecError,
     ModelConfigError,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutoRegressive",
-    "DegenerateProcess",
     "DimensionMismatch",
     "EntrospecError",
     "FilterProduct",

@@ -47,9 +47,5 @@ class RateNotFinite(EntrospecError):
     """Operation requires a finite entropy rate but Se = -inf."""
 
 
-class DegenerateProcess(EntrospecError):
-    """Szego integral is -inf: the process is deterministic from its past."""
-
-
 class NonMonotone(EntrospecError):
     """Coordinatewise transform has nonpositive derivative on the sample."""

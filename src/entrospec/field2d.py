@@ -31,13 +31,6 @@ class SeparableFieldModel:
     def describe(self) -> str:
         return f"separable({self.factor_a.describe()},{self.factor_b.describe()})"
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "separable",
-            "factor_a": self.factor_a.density.to_config(),
-            "factor_b": self.factor_b.density.to_config(),
-        }
-
     def cholesky_a(self, n: int) -> np.ndarray:
         return self.factor_a.cholesky(n)
 

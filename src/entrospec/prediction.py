@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProcess
+from .errors import RateNotFinite
 from .gaussian_model import GaussianProcessModel
 from .spectral import NEG_INF
 
@@ -58,7 +58,7 @@ def prediction_gap_series(model: GaussianProcessModel, n_max: int) -> Prediction
     strong-Szego partial sums from the log-density Fourier coefficients."""
     s = model.szego_integral()
     if s == NEG_INF:
-        raise DegenerateProcess("int log f = -inf: no finite prediction diagnostics")
+        raise RateNotFinite("int log f = -inf: no finite prediction diagnostics")
     sigma2_inf = math.exp(s)
     fact = model.factorization(n_max + 1)
     sigma2 = fact.sigma2[1 : n_max + 1].copy()

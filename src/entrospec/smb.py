@@ -31,6 +31,9 @@ from .gaussian_model import LOG_2PI, GaussianProcessModel
 # (slice x n) float64 path matrix
 _ENSEMBLE_SLICE = 256
 
+# Gauss-Hermite nodes of expected_log_derivative
+_HERMITE_NODES = 96
+
 
 @dataclass
 class ConvergenceReport:
@@ -137,10 +140,10 @@ def information_at(model: GaussianProcessModel, X, n_grid, dphi=None) -> np.ndar
     return values
 
 
-def expected_log_derivative(dphi, variance: float, nodes: int = 96) -> float:
+def expected_log_derivative(dphi, variance: float) -> float:
     """Gauss-Hermite value of E[log phi'(X)] for X ~ N(0, variance);
     NonMonotone where phi' <= 0 at a node."""
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    x, w = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
     vals = sampling.log_derivative(dphi, x * math.sqrt(variance))
     return float(np.dot(w, vals) / np.sum(w))
 

@@ -225,9 +225,6 @@ class SpectralDensity:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
     def scaled(self, c: float) -> "SpectralDensity":
         return Scaled(self, c)
 
@@ -263,9 +260,6 @@ class White(SpectralDensity):
     def describe(self):
         return f"white:{self.level:g}"
 
-    def to_config(self):
-        return {"kind": "white", "level": self.level}
-
 
 @dataclass(frozen=True, repr=False)
 class PoissonKernel(SpectralDensity):
@@ -294,9 +288,6 @@ class PoissonKernel(SpectralDensity):
 
     def describe(self):
         return f"poisson:{self.r:g}"
-
-    def to_config(self):
-        return {"kind": "poisson", "r": self.r}
 
 
 @dataclass(frozen=True, repr=False)
@@ -365,13 +356,6 @@ class AutoRegressive(SpectralDensity):
         cs = ",".join(f"{c:g}" for c in self.coeffs)
         return f"ar:{cs}:{self.innovation_variance:g}"
 
-    def to_config(self):
-        return {
-            "kind": "ar",
-            "coeffs": list(self.coeffs),
-            "innovation_variance": self.innovation_variance,
-        }
-
 
 @dataclass(frozen=True, repr=False)
 class PowerSingular(SpectralDensity):
@@ -414,9 +398,6 @@ class PowerSingular(SpectralDensity):
     def describe(self):
         return f"power_singular:{self.alpha:g},{self.scale:g}"
 
-    def to_config(self):
-        return {"kind": "power_singular", "alpha": self.alpha, "scale": self.scale}
-
 
 @dataclass(frozen=True, repr=False)
 class FourierTable(AutoRegressive):
@@ -444,9 +425,6 @@ class FourierTable(AutoRegressive):
 
     def describe(self):
         return f"fourier_table[{len(self.table) - 1}]"
-
-    def to_config(self):
-        return {"kind": "fourier_table", "covariances": list(self.table)}
 
 
 @dataclass(frozen=True, repr=False)
@@ -483,9 +461,6 @@ class SpectralGap(SpectralDensity):
     def describe(self):
         return f"gap:{self.fraction:g},{self.level:g}"
 
-    def to_config(self):
-        return {"kind": "gap", "fraction": self.fraction, "level": self.level}
-
 
 @dataclass(frozen=True, repr=False)
 class Scaled(SpectralDensity):
@@ -515,9 +490,6 @@ class Scaled(SpectralDensity):
     def describe(self):
         return f"scaled({self.factor:g},{self.base.describe()})"
 
-    def to_config(self):
-        return {"kind": "scaled", "factor": self.factor, "base": self.base.to_config()}
-
 
 @dataclass(frozen=True, repr=False)
 class SumDensity(SpectralDensity):
@@ -537,9 +509,6 @@ class SumDensity(SpectralDensity):
 
     def describe(self):
         return f"sum({self.left.describe()},{self.right.describe()})"
-
-    def to_config(self):
-        return {"kind": "sum", "terms": [self.left.to_config(), self.right.to_config()]}
 
 
 @dataclass(frozen=True, repr=False)
@@ -590,9 +559,6 @@ class FilterProduct(SpectralDensity):
         sym = ",".join(f"{c:g}" for c in self.symbol)
         return f"filter([{sym}],{self.base.describe()})"
 
-    def to_config(self):
-        return {"kind": "filter", "symbol": list(self.symbol), "base": self.base.to_config()}
-
 
 class MovingAverage(FilterProduct):
     """f(t) = |sum_k a_k e^{ikt}|^2: white noise of level 1 through the filter a."""
@@ -609,9 +575,6 @@ class MovingAverage(FilterProduct):
 
     def describe(self):
         return "ma:" + ",".join(f"{c:g}" for c in self.coeffs)
-
-    def to_config(self):
-        return {"kind": "ma", "coeffs": list(self.coeffs)}
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,12 @@ class TestMaxEntropyGap:
         factors = [_rate_values(GaussianProcessModel(d))[3] for d in (fa, fb)]
         assert gap == pytest.approx(sum(factors), abs=1e-12)
         path = tmp_path / "field.json"
-        path.write_text(json.dumps(field.to_config()))
+        config = {
+            "kind": "separable",
+            "factor_a": {"kind": "poisson", "r": 0.5},
+            "factor_b": {"kind": "ar", "coeffs": [0.5, -0.2], "innovation_variance": 1.0},
+        }
+        path.write_text(json.dumps(config))
         assert main(["rate", "--model-file", str(path)]) == EXIT_OK
         assert f"max_entropy_gap = {gap:.7f}" in capsys.readouterr().out
 
@@ -647,10 +652,11 @@ class TestImport:
         import subprocess
         import sys
 
-        # scipy is test-only, and entrospec.kernels only names the backend
+        # scipy is test-only, entrospec.kernels only names the backend, and
+        # numpy.random adds about 6 MB of RSS that the package never uses
         code = (
             "import entrospec.cli, sys; "
-            "print(sorted({'scipy', 'entrospec.kernels'} & set(sys.modules)))"
+            "print(sorted({'scipy', 'numpy.random', 'entrospec.kernels'} & set(sys.modules)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -207,11 +207,18 @@ class TestCaches:
             assert density == fm.log_block_density_2d(X[:n, :n])
 
 
-class TestConfigRoundTrip:
-    def test_to_config_and_back(self):
+class TestSeparableConfig:
+    def test_literal_config_matches_direct_field(self):
         from entrospec.modelspec import model_from_config
 
         fm = SeparableFieldModel(PoissonKernel(0.5), MovingAverage([1.0, 0.5]))
-        clone = model_from_config(fm.to_config())
-        assert isinstance(clone, SeparableFieldModel)
-        assert clone.log_det(5) == pytest.approx(fm.log_det(5), abs=1e-12)
+        parsed = model_from_config(
+            {
+                "kind": "separable",
+                "factor_a": {"kind": "poisson", "r": 0.5},
+                "factor_b": {"kind": "ma", "coeffs": [1.0, 0.5]},
+            }
+        )
+        assert isinstance(parsed, SeparableFieldModel)
+        assert parsed.describe() == fm.describe()
+        assert parsed.log_det(5) == pytest.approx(fm.log_det(5), abs=1e-12)

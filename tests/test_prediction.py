@@ -5,11 +5,11 @@ import pytest
 
 from entrospec import (
     AutoRegressive,
-    DegenerateProcess,
     GaussianProcessModel,
     MovingAverage,
     PoissonKernel,
     PowerSingular,
+    RateNotFinite,
     White,
 )
 from entrospec.prediction import prediction_gap_series
@@ -97,7 +97,7 @@ class TestPredictionGapSeries:
 
     def test_degenerate_raises(self):
         model = GaussianProcessModel(ARC_GAP)
-        with pytest.raises(DegenerateProcess):
+        with pytest.raises(RateNotFinite):
             prediction_gap_series(model, 16)
 
     def test_csv_round(self):
