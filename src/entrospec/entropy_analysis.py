@@ -42,19 +42,13 @@ def block_mutual_information(model: GaussianProcessModel, n: int, p: int) -> flo
 
 
 def markov_defect(model: GaussianProcessModel, p: int) -> float:
-    """(H_{p+1} - H_p) - Se >= 0; zero exactly for memory-p processes."""
+    """(H_{p+1} - H_p) - Se >= 0; zero exactly for memory-p processes.  At
+    p = 0 it is the independence defect H_1 - Se, zero exactly for white
+    densities."""
     se = model.entropy_rate()
     if se == NEG_INF:
         raise RateNotFinite("markov defect undefined for Se = -inf")
     return model.block_entropy(p + 1) - model.block_entropy(p) - se
-
-
-def independence_defect(model: GaussianProcessModel) -> float:
-    """H_1 - Se >= 0; zero exactly for white densities."""
-    se = model.entropy_rate()
-    if se == NEG_INF:
-        raise RateNotFinite("independence defect undefined for Se = -inf")
-    return model.block_entropy(1) - se
 
 
 def pinsker_entropy_rate(model: GaussianProcessModel) -> float:
@@ -128,7 +122,7 @@ class EntropyReport:
             kl_prod=kl_p,
             mi_table=mi,
             markov_defects=defects,
-            independence=independence_defect(model),
+            independence=markov_defect(model, 0),
             pinsker=pinsker_entropy_rate(model),
             dyadic_terms=terms,
             dyadic_residual=residual,

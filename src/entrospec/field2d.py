@@ -54,25 +54,21 @@ class SeparableFieldModel:
     # Se = (1/2) log(2 pi e) + (1/2) szego_integral(), as on Z
     entropy_rate = GaussianProcessModel.entropy_rate
 
-    def kronecker_quadratic_form(self, X, n_grid=None):
-        """vec(X)^T (R_a (x) R_b)^{-1} vec(X) = tr(R_a^{-1} X R_b^{-1} X^T).
+    def kronecker_quadratic_form(self, X, n_grid) -> np.ndarray:
+        """(k, len(n_grid)) forms vec(X_m)^T (R_{a,m} (x) R_{b,m})^{-1} vec(X_m)
+        of the leading m x m blocks X_m of each field of a (k, n, n) stack,
+        for m in n_grid.
 
-        With R^{-1} = W^T W for each factor's whitening factor W this is
-        sum((W_a X W_b^T)^2).  An (n, n) X gives a float; a stack of k
-        fields, (k, n, n), gives the k forms as an array.
-
-        With an n_grid, the result holds the forms of the leading m x m
-        blocks of each field for m in the grid, in a last axis of
-        len(n_grid); without one the grid is [n].  Row j of W does not
-        depend on n, so the leading m x m block of U = W_a X W_b^T is
-        W_{a,m} X_m W_{b,m}^T for the leading block X_m, and one product
-        serves the whole grid.
+        With R^{-1} = W^T W for each factor's whitening factor W the form is
+        tr(R_a^{-1} X R_b^{-1} X^T) = sum((W_a X W_b^T)^2).  Row j of W does
+        not depend on n, so the leading m x m block of U = W_a X W_b^T is
+        W_{a,m} X_m W_{b,m}^T, and one product serves the whole grid.
         """
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2] or X.shape[-1] < 1:
-            raise DimensionMismatch(f"field shape {X.shape} is not (n, n) or (k, n, n), n >= 1")
+        if X.ndim != 3 or X.shape[-1] != X.shape[-2] or X.shape[-1] < 1:
+            raise DimensionMismatch(f"field stack shape {X.shape} is not (k, n, n), n >= 1")
         n = X.shape[-1]
-        grid = [n] if n_grid is None else [int(m) for m in n_grid]
+        grid = [int(m) for m in n_grid]
         if not grid or not all(1 <= m <= n for m in grid):
             raise DimensionMismatch(f"n grid {grid} does not fit fields of size {n}")
         u = np.matmul(self.factor_a.whitening_factor(n), X)
@@ -80,19 +76,14 @@ class SeparableFieldModel:
         u *= u
         # each block is summed as a contiguous m^2 row, the order in which
         # a field of size m is summed on its own
-        q = np.stack(
-            [np.ascontiguousarray(u[..., :m, :m]).reshape(-1, m * m).sum(axis=1) for m in grid],
+        return np.stack(
+            [np.ascontiguousarray(u[:, :m, :m]).reshape(-1, m * m).sum(axis=1) for m in grid],
             axis=-1,
         )
-        if n_grid is None:
-            return float(q[0, 0]) if X.ndim == 2 else q[:, 0]
-        return q[0] if X.ndim == 2 else q
 
-    def log_block_density_2d(self, X, n_grid=None):
-        """log density of a field block, or of each field of a stack; with
-        an n_grid, of the leading m x m blocks as `kronecker_quadratic_form`
-        lays them out."""
+    def log_block_density_2d(self, X, n_grid) -> np.ndarray:
+        """(k, len(n_grid)) log densities of the leading m x m blocks of each
+        field of a (k, n, n) stack, as `kronecker_quadratic_form` lays them out."""
         q = self.kronecker_quadratic_form(X, n_grid)
-        grid = [np.shape(X)[-1]] if n_grid is None else [int(m) for m in n_grid]
-        const = [m * m * LOG_2PI + self.log_det(m) for m in grid]
-        return -0.5 * ((const[0] if n_grid is None else np.array(const)) + q)
+        const = [m * m * LOG_2PI + self.log_det(m) for m in map(int, n_grid)]
+        return -0.5 * (np.array(const) + q)

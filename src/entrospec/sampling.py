@@ -1,12 +1,12 @@
 """Seeded, reproducible sampling of Gaussian paths and separable fields.
 
 The generator is a counter-based SplitMix64 feeding Box-Muller.  Draws
-are ensembles: `sample_paths` and `field_chunks` give one path or field
-per seed, from that seed's own stream, so a row depends on its seed alone
-and identical (model, n, seed) reproduces it bit-exactly.
+are ensembles: `sample_paths` and `sample_field` give one path or field
+per seed, from that seed's own stream, so a sample depends on its seed
+alone and identical (model, n, seed) reproduces it bit-exactly.
 `ensemble_seeds` derives the seeds of an experiment from (base seed,
-index).  Nothing in the package calls `standard_normals`, `sample_field`
-or `ensemble_residuals`; they stay as hooks of the benchmark's tracer.
+index).  Nothing in the package calls `standard_normals` or
+`ensemble_residuals`; they stay as hooks of the benchmark's tracer.
 
 1-D paths come from circulant embedding (Davies & Harte 1987; Wood & Chan
 1994): R_n is the leading block of a circulant matrix built from the
@@ -37,9 +37,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # (shift, multiplier) rounds of the SplitMix64 finalizer
 _MIX_ROUNDS = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None))
 
-# field elements per stacked draw of `smb2d_experiment`: c = max(1, 2**14 // n^2)
-# fields, so that each of a chunk's buffers (128 KB) stays in cache
-_FIELD_CHUNK = 2**14
 # rows per circulant synthesis pass: a row takes 2(n-1) normals, and 8 rows
 # keep each of the pass's buffers to 0.5-1 MB at n = 4096, within L2
 _CE_CHUNK = 8
@@ -63,12 +60,12 @@ def _mix64(z, tmp=None):
         return z
 
 
-def _stream_seeds(bases, index: int):
-    """Decorrelated per-trajectory stream ids of (base seed, index), for a
-    uint64 scalar or array of base seeds."""
-    i = np.uint64(index & 0xFFFFFFFFFFFFFFFF)
+def _stream_seeds(bases, indices):
+    """Decorrelated per-trajectory stream ids of (base seed, index), for
+    uint64 base seeds and indices that broadcast together."""
     with np.errstate(over="ignore"):
-        return _mix64(_mix64(bases + _GOLDEN) ^ _mix64(i * _GOLDEN + _GOLDEN))
+        index = np.asarray(indices, dtype=np.uint64) * _GOLDEN + _GOLDEN
+        return _mix64(_mix64(bases + _GOLDEN) ^ _mix64(index))
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -77,12 +74,9 @@ def _seed_array(seeds) -> np.ndarray:
 
 
 def ensemble_seeds(base_seed: int, count: int) -> np.ndarray:
-    """The stream ids of (base_seed, i) for i in range(count), as uint64 in
-    one vectorized pass: entry i is _stream_seeds(base_seed, i)."""
-    with np.errstate(over="ignore"):
-        base = _mix64(np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        index = np.arange(count, dtype=np.uint64) * _GOLDEN + _GOLDEN
-    return _mix64(_mix64(index) ^ base)
+    """The stream ids of (base_seed, i) for i in range(count), as uint64."""
+    base = np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF)
+    return _stream_seeds(base, np.arange(count, dtype=np.uint64))
 
 
 def _normals_into(out: np.ndarray, streams: np.ndarray, work=None) -> None:
@@ -229,40 +223,25 @@ def log_derivative(dphi, x) -> np.ndarray:
     return np.log(deriv)
 
 
-def sample_field(field_model, n: int, seed: int) -> np.ndarray:
-    """Separable-field draw X = L_a Z L_b^T: the field of seed in `field_chunks`."""
-    ((_, X),) = field_chunks(field_model, n, [seed])
-    return X[0]
+def sample_field(field_model, n: int, seeds) -> np.ndarray:
+    """Ensemble draw of separable fields, a (len(seeds), n, n) stack.
 
-
-def field_chunks(field_model, n: int, seeds):
-    """Yield (i0, X): X[i] is L_a Z_i L_b^T for the Cholesky factors L_a,
-    L_b and the n^2 normals Z_i of the stream of seeds[i0 + i], so a field
-    depends on its seed alone.  Stacks hold max(1, _FIELD_CHUNK // n^2)
-    fields and share one set of buffers, so X is valid until the next one
-    is yielded."""
+    Field i is L_a Z_i L_b^T for the Cholesky factors L_a, L_b and the n^2
+    normals Z_i of the stream of seeds[i], one GEMM pair per field, so it
+    depends on that seed alone.
+    """
     if n < 1:
         raise DimensionMismatch(f"field size must be >= 1, got {n}")
     streams = _stream_seeds(_seed_array(seeds), 0)
-    chunk = max(1, min(_FIELD_CHUNK // (n * n), len(streams)))
-    # the normals, and the uint64 scratch of `_normals_into`
-    z = np.empty((chunk, n * n))
-    work = np.empty((2, chunk, 2 * ((n * n + 1) // 2)), dtype=np.uint64)
-    for i0 in range(0, len(streams), chunk):
-        yield i0, _fields_into(field_model, n, streams[i0 : i0 + chunk], z, work)
-
-
-def _fields_into(field_model, n: int, streams, z: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Fields of the streams, (k, n, n) for k = len(streams), from the
-    buffers of `field_chunks` with at least k rows.  The result is a view of
-    z, valid until z is next used."""
     k = len(streams)
     la = field_model.cholesky_a(n)
     lb = field_model.cholesky_b(n)
-    zk = z[:k].reshape(k, n, n)
-    _normals_into(z[:k], streams, work[:, :k])
+    z = np.empty((k, n * n))
+    work = np.empty((2, k, 2 * ((n * n + 1) // 2)), dtype=np.uint64)
+    _normals_into(z, streams, work)
     # the scratch is free once the normals are drawn; L_a Z goes there, and
     # the field over the normals it was made from
     la_z = work.reshape(-1).view(np.float64)[: k * n * n].reshape(k, n, n)
+    zk = z.reshape(k, n, n)
     np.matmul(la, zk, out=la_z)
     return np.matmul(la_z, lb.T, out=zk)

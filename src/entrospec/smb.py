@@ -3,14 +3,14 @@ the pointwise (Shannon-McMillan-Breiman type) convergence, in 1-D and on
 separable Z^2 fields.
 
 One driver runs the ensemble of either dimension.  It derives the seeds,
-fills an (ensemble x grid) array from a draw and a score, divides by the
-block size n^d and compares each column's mean with H_n/n^d and the rate,
-which 1-D models and separable fields answer by the same names.
-`smb_experiment` draws paths (`sampling.sample_paths`) and scores them
-with `information_at`, the one kernel of the 1-D path information
-I_n = -log rho_n; `smb2d_experiment` draws fields (`sampling.field_chunks`)
-and scores them with their Kronecker block density,
-`SeparableFieldModel.log_block_density_2d`.
+draws the samples of one slice of them at a time, fills an (ensemble x
+grid) array from their scores, divides by the block size n^d and compares
+each column's mean with H_n/n^d and the rate, which 1-D models and
+separable fields answer by the same names.  `smb_experiment` draws paths
+(`sampling.sample_paths`) and scores them with `information_at`, the one
+kernel of the 1-D path information I_n = -log rho_n; `smb2d_experiment`
+draws fields (`sampling.sample_field`) and scores them with their
+Kronecker block density, `SeparableFieldModel.log_block_density_2d`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .gaussian_model import LOG_2PI, GaussianProcessModel
 # seeds per sample_paths call in smb_experiment; a slice holds one
 # (slice x n) float64 path matrix
 _ENSEMBLE_SLICE = 256
+# field elements per sample_field call in smb2d_experiment: max(1, 2**14 // n^2)
+# fields, so that each of a draw's buffers (128 KB) stays in cache
+_FIELD_BATCH = 2**14
 
 # Gauss-Hermite nodes of expected_log_derivative
 _HERMITE_NODES = 96
@@ -51,6 +54,7 @@ class ConvergenceReport:
     base_seed: int
     workers: int
     sampler: str  # path synthesis: "circulant" or "cholesky"
+    values_by_n: list  # per n, the normalized information of every sample
     passed: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -62,8 +66,8 @@ class ConvergenceReport:
     def all_passed(self) -> bool:
         return bool(np.all(self.passed))
 
-    def mean_abs_deviation(self, values_by_n) -> np.ndarray:
-        return np.array([float(np.mean(np.abs(v - self.se_exact))) for v in values_by_n])
+    def mean_abs_deviation(self) -> np.ndarray:
+        return np.array([float(np.mean(np.abs(v - self.se_exact))) for v in self.values_by_n])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -153,18 +157,19 @@ def expected_log_derivative(dphi, variance: float) -> float:
 
 
 def _ensemble_experiment(
-    model, n_grid, ensemble_size, base_seed, workers, dims, draws, score, sampler,
+    model, n_grid, ensemble_size, base_seed, workers, dims, draw, score, batch, sampler,
     shift=0.0, model_id=None,
 ) -> ConvergenceReport:
     """The pipeline of both dimensions: seeds, draws, scores, statistics.
 
     `model` answers entropy_rate(), block_entropy(n) and describe() for
-    blocks of n^dims points.  `draws(n_max, seeds)` yields (i0, X), the
-    samples of seeds[i0:i0 + len(X)] at the largest n, and `score(X, n_grid)`
-    gives their information at every n as a (len(X) x len(n_grid)) array.
-    `sampler(n_max)` names the synthesis.  `shift` is added to the rate and
-    to every H_n/n^dims.  Each n's mean and sd are taken down a column of the
-    (ensemble x grid) array of normalized information.
+    blocks of n^dims points.  `draw(n_max, seeds)` gives one sample per
+    seed at the largest n, `batch(n_max)` seeds at a time, and
+    `score(X, n_grid)` their information at every n as a
+    (len(X) x len(n_grid)) array.  `sampler(n_max)` names the synthesis.
+    `shift` is added to the rate and to every H_n/n^dims.  Each n's mean and
+    sd are taken down a column of the (ensemble x grid) array of normalized
+    information.
     """
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid:
@@ -178,12 +183,12 @@ def _ensemble_experiment(
     sizes = np.power(n_grid, dims)  # points of each block
     seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
     values = np.empty((ensemble_size, len(n_grid)))
-    for i0, X in draws(n_max, seeds):
-        values[i0 : i0 + len(X)] = score(X, n_grid)
-        del X  # so that one draw, not two, is held while the next is made
+    step = batch(n_max)
+    for i0 in range(0, ensemble_size, step):
+        values[i0 : i0 + step] = score(draw(n_max, seeds[i0 : i0 + step]), n_grid)
     values /= sizes
 
-    report = ConvergenceReport(
+    return ConvergenceReport(
         model_id=model.describe() if model_id is None else model_id,
         dims=dims,
         n_grid=n_grid,
@@ -196,9 +201,8 @@ def _ensemble_experiment(
         base_seed=base_seed,
         workers=workers,
         sampler=sampler(n_max),
+        values_by_n=list(values.T),
     )
-    report.values_by_n = list(values.T)
-    return report
 
 
 def smb_experiment(
@@ -220,14 +224,11 @@ def smb_experiment(
     `information_at`.
     """
     dphi = None if transform is None else transform[1]
-
-    def draws(n_max, seeds):
-        for i0 in range(0, len(seeds), _ENSEMBLE_SLICE):
-            yield i0, sampling.sample_paths(model, n_max, seeds[i0 : i0 + _ENSEMBLE_SLICE])
-
     return _ensemble_experiment(
-        model, n_grid, ensemble_size, base_seed, workers, dims=1, draws=draws,
+        model, n_grid, ensemble_size, base_seed, workers, dims=1,
+        draw=lambda n_max, seeds: sampling.sample_paths(model, n_max, seeds),
         score=lambda X, grid: information_at(model, X, grid, dphi),
+        batch=lambda n_max: _ENSEMBLE_SLICE,
         sampler=lambda n_max: sampling.path_sampler(model, n_max),
         shift=0.0 if dphi is None else expected_log_derivative(dphi, model.r0),
         model_id=None if dphi is None else f"transformed({model.describe()})",
@@ -244,17 +245,19 @@ def smb2d_experiment(
     """Ensemble statistics of (1/n^2) h_n^(2) against the 2-D rate.
 
     `workers` is only recorded in the report.  One field per seed is drawn
-    at the largest n, in the cache-sized stacks of `sampling.field_chunks`,
-    and h_n^(2) at every n of the grid is the information of its leading
-    n x n block (`SeparableFieldModel.log_block_density_2d` with the grid):
-    nested boxes of one realization, as `smb_experiment` scores prefixes of
-    one path, so the values at different n are correlated.  The leading
+    at the largest n by `sampling.sample_field`, in stacks of
+    max(1, _FIELD_BATCH // n^2) fields, and h_n^(2) at every n of the grid
+    is the information of its leading n x n block
+    (`SeparableFieldModel.log_block_density_2d` with the grid): nested boxes
+    of one realization, as `smb_experiment` scores prefixes of one path, so
+    the values at different n are correlated.  The leading
     block of a field drawn at n_max has the law of a field drawn at n,
     because the Cholesky factors are lower triangular.
     """
     return _ensemble_experiment(
         fm, n_grid, ensemble_size, base_seed, workers, dims=2,
-        draws=lambda n_max, seeds: sampling.field_chunks(fm, n_max, seeds),
+        draw=lambda n_max, seeds: sampling.sample_field(fm, n_max, seeds),
         score=lambda X, grid: -fm.log_block_density_2d(X, grid),
+        batch=lambda n_max: max(1, _FIELD_BATCH // (n_max * n_max)),
         sampler=lambda n_max: "cholesky",
     )

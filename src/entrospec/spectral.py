@@ -564,9 +564,6 @@ class MovingAverage(FilterProduct):
     """f(t) = |sum_k a_k e^{ikt}|^2: white noise of level 1 through the filter a."""
 
     def __init__(self, coeffs):
-        coeffs = tuple(float(c) for c in coeffs)
-        if not any(c != 0.0 for c in coeffs):
-            raise ModelConfigError("MA coefficients are all zero")
         super().__init__(coeffs, White(1.0))
 
     @property

@@ -541,9 +541,13 @@ class TestCliOutputs:
         assert residual < 1e-6
 
     def test_zero_symbol_is_config_error(self, capsys):
-        argv = ["filter", "--model", "poisson:0.5", "--symbol", "0,0"]
-        assert main(argv) == EXIT_CONFIG
-        assert "identically zero" in capsys.readouterr().err
+        # a zero filter symbol, given as a filter or as MA coefficients
+        for argv in (
+            ["filter", "--model", "poisson:0.5", "--symbol", "0,0"],
+            ["rate", "--model", "ma:0,0"],
+        ):
+            assert main(argv) == EXIT_CONFIG
+            assert "identically zero" in capsys.readouterr().err
 
     # an empty field inside a list is a typo, not a number to drop
     EMPTY_FIELDS = {
@@ -642,6 +646,7 @@ class TestImport:
             "spectral.autocovariance",
             "toeplitz.levinson",
             "sampling.sample_paths",
+            "sampling.sample_field",
             "smb.experiment",
             "field2d.cholesky",
             "field2d.quadratic_form",

@@ -16,7 +16,6 @@ from entrospec.entropy_analysis import (
     EntropyReport,
     block_mutual_information,
     dyadic_decomposition,
-    independence_defect,
     kl_to_marginal_product,
     kl_to_standard_gaussian,
     markov_defect,
@@ -163,20 +162,21 @@ class TestMemoryCriteria:
             assert all(x >= -1e-12 for x in d)
             assert np.all(np.diff(d) <= 1e-12)
 
+    # the independence defect H_1 - Se is the Markov defect of order 0
     def test_independence_defect_white_zero(self):
-        assert independence_defect(GaussianProcessModel(White(4.0))) == pytest.approx(
+        assert markov_defect(GaussianProcessModel(White(4.0)), 0) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_independence_defect_poisson(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        assert independence_defect(model) == pytest.approx(
+        assert markov_defect(model, 0) == pytest.approx(
             -0.5 * math.log(0.75), abs=1e-12
         )
 
     def test_independence_dominates_markov(self, zoo):
         for model in zoo.values():
-            assert independence_defect(model) >= markov_defect(model, 1) - 1e-12
+            assert markov_defect(model, 0) >= markov_defect(model, 1) - 1e-12
 
     def test_matching_covariances_do_not_imply_equal_defects(self):
         # two densities sharing r(0), r(1) but different memory structure
@@ -192,7 +192,7 @@ class TestMemoryCriteria:
         with pytest.raises(RateNotFinite):
             markov_defect(model, 1)
         with pytest.raises(RateNotFinite):
-            independence_defect(model)
+            markov_defect(model, 0)
         assert pinsker_entropy_rate(model) == math.inf
 
 

@@ -18,6 +18,16 @@ from entrospec.toeplitz import _FACTOR_BLOCK, toeplitz_matrix
 from conftest import ARC_GAP, dense_cov
 
 
+def form(fm, X):
+    """The Kronecker quadratic form of one (n, n) field, from a stack of one."""
+    return float(fm.kronecker_quadratic_form(X[None], [X.shape[-1]])[0, 0])
+
+
+def density(fm, X):
+    """The log block density of one (n, n) field, from a stack of one."""
+    return float(fm.log_block_density_2d(X[None], [X.shape[-1]])[0, 0])
+
+
 def dense_kron_cov(fm, n):
     ra = toeplitz_matrix(fm.factor_a.autocovariance(n - 1), n)
     rb = toeplitz_matrix(fm.factor_b.autocovariance(n - 1), n)
@@ -52,7 +62,7 @@ class TestKroneckerAgainstDense:
         for _ in range(5):
             X = rng.standard_normal((n, n))
             want = X.ravel() @ np.linalg.solve(R, X.ravel())
-            assert fm.kronecker_quadratic_form(X) == pytest.approx(want, abs=1e-8)
+            assert form(fm, X) == pytest.approx(want, abs=1e-8)
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_quadratic_form_across_block_seams(self, name):
@@ -64,21 +74,19 @@ class TestKroneckerAgainstDense:
         rb = dense_cov(fm.factor_b, n)
         X = np.random.default_rng(79).standard_normal((n, n))
         want = float(np.sum(np.linalg.solve(ra, X) * np.linalg.solve(rb, X.T).T))
-        assert fm.kronecker_quadratic_form(X) == pytest.approx(want, rel=1e-12)
+        assert form(fm, X) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     @pytest.mark.parametrize("n", [1, 3, 4, _FACTOR_BLOCK + 2, 2 * _FACTOR_BLOCK + 2])
     def test_stacked_quadratic_form_matches_single(self, name, n):
         fm = FIELDS[name]()
         stack = np.random.default_rng(80).standard_normal((5, n, n))
-        got = fm.kronecker_quadratic_form(stack)
-        assert isinstance(got, np.ndarray) and got.shape == (5,)
-        for q, X in zip(got, stack):
-            single = fm.kronecker_quadratic_form(X)
-            assert isinstance(single, float)
-            assert q == single
-        dens = fm.log_block_density_2d(stack)
-        assert [float(d) for d in dens] == [fm.log_block_density_2d(X) for X in stack]
+        got = fm.kronecker_quadratic_form(stack, [n])
+        assert got.shape == (5, 1)
+        assert got[:, 0].tolist() == [form(fm, X) for X in stack]
+        dens = fm.log_block_density_2d(stack, [n])
+        assert dens.shape == (5, 1)
+        assert dens[:, 0].tolist() == [density(fm, X) for X in stack]
 
     def test_grid_forms_match_leading_blocks(self):
         # a dense inverse factor (every A row full): the grid forms of one
@@ -92,29 +100,30 @@ class TestKroneckerAgainstDense:
         assert got.shape == (3, len(grid))
         dens = fm.log_block_density_2d(stack, grid)
         for X, q, d in zip(stack, got, dens):
-            assert fm.kronecker_quadratic_form(X, grid).tolist() == q.tolist()
+            assert fm.kronecker_quadratic_form(X[None], grid)[0].tolist() == q.tolist()
             for col, m in enumerate(grid):
                 block = np.ascontiguousarray(X[:m, :m])
-                assert q[col] == pytest.approx(fm.kronecker_quadratic_form(block), rel=1e-12)
-                assert d[col] == pytest.approx(fm.log_block_density_2d(block), rel=1e-12)
+                assert q[col] == pytest.approx(form(fm, block), rel=1e-12)
+                assert d[col] == pytest.approx(density(fm, block), rel=1e-12)
 
     @pytest.mark.parametrize("grid", [[0, 4], [4, 5], [-1], []], ids=str)
     def test_grid_outside_field_rejected(self, grid):
         fm = FIELDS["p05xp05"]()
         with pytest.raises(DimensionMismatch):
-            fm.kronecker_quadratic_form(np.ones((4, 4)), grid)
+            fm.kronecker_quadratic_form(np.ones((2, 4, 4)), grid)
         with pytest.raises(DimensionMismatch):
-            fm.log_block_density_2d(np.ones((4, 4)), grid)
+            fm.log_block_density_2d(np.ones((2, 4, 4)), grid)
 
+    # a single (n, n) field is not a stack either
     @pytest.mark.parametrize(
-        "shape", [(), (3,), (3, 4), (2, 3, 4), (0, 0), (2, 0, 0), (1, 1, 2, 2)], ids=str
+        "shape", [(), (3,), (3, 4), (1, 1), (2, 3, 4), (0, 0), (2, 0, 0), (1, 1, 2, 2)], ids=str
     )
     def test_quadratic_form_rejects_non_square(self, shape):
         fm = FIELDS["p05xp05"]()
         with pytest.raises(DimensionMismatch):
-            fm.kronecker_quadratic_form(np.ones(shape))
+            fm.kronecker_quadratic_form(np.ones(shape), [1])
         with pytest.raises(DimensionMismatch):
-            fm.log_block_density_2d(np.ones(shape))
+            fm.log_block_density_2d(np.ones(shape), [1])
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_log_block_density(self, name):
@@ -126,7 +135,7 @@ class TestKroneckerAgainstDense:
         x = X.ravel()
         _, logdet = np.linalg.slogdet(R)
         want = -0.5 * (n * n * LOG_2PI + logdet + x @ np.linalg.solve(R, x))
-        assert fm.log_block_density_2d(X) == pytest.approx(want, abs=1e-8)
+        assert density(fm, X) == pytest.approx(want, abs=1e-8)
 
 
 class TestBlockEntropy2d:
@@ -192,7 +201,7 @@ class TestCaches:
 
         def query(n):
             chol = fm.cholesky_a(n)
-            return fm.log_block_density_2d(X[:n, :n]), chol, fm.factor_a.whitening_factor(n)
+            return density(fm, X[:n, :n]), chol, fm.factor_a.whitening_factor(n)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -201,10 +210,10 @@ class TestCaches:
                 results = list(pool.map(query, sizes, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        for n, (density, chol, white) in zip(sizes, results):
+        for n, (dens, chol, white) in zip(sizes, results):
             assert chol is fm.factor_a.cholesky(n)
             assert white is fm.factor_a.whitening_factor(n)
-            assert density == fm.log_block_density_2d(X[:n, :n])
+            assert dens == density(fm, X[:n, :n])
 
 
 class TestSeparableConfig:

@@ -21,18 +21,16 @@ from entrospec.sampling import (
     _circulant_embedding,
     _circulant_rows,
     _normals_into,
-    _FIELD_CHUNK,
     _stream_seeds,
     ensemble_residuals,
     ensemble_seeds,
-    field_chunks,
     log_derivative,
     path_sampler,
     sample_field,
     sample_paths,
     standard_normals,
 )
-from entrospec.smb import information_at
+from entrospec.smb import _FIELD_BATCH, information_at
 from entrospec.toeplitz import _FACTOR_BLOCK
 
 from conftest import dense_cov, dense_innovations, make_non_banded_zoo, make_zoo
@@ -53,18 +51,28 @@ def synthesis_map(model, n):
 
 def normals(seed, count):
     """The first count normals of the stream that sample_paths and
-    field_chunks draw for seed."""
+    sample_field draw for seed."""
     return standard_normals(ensemble_seeds(seed, 1)[0], count)
 
 
-def field_stack(fm, n, seeds):
-    """Every field that field_chunks yields, copied out of its reused buffers."""
-    return np.concatenate([X.copy() for _, X in field_chunks(fm, n, seeds)])
+MASK = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """The SplitMix64 finalizer on a Python int."""
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
 
 
 def scalar_stream(base, index):
-    """The stream id of (base, index) from one scalar base seed."""
-    return int(_stream_seeds(np.uint64(base & 0xFFFFFFFFFFFFFFFF), index))
+    """The stream id of (base, index) in Python integers, a route apart from
+    the package's vectorized uint64 arithmetic."""
+    base &= MASK
+    return mix64(mix64((base + GOLDEN) & MASK) ^ mix64((index * GOLDEN + GOLDEN) & MASK))
 
 
 class TestStreams:
@@ -337,14 +345,15 @@ class TestTransformPath:
 class TestSampleField:
     def test_reproducible(self):
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
-        a = sample_field(fm, 8, 4)
-        b = sample_field(fm, 8, 4)
+        a = sample_field(fm, 8, [4])
+        b = sample_field(fm, 8, [4])
+        assert a.shape == (1, 8, 8)
         assert np.array_equal(a, b)
 
     def test_covariance_structure(self):
         # cov(X_{0,0}, X_{0,1}) = r_a(0) r_b(1) = 0.5; cov with X_{1,1} = 0.25
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
-        vals = field_stack(fm, 2, range(100000))
+        vals = sample_field(fm, 2, range(100000))
         assert float(np.mean(vals[:, 0, 0] * vals[:, 0, 1])) == pytest.approx(0.5, abs=0.01)
         assert float(np.mean(vals[:, 0, 0] * vals[:, 1, 1])) == pytest.approx(0.25, abs=0.01)
         assert float(np.mean(vals[:, 0, 0] ** 2)) == pytest.approx(1.0, abs=0.015)
@@ -352,27 +361,24 @@ class TestSampleField:
     def test_anisotropic_factors(self):
         # cov(X_{0,0}, X_{1,0}) = r_a(1); cov(X_{0,0}, X_{0,1}) = r_b(1)
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
-        vals = field_stack(fm, 2, range(100000))
+        vals = sample_field(fm, 2, range(100000))
         assert float(np.mean(vals[:, 0, 0] * vals[:, 1, 0])) == pytest.approx(0.5, abs=0.01)
         assert float(np.mean(vals[:, 0, 0] * vals[:, 0, 1])) == pytest.approx(0.0, abs=0.01)
 
     @pytest.mark.parametrize("n", [1, 3, 45, 64, 129])
     def test_stacks_match_single_fields(self, n):
-        # n^2 odd at 1, 3, 45 and 129; the chunks of 45 and 64 end inside the
-        # seeds, so the comparison crosses chunk seams and a partial last chunk
+        # stacks of smb2d's size, max(1, _FIELD_BATCH // n^2) fields; n^2 is
+        # odd at 1, 3, 45 and 129, and the stacks of 45 and 64 end inside the
+        # seeds, so the comparison crosses stack seams and a partial last stack
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
-        chunk = max(1, _FIELD_CHUNK // (n * n))
-        seeds = [0, 1, 2**64 - 1] + list(range(10, 10 + 2 * chunk))
-        starts, stack = [], []
-        for i0, X in field_chunks(fm, n, seeds):
-            starts.append(i0)
-            assert len(X) <= chunk
-            stack.append(X.copy())
-        stack = np.concatenate(stack)
+        batch = max(1, _FIELD_BATCH // (n * n))
+        seeds = [0, 1, 2**64 - 1] + list(range(10, 10 + 2 * batch))
+        stack = np.concatenate(
+            [sample_field(fm, n, seeds[i0 : i0 + batch]) for i0 in range(0, len(seeds), batch)]
+        )
         assert stack.shape == (len(seeds), n, n)
-        assert starts == list(range(0, len(seeds), chunk))
-        for i in {0, 1, 2, chunk - 1, chunk, len(seeds) - 1}:
-            assert np.array_equal(stack[i], sample_field(fm, n, seeds[i]))
+        for i in {0, 1, 2, batch - 1, batch, len(seeds) - 1}:
+            assert np.array_equal(stack[i], sample_field(fm, n, [seeds[i]])[0])
 
     def test_single_field_is_cholesky_draw(self):
         # L_a Z L_b^T from the seed's own stream, independent of the stacking
@@ -380,12 +386,11 @@ class TestSampleField:
         n = 5
         z = normals(11, n * n).reshape(n, n)
         want = fm.cholesky_a(n) @ z @ fm.cholesky_b(n).T
-        assert np.max(np.abs(sample_field(fm, n, 11) - want)) <= 1e-14
+        assert np.max(np.abs(sample_field(fm, n, [11])[0] - want)) <= 1e-14
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_bad_size_raises(self, n):
         fm = SeparableFieldModel(White(1.0), White(1.0))
-        with pytest.raises(DimensionMismatch):
-            sample_field(fm, n, 0)
-        with pytest.raises(DimensionMismatch):
-            next(field_chunks(fm, n, [0, 1]))
+        for seeds in ([0], [0, 1]):
+            with pytest.raises(DimensionMismatch):
+                sample_field(fm, n, seeds)

@@ -287,28 +287,28 @@ class TestSmb2d:
         # the one field of a one-field ensemble is drawn from the base seed's stream 0
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
         got = smb2d_experiment(fm, [8], 1, base_seed=3).values_by_n[0][0]
-        x = sample_field(fm, 8, ensemble_seeds(3, 1)[0])
-        want = -fm.log_block_density_2d(x) / 64
+        x = sample_field(fm, 8, ensemble_seeds(3, 1))
+        want = -fm.log_block_density_2d(x, [8])[0, 0] / 64
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_unbiased_and_concentrating(self):
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
         rep = smb2d_experiment(fm, [16, 32, 64], 50, base_seed=20240817)
         assert rep.all_passed
-        mad = rep.mean_abs_deviation(rep.values_by_n)
+        mad = rep.mean_abs_deviation()
         assert np.all(np.diff(mad) < 0.0)
 
     def test_values_match_per_field_loop(self):
         # one field per seed at the largest n, scored on its leading blocks,
         # against the size-n block density of the contiguous leading n x n
-        # block of one sample_field per seed
+        # block of one single-seed sample_field per seed
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
         grid, m, base = [16, 64, 128], 70, 5
         rep = smb2d_experiment(fm, grid, m, base_seed=base)
-        fields = [sample_field(fm, grid[-1], s) for s in ensemble_seeds(base, m)]
+        fields = [sample_field(fm, grid[-1], [s]) for s in ensemble_seeds(base, m)]
         for n, got in zip(grid, rep.values_by_n):
             want = [
-                -fm.log_block_density_2d(np.ascontiguousarray(x[:n, :n])) / (n * n)
+                -fm.log_block_density_2d(np.ascontiguousarray(x[:, :n, :n]), [n])[0, 0] / (n * n)
                 for x in fields
             ]
             assert got.tolist() == want
@@ -335,6 +335,21 @@ class TestSmb2d:
         assert sum(normals) == 3 * 128 * 128
         assert forms == [(1, 128, 128)] * 3
         assert [len(v) for v in rep.values_by_n] == [3] * 4
+
+    def test_driver_draws_stacks_of_cache_size(self, monkeypatch):
+        # at n_max = 8 a draw holds 2**14 // 64 = 256 fields: 600 seeds take
+        # two full stacks and a partial one
+        stacks = []
+        draw = sampling.sample_field
+
+        def counted_draw(fm, n, seeds):
+            stacks.append((n, len(seeds)))
+            return draw(fm, n, seeds)
+
+        monkeypatch.setattr(sampling, "sample_field", counted_draw)
+        fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
+        smb2d_experiment(fm, [4, 8], 600, base_seed=2)
+        assert stacks == [(8, 256), (8, 256), (8, 88)]
 
     def test_worker_count_does_not_change_results(self):
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
