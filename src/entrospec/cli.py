@@ -3,13 +3,21 @@
 Commands: rate, report, smb, smb2d, predict, filter.
 Exit codes: 0 ok, 1 assertion failure (--assert), 2 numerical failure,
 3 config/parse failure.
+
+This is the one module that formats output: reports are plain records,
+written here as `name = value` lines, CSV tables or JSON objects.  Floats
+are written by repr, so a value read back is the computed float, and
+`--out` writes exactly the text that stdout would show.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+
+import numpy as np
 
 from . import entropy_analysis, modelspec, prediction, smb
 from .errors import EntrospecError, ModelConfigError, NumericalError
@@ -54,7 +62,9 @@ def _resolve_model(args, allow_field=False):
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.out:
         try:
             fh = open(args.out, "w")
         except OSError as exc:
@@ -63,8 +73,13 @@ def _emit(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+
+
+def _csv(header: str, *columns) -> str:
+    """A header line, then one line per row of the equal-length columns,
+    each cell the repr of its int or float."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _fmt(x: float) -> str:
@@ -99,9 +114,29 @@ def cmd_report(args) -> int:
     model = _resolve_model(args)
     report = entropy_analysis.EntropyReport.build(model, _int_list(args.n))
     if args.format == "json":
-        _emit(args, report.to_json())
+        text = json.dumps({
+            "model": report.model_id,
+            "se": report.se,
+            "r0": report.r0,
+            "n_grid": report.n_grid,
+            "H_n": report.h_n.tolist(),
+            "KL_gauss": report.kl_gauss.tolist(),
+            "KL_prod": report.kl_prod.tolist(),
+            "markov_defects": report.markov_defects.tolist(),
+            "independence_defect": report.independence,
+            "pinsker_rate": report.pinsker,
+            "dyadic_terms": report.dyadic_terms.tolist(),
+            "dyadic_residual": report.dyadic_residual,
+        }, indent=2)
     else:
-        _emit(args, report.to_csv() + "\n" + report.mi_to_csv())
+        n, k = np.asarray(report.n_grid), len(report.n_grid)
+        text = _csv(
+            "n,H_n,H_n_over_n,KL_gauss,KL_prod",
+            n, report.h_n, report.h_n / n, report.kl_gauss, report.kl_prod,
+        ) + "\n" + _csv(
+            "n,p,mutual_information", np.repeat(n, k), np.tile(n, k), report.mi_table.ravel(),
+        )
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -113,7 +148,30 @@ def cmd_smb(args) -> int:
         raise ModelConfigError("smb2d needs a separable field model (--model-file)")
     experiment = smb.smb2d_experiment if field else smb.smb_experiment
     report = experiment(model, _int_list(args.n), args.m, args.seed, workers=args.workers)
-    _emit(args, report.to_json() if args.format == "json" else report.to_csv())
+    if args.format == "json":
+        text = json.dumps({
+            "model": report.model_id,
+            "dims": report.dims,
+            "n_grid": report.n_grid,
+            "means": report.means.tolist(),
+            "sds": report.sds.tolist(),
+            "se_exact": report.se_exact,
+            "hn_over_n": report.hn_over_n.tolist(),
+            "theoretical_sd": report.theoretical_sd.tolist(),
+            "ensemble_size": report.ensemble_size,
+            "base_seed": report.base_seed,
+            "workers": report.workers,
+            "sampler": report.sampler,
+            "pass": report.passed.tolist(),
+            "all_passed": report.all_passed,
+        }, indent=2)
+    else:
+        text = _csv(
+            "n,mean,sd,se_exact,hn_over_n,theoretical_sd,pass",
+            report.n_grid, report.means, report.sds, np.full(len(report.n_grid), report.se_exact),
+            report.hn_over_n, report.theoretical_sd, report.passed.astype(int),
+        )
+    _emit(args, text)
     if args.assert_pass and not report.all_passed:
         return EXIT_ASSERT
     return EXIT_OK
@@ -122,7 +180,21 @@ def cmd_smb(args) -> int:
 def cmd_predict(args) -> int:
     model = _resolve_model(args)
     diag = prediction.prediction_gap_series(model, args.n_max)
-    _emit(args, diag.to_json() if args.format == "json" else diag.to_csv())
+    if args.format == "json":
+        text = json.dumps({
+            "model": diag.model_id,
+            "sigma2_inf": diag.sigma2_inf,
+            "S_N": float(diag.gap_partial_sums[-1]),
+            "T_N": float(diag.strong_szego_partial_sums[-1]),
+            "N": len(diag.sigma2),
+        }, indent=2)
+    else:
+        text = _csv(
+            "n,sigma2_n,delta_n,S_N,T_N",
+            np.arange(1, len(diag.sigma2) + 1), diag.sigma2, diag.delta,
+            diag.gap_partial_sums, diag.strong_szego_partial_sums,
+        )
+    _emit(args, text)
     return EXIT_OK
 
 

@@ -8,8 +8,6 @@ prefix sums of one shared Levinson factorization per model.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -126,41 +124,4 @@ class EntropyReport:
             pinsker=pinsker_entropy_rate(model),
             dyadic_terms=terms,
             dyadic_residual=residual,
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,H_n,H_n_over_n,KL_gauss,KL_prod\n")
-        for i, n in enumerate(self.n_grid):
-            buf.write(
-                f"{n},{float(self.h_n[i])!r},{float(self.h_n[i] / n)!r},"
-                f"{float(self.kl_gauss[i])!r},{float(self.kl_prod[i])!r}\n"
-            )
-        return buf.getvalue()
-
-    def mi_to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,p,mutual_information\n")
-        for i, n in enumerate(self.n_grid):
-            for j, p in enumerate(self.n_grid):
-                buf.write(f"{n},{p},{float(self.mi_table[i, j])!r}\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model_id,
-                "se": self.se,
-                "r0": self.r0,
-                "n_grid": list(self.n_grid),
-                "H_n": self.h_n.tolist(),
-                "KL_gauss": self.kl_gauss.tolist(),
-                "KL_prod": self.kl_prod.tolist(),
-                "markov_defects": self.markov_defects.tolist(),
-                "independence_defect": self.independence,
-                "pinsker_rate": self.pinsker,
-                "dyadic_terms": self.dyadic_terms.tolist(),
-                "dyadic_residual": self.dyadic_residual,
-            },
-            indent=2,
         )

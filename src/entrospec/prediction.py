@@ -8,8 +8,6 @@ is read off Levinson output against the log-density Fourier series.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,29 +26,6 @@ class PredictionDiagnostics:
     delta: np.ndarray  # delta_n = sigma2_n - sigma2_inf
     gap_partial_sums: np.ndarray  # S_N = sum_{n<=N} delta_n
     strong_szego_partial_sums: np.ndarray  # T_N = sum_{n<=N} n L(n)^2
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,sigma2_n,delta_n,S_N,T_N\n")
-        for i in range(len(self.sigma2)):
-            buf.write(
-                f"{i + 1},{float(self.sigma2[i])!r},{float(self.delta[i])!r},"
-                f"{float(self.gap_partial_sums[i])!r},"
-                f"{float(self.strong_szego_partial_sums[i])!r}\n"
-            )
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model_id,
-                "sigma2_inf": self.sigma2_inf,
-                "S_N": float(self.gap_partial_sums[-1]),
-                "T_N": float(self.strong_szego_partial_sums[-1]),
-                "N": len(self.sigma2),
-            },
-            indent=2,
-        )
 
 
 def prediction_gap_series(model: GaussianProcessModel, n_max: int) -> PredictionDiagnostics:

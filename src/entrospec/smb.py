@@ -15,8 +15,6 @@ Kronecker block density, `SeparableFieldModel.log_block_density_2d`.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -68,39 +66,6 @@ class ConvergenceReport:
 
     def mean_abs_deviation(self) -> np.ndarray:
         return np.array([float(np.mean(np.abs(v - self.se_exact))) for v in self.values_by_n])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,mean,sd,se_exact,hn_over_n,theoretical_sd,pass\n")
-        for i, n in enumerate(self.n_grid):
-            buf.write(
-                f"{n},{float(self.means[i])!r},{float(self.sds[i])!r},"
-                f"{float(self.se_exact)!r},"
-                f"{float(self.hn_over_n[i])!r},{float(self.theoretical_sd[i])!r},"
-                f"{int(self.passed[i])}\n"
-            )
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model_id,
-                "dims": self.dims,
-                "n_grid": list(self.n_grid),
-                "means": self.means.tolist(),
-                "sds": self.sds.tolist(),
-                "se_exact": self.se_exact,
-                "hn_over_n": self.hn_over_n.tolist(),
-                "theoretical_sd": self.theoretical_sd.tolist(),
-                "ensemble_size": self.ensemble_size,
-                "base_seed": self.base_seed,
-                "workers": self.workers,
-                "sampler": self.sampler,
-                "pass": [bool(p) for p in self.passed],
-                "all_passed": self.all_passed,
-            },
-            indent=2,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
+from entrospec import entropy_analysis, prediction, smb
 from entrospec.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _rate_values, main
 from entrospec.modelspec import (
     density_from_string,
@@ -573,7 +574,15 @@ class TestCliOutputs:
         "filter": ["filter", "--model", "poisson:0.5", "--symbol", "1,-0.5"],
     }
 
-    @pytest.mark.parametrize("argv", TEXT_COMMANDS.values(), ids=TEXT_COMMANDS.keys())
+    # a JSON object ends without a newline, which stdout and the file both add
+    OUT_COMMANDS = {
+        **TEXT_COMMANDS,
+        "report-json": ["report", "--model", "poisson:0.5", "--n", "1,2", "--format", "json"],
+        "smb-json": ["smb", "--model", "poisson:0.5", "--n", "4,8", "--m", "8", "--format", "json"],
+        "predict-json": ["predict", "--model", "poisson:0.5", "--n", "4", "--format", "json"],
+    }
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
     def test_out_file_takes_the_text(self, argv, tmp_path, capsys):
         assert main(argv) == EXIT_OK
         printed = capsys.readouterr().out
@@ -594,6 +603,119 @@ class TestCliOutputs:
         assert main(base + ["--workers", "1", "--out", str(a)]) == EXIT_OK
         assert main(base + ["--workers", "4", "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+def _csv_table(text):
+    header, *rows = text.splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def _assert_columns(rows, columns):
+    """Column j of the parsed rows is columns[j]: an int column as the ints'
+    text, a float column as floats that read back bit for bit."""
+    assert all(len(row) == len(columns) for row in rows)
+    for j, values in enumerate(columns):
+        cells = [row[j] for row in rows]
+        assert len(cells) == len(values)
+        if np.asarray(values).dtype.kind in "iu":
+            assert cells == [str(v) for v in values]
+        else:
+            assert [float(c) for c in cells] == list(values)
+
+
+class TestOutputContract:
+    """The pinned CSV headers and JSON key order of every table command, and
+    every value it writes equal to the library's for the same call."""
+
+    SMB_KEYS = [
+        "model", "dims", "n_grid", "means", "sds", "se_exact", "hn_over_n", "theoretical_sd",
+        "ensemble_size", "base_seed", "workers", "sampler", "pass", "all_passed",
+    ]
+    REPORT_KEYS = [
+        "model", "se", "r0", "n_grid", "H_n", "KL_gauss", "KL_prod", "markov_defects",
+        "independence_defect", "pinsker_rate", "dyadic_terms", "dyadic_residual",
+    ]
+    PREDICT_KEYS = ["model", "sigma2_inf", "S_N", "T_N", "N"]
+
+    def output(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["smb", "smb2d"])
+    def test_smb(self, command, field_file, capsys):
+        if command == "smb":
+            source = ["--model", "ar:1.8,-0.9:1"]
+            rep = smb.smb_experiment(model_from_string("ar:1.8,-0.9:1"), [4, 8, 16], 30, 6)
+        else:
+            source = ["--model-file", field_file]
+            rep = smb.smb2d_experiment(load_model_file(field_file), [4, 8, 16], 30, 6)
+        argv = [command, *source, "--n", "4,8,16", "--m", "30", "--seed", "6"]
+
+        header, rows = _csv_table(self.output(argv, capsys))
+        assert header == "n,mean,sd,se_exact,hn_over_n,theoretical_sd,pass"
+        _assert_columns(rows, [
+            rep.n_grid, rep.means, rep.sds, [rep.se_exact] * 3, rep.hn_over_n,
+            rep.theoretical_sd, [int(p) for p in rep.passed],
+        ])
+
+        data = json.loads(self.output(argv + ["--format", "json"], capsys))
+        assert list(data) == self.SMB_KEYS
+        assert data == {
+            "model": rep.model_id, "dims": rep.dims, "n_grid": rep.n_grid,
+            "means": list(rep.means), "sds": list(rep.sds), "se_exact": rep.se_exact,
+            "hn_over_n": list(rep.hn_over_n), "theoretical_sd": list(rep.theoretical_sd),
+            "ensemble_size": 30, "base_seed": 6, "workers": 1, "sampler": rep.sampler,
+            "pass": [bool(p) for p in rep.passed], "all_passed": rep.all_passed,
+        }
+
+    @pytest.mark.parametrize("model", ["power_singular:0.3", "ma:1,0.9"])
+    def test_report(self, model, capsys):
+        grid = [1, 2, 8, 64]
+        rep = entropy_analysis.EntropyReport.build(model_from_string(model), grid)
+        argv = ["report", "--model", model, "--n", "1,2,8,64"]
+
+        table, mi_table = self.output(argv, capsys).split("\n\n")
+        header, rows = _csv_table(table)
+        assert header == "n,H_n,H_n_over_n,KL_gauss,KL_prod"
+        _assert_columns(rows, [
+            grid, rep.h_n, [h / n for h, n in zip(rep.h_n, grid)], rep.kl_gauss, rep.kl_prod,
+        ])
+        header, rows = _csv_table(mi_table)
+        assert header == "n,p,mutual_information"
+        _assert_columns(rows, [
+            [n for n in grid for p in grid],
+            [p for n in grid for p in grid],
+            [rep.mi_table[i, j] for i in range(4) for j in range(4)],
+        ])
+
+        data = json.loads(self.output(argv + ["--format", "json"], capsys))
+        assert list(data) == self.REPORT_KEYS
+        assert data == {
+            "model": rep.model_id, "se": rep.se, "r0": rep.r0, "n_grid": grid,
+            "H_n": list(rep.h_n), "KL_gauss": list(rep.kl_gauss), "KL_prod": list(rep.kl_prod),
+            "markov_defects": list(rep.markov_defects),
+            "independence_defect": rep.independence, "pinsker_rate": rep.pinsker,
+            "dyadic_terms": list(rep.dyadic_terms), "dyadic_residual": rep.dyadic_residual,
+        }
+
+    def test_predict(self, capsys):
+        diag = prediction.prediction_gap_series(model_from_string("power_singular:0.3"), 40)
+        argv = ["predict", "--model", "power_singular:0.3", "--n", "40"]
+
+        header, rows = _csv_table(self.output(argv, capsys))
+        assert header == "n,sigma2_n,delta_n,S_N,T_N"
+        _assert_columns(rows, [
+            list(range(1, 41)), diag.sigma2, diag.delta, diag.gap_partial_sums,
+            diag.strong_szego_partial_sums,
+        ])
+
+        data = json.loads(self.output(argv + ["--format", "json"], capsys))
+        assert list(data) == self.PREDICT_KEYS
+        assert data == {
+            "model": diag.model_id, "sigma2_inf": diag.sigma2_inf,
+            "S_N": diag.gap_partial_sums[-1], "T_N": diag.strong_szego_partial_sums[-1],
+            "N": 40,
+        }
 
 
 class TestImport:

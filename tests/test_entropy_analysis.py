@@ -12,6 +12,7 @@ from entrospec import (
     RateNotFinite,
     White,
 )
+from entrospec.cli import EXIT_OK, main
 from entrospec.entropy_analysis import (
     EntropyReport,
     block_mutual_information,
@@ -225,19 +226,24 @@ class TestDyadicDecomposition:
 
 
 class TestEntropyReport:
-    def test_build_and_serialize(self, zoo):
-        report = EntropyReport.build(zoo["poisson05"], [1, 2, 8, 32])
-        data = json.loads(report.to_json())
+    def test_build_and_serialize(self, zoo, capsys):
+        # poisson:0.5 is zoo["poisson05"]
+        argv = ["report", "--model", "poisson:0.5", "--n", "1,2,8,32"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
         assert data["n_grid"] == [1, 2, 8, 32]
         assert data["se"] == pytest.approx(zoo["poisson05"].entropy_rate())
         assert data["dyadic_residual"] < 1e-3
-        csv = report.to_csv()
+        assert main(argv) == EXIT_OK
+        csv, mi_csv = capsys.readouterr().out.split("\n\n")
         assert csv.splitlines()[0] == "n,H_n,H_n_over_n,KL_gauss,KL_prod"
         assert len(csv.splitlines()) == 5
-        mi_csv = report.mi_to_csv()
         assert len(mi_csv.splitlines()) == 1 + 16
 
-    def test_report_deterministic(self, zoo):
-        a = EntropyReport.build(zoo["ma1"], [1, 4, 16]).to_json()
-        b = EntropyReport.build(zoo["ma1"], [1, 4, 16]).to_json()
+    def test_report_deterministic(self, capsys):
+        argv = ["report", "--model", "ma:1,0.5", "--n", "1,4,16", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        a = capsys.readouterr().out
+        assert main(argv) == EXIT_OK
+        b = capsys.readouterr().out
         assert a == b

@@ -12,6 +12,7 @@ from entrospec import (
     RateNotFinite,
     White,
 )
+from entrospec.cli import EXIT_OK, main
 from entrospec.prediction import prediction_gap_series
 
 from conftest import ARC_GAP, dense_cov, quad_szego
@@ -100,9 +101,9 @@ class TestPredictionGapSeries:
         with pytest.raises(RateNotFinite):
             prediction_gap_series(model, 16)
 
-    def test_csv_round(self):
-        diag = prediction_gap_series(GaussianProcessModel(PoissonKernel(0.5)), 4)
-        lines = diag.to_csv().splitlines()
+    def test_csv_round(self, capsys):
+        assert main(["predict", "--model", "poisson:0.5", "--n", "4"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n,sigma2_n,delta_n,S_N,T_N"
         assert len(lines) == 5
         first = lines[1].split(",")

@@ -17,6 +17,7 @@ from entrospec import (
     White,
 )
 from entrospec import sampling, smb
+from entrospec.cli import EXIT_OK, main
 from entrospec.gaussian_model import LOG_2PI
 from entrospec.sampling import (
     ensemble_residuals,
@@ -266,17 +267,20 @@ class TestSmbExperiment:
         # no nonnegative circulant embedding of this AR(2) at n = 16
         model = GaussianProcessModel(AutoRegressive([1.6, -0.9], 1.0))
         rep = smb_experiment(model, [8, 16], 32, base_seed=2)
-        assert json.loads(rep.to_json())["sampler"] == "cholesky"
+        assert rep.sampler == "cholesky"
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, capsys):
         model = GaussianProcessModel(PoissonKernel(0.5))
         rep = smb_experiment(model, [16, 32], 64, base_seed=2)
-        data = json.loads(rep.to_json())
+        argv = ["smb", "--model", "poisson:0.5", "--n", "16,32", "--m", "64", "--seed", "2"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
         assert data["dims"] == 1
         assert data["n_grid"] == [16, 32]
         assert data["sampler"] == "circulant"
         assert data["all_passed"] == rep.all_passed
-        lines = rep.to_csv().splitlines()
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n,mean,sd,se_exact,hn_over_n,theoretical_sd,pass"
         assert len(lines) == 3
         assert float(lines[1].split(",")[1]) == rep.means[0]
@@ -362,4 +366,4 @@ class TestSmb2d:
         rep = smb2d_experiment(fm, [8, 16], 40, base_seed=1)
         assert rep.se_exact == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-12)
         assert rep.all_passed
-        assert json.loads(rep.to_json())["sampler"] == "cholesky"
+        assert rep.sampler == "cholesky"
