@@ -69,8 +69,11 @@ def _emit(args, text: str):
             fh = open(args.out, "w")
         except OSError as exc:
             raise ModelConfigError(f"cannot open output file {args.out}: {exc}") from exc
-        with fh:
-            fh.write(text)
+        try:
+            with fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ModelConfigError(f"cannot write output file {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -89,13 +92,12 @@ def _fmt(x: float) -> str:
 def _rate_values(model):
     """(Se, Szego integral, r0, max-entropy gap) of a 1-D or separable model.
 
-    The gap 0.5 log(2 pi e r0) - Se = 0.5 (log r0 - Szego integral) is how
-    far the rate falls below that of white noise with the same variance;
-    for a separable field the Szego integral is the sum of its factors'.
+    The gap 0.5 log(2 pi e r0) - Se is how far the rate falls below that of
+    white noise with the same variance: the rate of D(P || white:r0).
     """
-    szego = model.szego_integral()
     r0 = model.r0
-    return model.entropy_rate(), szego, r0, 0.5 * (math.log(r0) - szego)
+    gap = entropy_analysis.relative_entropy_rate(model, r0)
+    return model.entropy_rate(), model.szego_integral(), r0, gap
 
 
 def cmd_rate(args) -> int:

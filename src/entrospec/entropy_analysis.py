@@ -1,9 +1,11 @@
-"""Exact Gaussian information identities: KL divergences, block mutual
-information, memory/independence criteria, the Pinsker rate and the
-dyadic decomposition of the entropy rate.
+"""Exact Gaussian information identities: the relative entropy D(P || white:c)
+to i.i.d. N(0, c) noise, block mutual information, memory/independence
+criteria and the dyadic decomposition of the entropy rate.
 
-Everything here reduces to r(0), the Szego integral and log-determinant
-prefix sums of one shared Levinson factorization per model.
+c = 1 gives the KL to the standard Gaussian and the Pinsker rate, c = r(0)
+the KL to the marginal product and the max-entropy gap.  Everything here
+reduces to r(0), the Szego integral and log-determinant prefix sums of one
+shared Levinson factorization per model.
 """
 
 from __future__ import annotations
@@ -21,16 +23,16 @@ MARKOV_MAX_P = 4  # a report's Markov defects are for p = 1..MARKOV_MAX_P
 DYADIC_LEVELS = 8  # and its dyadic terms I(2^p, 2^p) for p = 0..DYADIC_LEVELS
 
 
-def kl_to_standard_gaussian(model: GaussianProcessModel, n: int) -> float:
-    """KL of the n-block law to the standard Gaussian:
-    (1/2)(trace R_n - n - log det R_n)."""
-    return 0.5 * (n * model.r0 - n - model.log_det(n))
+def relative_entropy(model: GaussianProcessModel, n: int, level: float) -> float:
+    """D_n(P || white:c), the KL of the n-block law to N(0, c I) at c = level:
+    (1/2)(n r(0)/c - n - log det R_n + n log c)."""
+    return 0.5 * (n * (model.r0 / level) - n - model.log_det(n) + n * math.log(level))
 
 
-def kl_to_marginal_product(model: GaussianProcessModel, n: int) -> float:
-    """KL of the n-block law to the product of its own marginals:
-    (1/2)(n log r(0) - log det R_n)."""
-    return 0.5 * (n * math.log(model.r0) - model.log_det(n))
+def relative_entropy_rate(model, level: float) -> float:
+    """lim (1/n) D_n(P || white:c) = (1/2)(r(0)/c - 1 - int log f + log c),
+    +inf for a degenerate f; a separable field's is the same formula."""
+    return 0.5 * (model.r0 / level - 1.0 - model.szego_integral() + math.log(level))
 
 
 def block_mutual_information(model: GaussianProcessModel, n: int, p: int) -> float:
@@ -49,22 +51,13 @@ def markov_defect(model: GaussianProcessModel, p: int) -> float:
     return model.block_entropy(p + 1) - model.block_entropy(p) - se
 
 
-def pinsker_entropy_rate(model: GaussianProcessModel) -> float:
-    """Entropy rate relative to the independent standard Gaussian:
-    lim (1/n) KL(block || standard) = (1/2)(r(0) - 1 - int log f)."""
-    s = model.szego_integral()
-    if s == NEG_INF:
-        return math.inf
-    return 0.5 * (model.r0 - 1.0 - s)
-
-
 def dyadic_decomposition(model: GaussianProcessModel, max_level: int):
     """Partial sums of the dyadic mutual-information series and the rate
     reconstructed from them.
 
     Returns (terms, se_reconstructed, residual) where
     terms[p] = I(2^p, 2^p) for p = 0..max_level and
-    se_rec = (1/2)(log 2pi + r(0)) - KL_1 - (1/2) sum 2^{-p} terms[p].
+    se_rec = (1/2)(log 2pi + r(0)) - D_1(P || white:1) - (1/2) sum 2^{-p} terms[p].
     """
     se = model.entropy_rate()
     if se == NEG_INF:
@@ -75,7 +68,7 @@ def dyadic_decomposition(model: GaussianProcessModel, max_level: int):
     weights = 0.5 ** np.arange(max_level + 1)
     se_rec = (
         0.5 * (LOG_2PI + model.r0)
-        - kl_to_standard_gaussian(model, 1)
+        - relative_entropy(model, 1, 1.0)
         - 0.5 * float(np.dot(weights, terms))
     )
     return terms, se_rec, abs(se_rec - se)
@@ -103,8 +96,8 @@ class EntropyReport:
     def build(cls, model: GaussianProcessModel, n_grid):
         n_grid = sorted(int(n) for n in n_grid)
         h_n = np.array([model.block_entropy(n) for n in n_grid])
-        kl_g = np.array([kl_to_standard_gaussian(model, n) for n in n_grid])
-        kl_p = np.array([kl_to_marginal_product(model, n) for n in n_grid])
+        kl_g = np.array([relative_entropy(model, n, 1.0) for n in n_grid])
+        kl_p = np.array([relative_entropy(model, n, model.r0) for n in n_grid])
         mi = np.array(
             [[block_mutual_information(model, n, p) for p in n_grid] for n in n_grid]
         )
@@ -121,7 +114,7 @@ class EntropyReport:
             mi_table=mi,
             markov_defects=defects,
             independence=markov_defect(model, 0),
-            pinsker=pinsker_entropy_rate(model),
+            pinsker=relative_entropy_rate(model, 1.0),
             dyadic_terms=terms,
             dyadic_residual=residual,
         )

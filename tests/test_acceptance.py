@@ -155,17 +155,24 @@ def test_acceptance_5_smb_2d():
 
 
 def test_acceptance_6_filter_law():
-    cases = [
-        (GaussianProcessModel(White(1.0)), [1.0, 0.5]),
-        (GaussianProcessModel(PoissonKernel(0.5)), [1.0, -0.5]),
+    # the filtered model's closed-form Szego integral is base + 2 * Jensen,
+    # the law under test, so the law is checked against the quadrature of
+    # log |g|^2 f, and so is that closed form
+    cases = [  # (model, symbol, log-gain integral of the symbol)
+        (GaussianProcessModel(White(1.0)), [1.0, 0.5], 0.0),  # root outside
+        (GaussianProcessModel(PoissonKernel(0.5)), [1.0, -0.5], 0.0),
+        (GaussianProcessModel(PoissonKernel(0.5)), [1.0, 2.0], math.log(2.0)),  # root inside
     ]
     worst = 0.0
-    for model, symbol in cases:
+    for model, symbol, want_shift in cases:
         shift = log_abs_symbol_integral(symbol)
-        assert abs(shift) <= 1e-12  # both symbols have their root outside
+        assert abs(shift - want_shift) <= 1e-12
         filtered = model.filtered_model(symbol)
+        rate = HALF_LOG_2PI_E + 0.5 * szego_integral_quadrature(filtered.density)
         worst = max(
-            worst, abs(filtered.entropy_rate() - model.entropy_rate() - shift)
+            worst,
+            abs(rate - model.entropy_rate() - shift),
+            abs(rate - filtered.entropy_rate()),
         )
     _line("AC-6 linear filter rate law", worst <= 1e-6, f"max residual {worst:.2e}")
 

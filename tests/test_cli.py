@@ -1,5 +1,9 @@
+import errno
+import importlib.util
+import io
 import json
 import math
+import os
 import pathlib
 import re
 import warnings
@@ -29,7 +33,8 @@ from entrospec.modelspec import (
 from conftest import package_env
 
 
-SCHEMA_DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "model_schema.md"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA_DOC = REPO_ROOT / "docs" / "model_schema.md"
 
 
 def schema_doc_configs():
@@ -355,6 +360,20 @@ class TestCliExitCodes:
         assert main(["rate", "--model", "poisson:0.5", "--out", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--model", "white:1"],
+        ["report", "--model", "poisson:0.5", "--n", "1,2"],
+    ], ids=["rate", "report"])
+    def test_failed_out_write_is_config_error(self, argv, monkeypatch, capsys):
+        # a full disk fails the write or the close, after the open succeeded
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("entrospec.cli.open", lambda *a, **k: FullDisk(), raising=False)
+        assert main(argv + ["--out", "out.txt"]) == EXIT_CONFIG
+        assert "cannot write output file out.txt" in capsys.readouterr().err
+
     def test_config_error_unknown_model(self):
         assert main(["rate", "--model", "nope:1"]) == EXIT_CONFIG
 
@@ -603,6 +622,26 @@ class TestCliOutputs:
         assert main(base + ["--workers", "1", "--out", str(a)]) == EXIT_OK
         assert main(base + ["--workers", "4", "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBenchmarkCommands:
+    def test_workloads_pass_their_checks(self, monkeypatch, capsys):
+        # every command line of the benchmark's workloads, with the checks
+        # the benchmark applies to its output; an option the CLI dropped
+        # exits 3 here
+        monkeypatch.chdir(REPO_ROOT)
+        spec = importlib.util.spec_from_file_location(
+            "workloads", REPO_ROOT / "entrobench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        failed = []
+        for name, workload in workloads.WORKLOADS.items():
+            for label, argv in workload.commands(0):
+                rc = main(argv)
+                checks = workload.check(label, rc, capsys.readouterr().out)
+                failed += [(name, check) for check, passed, _ in checks if not passed]
+        assert failed == []
 
 
 def _csv_table(text):

@@ -17,10 +17,9 @@ from entrospec.entropy_analysis import (
     EntropyReport,
     block_mutual_information,
     dyadic_decomposition,
-    kl_to_marginal_product,
-    kl_to_standard_gaussian,
     markov_defect,
-    pinsker_entropy_rate,
+    relative_entropy,
+    relative_entropy_rate,
 )
 
 from conftest import ARC_GAP, dense_cov
@@ -34,22 +33,22 @@ class TestKLDivergences:
     def test_white_unit_is_zero(self):
         model = GaussianProcessModel(White(1.0))
         for n in (1, 5, 30):
-            assert kl_to_standard_gaussian(model, n) == pytest.approx(0.0, abs=1e-14)
-            assert kl_to_marginal_product(model, n) == pytest.approx(0.0, abs=1e-14)
+            assert relative_entropy(model, n, 1.0) == pytest.approx(0.0, abs=1e-14)
+            assert relative_entropy(model, n, model.r0) == pytest.approx(0.0, abs=1e-14)
 
     def test_white_scaled(self):
         model = GaussianProcessModel(White(4.0))
         # per-coordinate KL(N(0,4) || N(0,1)) = (1/2)(4 - 1 - log 4)
         want = 0.5 * (4.0 - 1.0 - math.log(4.0))
-        assert kl_to_standard_gaussian(model, 7) == pytest.approx(7 * want, abs=1e-12)
-        assert kl_to_marginal_product(model, 7) == pytest.approx(0.0, abs=1e-12)
+        assert relative_entropy(model, 7, 1.0) == pytest.approx(7 * want, abs=1e-12)
+        assert relative_entropy(model, 7, model.r0) == pytest.approx(0.0, abs=1e-12)
 
     def test_poisson_pair_closed_form(self):
         model = GaussianProcessModel(PoissonKernel(0.5))
-        assert kl_to_standard_gaussian(model, 2) == pytest.approx(
+        assert relative_entropy(model, 2, 1.0) == pytest.approx(
             -0.5 * math.log(0.75), abs=1e-12
         )
-        assert kl_to_marginal_product(model, 2) == pytest.approx(
+        assert relative_entropy(model, 2, model.r0) == pytest.approx(
             -0.5 * math.log(0.75), abs=1e-12
         )
 
@@ -60,25 +59,46 @@ class TestKLDivergences:
                 R = dense_cov(model, n)
                 sign, logdet = np.linalg.slogdet(R)
                 want = 0.5 * (np.trace(R) - n - logdet)
-                assert kl_to_standard_gaussian(model, n) == pytest.approx(
+                assert relative_entropy(model, n, 1.0) == pytest.approx(
                     want, abs=1e-9
                 )
                 want_p = 0.5 * (n * math.log(R[0, 0]) - logdet)
-                assert kl_to_marginal_product(model, n) == pytest.approx(
+                assert relative_entropy(model, n, model.r0) == pytest.approx(
                     want_p, abs=1e-9
                 )
 
     def test_nonnegative_and_monotone(self, zoo):
         for model in zoo.values():
-            kls = [kl_to_marginal_product(model, n) for n in range(1, 33)]
+            kls = [relative_entropy(model, n, model.r0) for n in range(1, 33)]
             assert all(k >= -1e-12 for k in kls)
             assert np.all(np.diff(kls) >= -1e-12)
 
     def test_normalized_kl_limit(self, zoo):
         # (1/n) KL(block || standard) -> pinsker rate
         for model in zoo.values():
-            lim = pinsker_entropy_rate(model)
-            assert abs(kl_to_standard_gaussian(model, 4096) / 4096 - lim) < 1e-3
+            lim = relative_entropy_rate(model, 1.0)
+            assert abs(relative_entropy(model, 4096, 1.0) / 4096 - lim) < 1e-3
+
+    # a level that is neither 1 nor r(0) exercises every term of the formula
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_off_level_dense_formula(self, zoo, n):
+        c = 2.5
+        for model in zoo.values():
+            R = dense_cov(model, n)
+            _, logdet = np.linalg.slogdet(R)
+            want = 0.5 * (np.trace(R) / c - n - logdet + n * math.log(c))
+            assert relative_entropy(model, n, c) == pytest.approx(want, rel=1e-10)
+
+    def test_off_level_rate_limit(self, zoo):
+        for model in zoo.values():
+            lim = relative_entropy_rate(model, 2.5)
+            assert abs(relative_entropy(model, 4096, 2.5) / 4096 - lim) < 1e-3
+
+    def test_degenerate_rate_is_infinite(self):
+        # int log f = -inf: every level's rate is +inf, with no branch for it
+        model = degenerate_model()
+        for c in (1.0, model.r0, 2.5):
+            assert relative_entropy_rate(model, c) == math.inf
 
 
 class TestMutualInformation:
@@ -194,7 +214,7 @@ class TestMemoryCriteria:
             markov_defect(model, 1)
         with pytest.raises(RateNotFinite):
             markov_defect(model, 0)
-        assert pinsker_entropy_rate(model) == math.inf
+        assert relative_entropy_rate(model, 1.0) == math.inf
 
 
 class TestDyadicDecomposition:
