@@ -85,29 +85,17 @@ def _csv(header: str, *columns) -> str:
     return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _fmt(x: float) -> str:
-    return "-inf" if x == -math.inf else f"{x:.7f}"
-
-
-def _rate_values(model):
-    """(Se, Szego integral, r0, max-entropy gap) of a 1-D or separable model.
-
-    The gap 0.5 log(2 pi e r0) - Se is how far the rate falls below that of
-    white noise with the same variance: the rate of D(P || white:r0).
-    """
-    r0 = model.r0
-    gap = entropy_analysis.relative_entropy_rate(model, r0)
-    return model.entropy_rate(), model.szego_integral(), r0, gap
-
-
 def cmd_rate(args) -> int:
-    se, szego, r0, gap = _rate_values(_resolve_model(args, allow_field=True))
+    model = _resolve_model(args, allow_field=True)
+    # the max-entropy gap 0.5 log(2 pi e r0) - Se: how far the rate falls
+    # below that of white noise with the same variance, D(P || white:r0)
+    gap = entropy_analysis.relative_entropy_rate(model, model.r0)
     _emit(
         args,
-        f"Se = {_fmt(se)}\n"
-        f"szego_integral = {_fmt(szego)}\n"
-        f"r0 = {r0:.7f}\n"
-        f"max_entropy_gap = {_fmt(gap)}\n",
+        f"Se = {model.entropy_rate():.7f}\n"
+        f"szego_integral = {model.szego_integral():.7f}\n"
+        f"r0 = {model.r0:.7f}\n"
+        f"max_entropy_gap = {gap:.7f}\n",
     )
     return EXIT_OK
 
@@ -213,9 +201,9 @@ def cmd_filter(args) -> int:
         residual = f"{abs(new_rate - (base_rate + shift)):.3e}"
     _emit(
         args,
-        f"Se_base = {_fmt(base_rate)}\n"
-        f"Se_filtered = {_fmt(new_rate)}\n"
-        f"log_gain_integral = {_fmt(shift)}\n"
+        f"Se_base = {base_rate:.7f}\n"
+        f"Se_filtered = {new_rate:.7f}\n"
+        f"log_gain_integral = {shift:.7f}\n"
         f"identity_residual = {residual}\n",
     )
     return EXIT_OK

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 
 from . import spectral, toeplitz
-from .spectral import NEG_INF, SpectralDensity
+from .spectral import SpectralDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
 HALF_LOG_2PI_E = 0.5 * (LOG_2PI + 1.0)
@@ -121,10 +121,7 @@ class GaussianProcessModel:
 
     def entropy_rate(self) -> float:
         """Se = (1/2)log(2 pi e) + (1/2) int log f; -inf for degenerate f."""
-        s = self.szego_integral()
-        if s == NEG_INF:
-            return NEG_INF
-        return HALF_LOG_2PI_E + 0.5 * s
+        return HALF_LOG_2PI_E + 0.5 * self.szego_integral()
 
     # -- model algebra -----------------------------------------------------
 

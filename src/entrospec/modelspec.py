@@ -1,21 +1,6 @@
-"""Model description parsing: compact CLI strings and the JSON schema.
-
-String form: "kind:params", e.g.
-    white:1          poisson:0.5        ma:1,0.5
-    ar:0.5:0.75      power_singular:0.3,1.0
-
-JSON schema (docs/model_schema.md has worked examples):
-    {"kind": "white", "level": 1.0}
-    {"kind": "poisson", "r": 0.5}
-    {"kind": "ma", "coeffs": [1, 0.5]}
-    {"kind": "ar", "coeffs": [0.5], "innovation_variance": 0.75}
-    {"kind": "power_singular", "alpha": 0.3, "scale": 1.0}
-    {"kind": "fourier_table", "covariances": [...]}
-    {"kind": "gap", "fraction": 0.25, "level": 1.0}
-    {"kind": "scaled", "factor": 2.0, "base": {...}}
-    {"kind": "sum", "terms": [{...}, {...}]}
-    {"kind": "filter", "symbol": [1, 0.5], "base": {...}}
-    {"kind": "separable", "factor_a": {...}, "factor_b": {...}}
+"""Model description parsing: compact CLI strings ("kind:params", e.g.
+poisson:0.5) and JSON model files.  docs/model_schema.md lists both forms
+with worked examples, and the tests parse every one of them.
 """
 
 from __future__ import annotations
@@ -166,9 +151,12 @@ def load_model_file(path: str):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ModelConfigError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_config(cfg)
+    try:
+        return model_from_config(cfg)
+    except RecursionError as exc:
+        raise ModelConfigError(f"model file {path} nests too deeply") from exc
 
 
 def model_from_string(text: str) -> GaussianProcessModel:

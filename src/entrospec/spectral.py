@@ -478,8 +478,7 @@ class Scaled(SpectralDensity):
         return self.factor * self.base.autocovariance(max_lag)
 
     def szego_integral(self):
-        inner = self.base.szego_integral()
-        return inner if inner == NEG_INF else math.log(self.factor) + inner
+        return math.log(self.factor) + self.base.szego_integral()
 
     def log_fourier_coeffs(self, max_n):
         return self.base.log_fourier_coeffs(max_n)
@@ -542,10 +541,7 @@ class FilterProduct(SpectralDensity):
         return values
 
     def szego_integral(self):
-        inner = self.base.szego_integral()
-        if inner == NEG_INF:
-            return NEG_INF
-        return inner + 2.0 * log_abs_symbol_integral(self.symbol)
+        return self.base.szego_integral() + 2.0 * log_abs_symbol_integral(self.symbol)
 
     def log_fourier_coeffs(self, max_n):
         return self.base.log_fourier_coeffs(max_n) + log_abs_symbol_fourier_coeffs(

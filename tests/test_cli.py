@@ -6,6 +6,8 @@ import math
 import os
 import pathlib
 import re
+import shlex
+import shutil
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from entrospec import (
     White,
 )
 from entrospec import entropy_analysis, prediction, smb
-from entrospec.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _rate_values, main
+from entrospec.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from entrospec.modelspec import (
     density_from_string,
     load_model_file,
@@ -35,6 +37,7 @@ from conftest import package_env
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA_DOC = REPO_ROOT / "docs" / "model_schema.md"
+README = REPO_ROOT / "README.md"
 
 
 def schema_doc_configs():
@@ -57,6 +60,21 @@ def schema_doc_strings():
     """The inline model strings of the schema doc's "Examples:" paragraph."""
     paragraph = SCHEMA_DOC.read_text().split("Examples:", 1)[1].split("\n\n", 1)[0]
     return re.findall(r"`([^`]+)`", paragraph)
+
+
+def max_entropy_gap(model) -> float:
+    """`rate`'s max_entropy_gap: the rate of D(P || white:r0)."""
+    return entropy_analysis.relative_entropy_rate(model, model.r0)
+
+
+def model_args(model, tmp_path) -> list:
+    """--model for an inline string, --model-file for a JSON object, which
+    is written under tmp_path."""
+    if isinstance(model, str):
+        return ["--model", model]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    return ["--model-file", str(path)]
 
 
 @pytest.fixture
@@ -193,9 +211,10 @@ class TestSchemaDoc:
 
     @pytest.mark.parametrize("cfg", schema_doc_configs(), ids=lambda cfg: cfg["kind"])
     def test_json_example_parses(self, cfg):
-        se, _, r0, _ = _rate_values(model_from_config(cfg))
-        assert r0 > 0.0
-        assert se < math.inf
+        model = model_from_config(cfg)
+        assert model.r0 > 0.0
+        assert model.entropy_rate() < math.inf
+        assert max_entropy_gap(model) >= 0.0
 
     @pytest.mark.parametrize("text", schema_doc_strings())
     def test_inline_example_parses(self, text):
@@ -204,6 +223,38 @@ class TestSchemaDoc:
     def test_inline_examples_found(self):
         assert "white:" in schema_doc_strings()
         assert model_from_string("white:").density.level == 1.0
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first code block in lang under the README's heading."""
+    section = README.read_text().split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+class TestReadme:
+    """The README's examples run as written, so they cannot drift."""
+
+    def test_cli_examples_run(self, tmp_path, monkeypatch, capsys):
+        commands = [
+            shlex.split(line)
+            for line in readme_block("## CLI", "sh").splitlines()
+            if line.startswith("entrospec ")
+        ]
+        assert [argv[1] for argv in commands] == [
+            "rate", "report", "smb", "smb2d", "predict", "filter",
+        ]
+        shutil.copy(REPO_ROOT / "entrobench" / "models" / "separable_poisson_ar2.json",
+                    tmp_path / "field.json")
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv[1:]) == EXIT_OK, argv
+        capsys.readouterr()
+
+    def test_library_example_runs(self, capsys):
+        namespace = {}
+        exec(readme_block("## Library example", "python"), namespace)
+        assert capsys.readouterr().out.startswith("1.2750974969787823\n")
+        assert namespace["report"].all_passed
 
 
 class TestNonFiniteParameters:
@@ -279,28 +330,28 @@ class TestJsonParameterTypes:
 class TestMaxEntropyGap:
     @pytest.mark.parametrize("level", [0.25, 1.0, 4.0])
     def test_white_noise_has_no_gap(self, level):
-        assert abs(_rate_values(GaussianProcessModel(White(level)))[3]) <= 1e-12
+        assert abs(max_entropy_gap(GaussianProcessModel(White(level)))) <= 1e-12
 
     def test_is_max_entropy_minus_rate(self):
         # 0.5 log(2 pi e r0) - Se, and >= 0 for a correlated model
         model = model_from_string("ar:0.5:0.75")
-        se, _, r0, gap = _rate_values(model)
+        se, r0, gap = model.entropy_rate(), model.r0, max_entropy_gap(model)
         assert gap == pytest.approx(0.5 * math.log(2 * math.pi * math.e * r0) - se, abs=1e-12)
         assert gap == pytest.approx(0.5 * math.log(1.0 / 0.75), abs=1e-12)
 
     def test_scaled_model_keeps_base_gap(self):
         base = {"kind": "ma", "coeffs": [1.0, 0.5]}
         scaled = model_from_config({"kind": "scaled", "factor": 3.0, "base": base})
-        got = _rate_values(scaled)[3]
-        assert got == pytest.approx(_rate_values(model_from_config(base))[3], abs=1e-12)
+        got = max_entropy_gap(scaled)
+        assert got == pytest.approx(max_entropy_gap(model_from_config(base)), abs=1e-12)
 
     def test_separable_field(self, tmp_path, capsys):
         # 0.5 (log r0 - s_a - s_b), the sum of the factors' gaps
         fa, fb = PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0)
         field = SeparableFieldModel(fa, fb)
-        se, _, r0, gap = _rate_values(field)
+        se, r0, gap = field.entropy_rate(), field.r0, max_entropy_gap(field)
         assert gap == pytest.approx(0.5 * math.log(2 * math.pi * math.e * r0) - se, abs=1e-12)
-        factors = [_rate_values(GaussianProcessModel(d))[3] for d in (fa, fb)]
+        factors = [max_entropy_gap(GaussianProcessModel(d)) for d in (fa, fb)]
         assert gap == pytest.approx(sum(factors), abs=1e-12)
         path = tmp_path / "field.json"
         config = {
@@ -404,6 +455,80 @@ class TestCliExitCodes:
             assert main(["rate", "--model-file", str(path)]) == EXIT_OK
             out = capsys.readouterr().out
             assert "Se = -inf" in out and "szego_integral = -inf" in out
+
+    GAP = {"kind": "gap", "fraction": 0.25}
+    POISSON = {"kind": "poisson", "r": 0.5}
+
+    @pytest.mark.parametrize("model", [
+        GAP,
+        {"kind": "scaled", "factor": 2, "base": GAP},
+        {"kind": "filter", "symbol": [1, 0.5], "base": GAP},
+        {"kind": "separable", "factor_a": GAP, "factor_b": POISSON},
+    ], ids=["gap", "scaled", "filter", "separable"])
+    def test_rate_of_degenerate_model(self, model, tmp_path, capsys):
+        # -inf passes through the model algebra; the gap to white noise is +inf
+        assert main(["rate"] + model_args(model, tmp_path)) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["Se = -inf", "szego_integral = -inf"]
+        assert lines[3] == "max_entropy_gap = inf"
+
+    def test_filter_of_degenerate_model(self, tmp_path, capsys):
+        argv = ["filter", "--symbol", "1,0.5"] + model_args(self.GAP, tmp_path)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "Se_base = -inf\n"
+            "Se_filtered = -inf\n"
+            "log_gain_integral = 0.0000000\n"
+            "identity_residual = n/a\n"
+        )
+
+    # every input check of the densities, the model parser and the CLI
+    INPUT_ERRORS = [
+        (["rate"], "white:0", "white level must be positive"),
+        (["rate"], "white:-1", "white level must be positive"),
+        (["rate"], "poisson:1", "Poisson kernel needs |r| < 1"),
+        (["rate"], "poisson:-1.5", "Poisson kernel needs |r| < 1"),
+        (["rate"], "ar:1:1", "AR coefficients are not stable (pole on/outside the disc)"),
+        (["rate"], "ar:0.5:0", "innovation variance must be positive"),
+        (["rate"], "ar:0.5:-1", "innovation variance must be positive"),
+        (["rate"], "ar:1", "ar needs 'ar:c1,...,cp:s2'"),
+        (["rate"], "power_singular:0.5", "power-singular exponent must be in (0, 1/2)"),
+        (["rate"], "power_singular:0", "power-singular exponent must be in (0, 1/2)"),
+        (["rate"], "power_singular:0.3,0", "scale must be positive"),
+        (["rate"], {"kind": "gap", "fraction": 0}, "gap fraction must be in (0, 1)"),
+        (["rate"], {"kind": "gap", "fraction": 1}, "gap fraction must be in (0, 1)"),
+        (["rate"], {"kind": "gap", "fraction": 0.25, "level": 0}, "gap level must be positive"),
+        (["rate"], {"kind": "scaled", "factor": 0, "base": {"kind": "white"}},
+         "scale factor must be positive"),
+        (["rate"], {"kind": "separable", "factor_a": {"kind": "white"}},
+         "separable model missing 'factor_b'"),
+        (["rate"], {"kind": "nope"}, "unknown model kind 'nope'"),
+        (["report", "--n", "4,2"], "poisson:0.5",
+         "n-grid must be strictly increasing and nonempty"),
+        (["smb2d", "--n", "4", "--m", "2"], "poisson:0.5",
+         "smb2d needs a separable field model (--model-file)"),
+    ]
+
+    @pytest.mark.parametrize("command, model, message", INPUT_ERRORS)
+    def test_input_check_is_config_error(self, command, model, message, tmp_path, capsys):
+        assert main(command + model_args(model, tmp_path)) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    NESTED = {
+        "scaled-chain": '{"kind": "scaled", "factor": 2, "base": ' * 600
+        + '{"kind": "white"}' + "}" * 600,
+        "deep-json": "[" * 1200 + "]" * 1200,
+        # the terms fold into a left-deep binary sum, k terms k - 1 deep
+        "flat-sum": json.dumps({"kind": "sum", "terms": [{"kind": "white"}] * 1500}),
+    }
+
+    @pytest.mark.parametrize("text", NESTED.values(), ids=NESTED.keys())
+    def test_nested_model_file_is_config_error(self, text, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        assert main(["rate", "--model-file", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_table_of_poisson_is_exact(self, tmp_path, capsys):
         # its maximum-entropy extension is poisson:0.9 itself: log(1 - 0.81)
@@ -559,6 +684,26 @@ class TestCliOutputs:
         out = capsys.readouterr().out
         residual = float(out.split("identity_residual = ")[1])
         assert residual < 1e-6
+
+    @pytest.mark.parametrize("model, name", [
+        ({"kind": "scaled", "factor": 2, "base": {"kind": "poisson", "r": 0.5}},
+         "scaled(2,poisson:0.5)"),
+        ({"kind": "filter", "symbol": [1, -0.5], "base": {"kind": "poisson", "r": 0.5}},
+         "filter([1,-0.5],poisson:0.5)"),
+    ], ids=["scaled", "filter"])
+    def test_report_json_names_model(self, model, name, tmp_path, capsys):
+        argv = ["report", "--n", "1,2", "--format", "json"] + model_args(model, tmp_path)
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["model"] == name
+
+    def test_predict_scaled_keeps_strong_szego_sums(self, tmp_path, capsys):
+        # T_N sums the log-density's Fourier coefficients, which scaling leaves alone
+        scaled = {"kind": "scaled", "factor": 2, "base": {"kind": "poisson", "r": 0.5}}
+        columns = []
+        for args in (model_args(scaled, tmp_path), ["--model", "poisson:0.5"]):
+            assert main(["predict", "--n", "16"] + args) == EXIT_OK
+            columns.append([line.split(",")[4] for line in capsys.readouterr().out.splitlines()])
+        assert columns[0] == columns[1]
 
     def test_zero_symbol_is_config_error(self, capsys):
         # a zero filter symbol, given as a filter or as MA coefficients
