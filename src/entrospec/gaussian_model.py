@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 
-from . import spectral, toeplitz
+from . import toeplitz
 from .spectral import SpectralDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -122,14 +122,3 @@ class GaussianProcessModel:
     def entropy_rate(self) -> float:
         """Se = (1/2)log(2 pi e) + (1/2) int log f; -inf for degenerate f."""
         return HALF_LOG_2PI_E + 0.5 * self.szego_integral()
-
-    # -- model algebra -----------------------------------------------------
-
-    def filtered_model(self, symbol) -> "GaussianProcessModel":
-        """Model of Y_t = sum_k g_k X_{t+k}: density |g|^2 f."""
-        return GaussianProcessModel(spectral.FilterProduct(symbol, self.density))
-
-    def sum_independent(self, other: "GaussianProcessModel") -> "GaussianProcessModel":
-        """Model of the sum of two independent processes: density f1 + f2."""
-        return GaussianProcessModel(self.density + other.density)
-

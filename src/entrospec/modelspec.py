@@ -125,8 +125,7 @@ def density_from_config(cfg: dict) -> spectral.SpectralDensity:
             configs = cfg["terms"]
             if type(configs) is not list or len(configs) < 2:
                 raise ModelConfigError(f"field 'terms' must list 2+ models, got {configs!r}")
-            terms = [_density(t, "terms") for t in configs]
-            return sum(terms[1:], terms[0])
+            return spectral.SumDensity(tuple(_density(t, "terms") for t in configs))
         if kind == "filter":
             symbol = _numbers(cfg, "symbol")
             return spectral.FilterProduct(symbol, _density(cfg["base"], "base"))

@@ -229,7 +229,7 @@ class SpectralDensity:
         return Scaled(self, c)
 
     def __add__(self, other: "SpectralDensity") -> "SpectralDensity":
-        return SumDensity(self, other)
+        return SumDensity((self, other))
 
     def __repr__(self):
         return self.describe()
@@ -492,22 +492,23 @@ class Scaled(SpectralDensity):
 
 @dataclass(frozen=True, repr=False)
 class SumDensity(SpectralDensity):
-    """Density f1 + f2: spectral density of an independent Gaussian sum."""
+    """Density f1 + ... + fk: spectral density of a sum of independent
+    processes.  Values are added left to right, in the order of `terms`."""
 
-    left: SpectralDensity
-    right: SpectralDensity
+    terms: tuple
 
     def eval(self, t):
-        return self.left.eval(t) + self.right.eval(t)
+        return sum((f.eval(t) for f in self.terms[1:]), self.terms[0].eval(t))
 
     def autocovariance(self, max_lag):
-        return self.left.autocovariance(max_lag) + self.right.autocovariance(max_lag)
+        first = self.terms[0].autocovariance(max_lag)
+        return sum((f.autocovariance(max_lag) for f in self.terms[1:]), first)
 
     def jump_points(self):
-        return self.left.jump_points() + self.right.jump_points()
+        return tuple(x for f in self.terms for x in f.jump_points())
 
     def describe(self):
-        return f"sum({self.left.describe()},{self.right.describe()})"
+        return f"sum({','.join(f.describe() for f in self.terms)})"
 
 
 @dataclass(frozen=True, repr=False)

@@ -73,8 +73,8 @@ def make_non_banded_zoo():
     return {
         "power": power,
         "ma1": zoo["ma1"],
-        "poisson05+power": zoo["poisson05"].sum_independent(power),
-        "ma1+ar2": zoo["ma1"].sum_independent(zoo["ar2"]),
+        "poisson05+power": GaussianProcessModel(zoo["poisson05"].density + power.density),
+        "ma1+ar2": GaussianProcessModel(zoo["ma1"].density + zoo["ar2"].density),
     }
 
 

@@ -67,6 +67,13 @@ def max_entropy_gap(model) -> float:
     return entropy_analysis.relative_entropy_rate(model, model.r0)
 
 
+THREE_TERM_SUM = {"kind": "sum", "terms": [
+    {"kind": "poisson", "r": 0.5},
+    {"kind": "ar", "coeffs": [0.5, -0.2], "innovation_variance": 1},
+    {"kind": "power_singular", "alpha": 0.3},
+]}
+
+
 def model_args(model, tmp_path) -> list:
     """--model for an inline string, --model-file for a JSON object, which
     is written under tmp_path."""
@@ -166,6 +173,17 @@ class TestModelConfigs:
             }
         )
         assert model.r0 == pytest.approx(2.0, abs=1e-12)
+
+    def test_sum_of_three_matches_nested_sum(self):
+        # the terms are added left to right, as in (a + b) + c, bit for bit
+        flat = model_from_config(THREE_TERM_SUM)
+        a, b, c = PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0), PowerSingular(0.3)
+        nested = GaussianProcessModel((a + b) + c)
+        t = np.linspace(-math.pi, math.pi, 101)
+        assert np.array_equal(flat.density.eval(t), nested.density.eval(t))
+        assert np.array_equal(flat.autocovariance(4096), nested.autocovariance(4096))
+        assert flat.log_det(4096) == nested.log_det(4096)
+        assert flat.szego_integral() == nested.szego_integral()
 
     def test_scaled_config(self):
         model = model_from_config(
@@ -514,21 +532,47 @@ class TestCliExitCodes:
         assert main(command + model_args(model, tmp_path)) == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"config error: {message}\n")
 
+    # every 1-D command, with small arguments
+    COMMANDS = {
+        "rate": ["rate"],
+        "report": ["report", "--n", "1,2,8"],
+        "filter": ["filter", "--symbol", "1,0.5"],
+        "smb": ["smb", "--n", "4,16", "--m", "20"],
+        "predict": ["predict", "--n", "16"],
+    }
+
     NESTED = {
         "scaled-chain": '{"kind": "scaled", "factor": 2, "base": ' * 600
         + '{"kind": "white"}' + "}" * 600,
         "deep-json": "[" * 1200 + "]" * 1200,
-        # the terms fold into a left-deep binary sum, k terms k - 1 deep
-        "flat-sum": json.dumps({"kind": "sum", "terms": [{"kind": "white"}] * 1500}),
     }
 
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
     @pytest.mark.parametrize("text", NESTED.values(), ids=NESTED.keys())
-    def test_nested_model_file_is_config_error(self, text, tmp_path, capsys):
+    def test_nested_model_file_is_config_error(self, text, command, tmp_path, capsys):
         path = tmp_path / "nested.json"
         path.write_text(text)
-        assert main(["rate", "--model-file", str(path)]) == EXIT_CONFIG
+        assert main(command + ["--model-file", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    # a sum file is two levels deep however many terms it lists
+    WIDE_SUM = json.dumps({"kind": "sum", "terms": [{"kind": "white"}] * 1200})
+
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_wide_sum_answers_every_command(self, command, tmp_path, capsys):
+        path = tmp_path / "sum.json"
+        path.write_text(self.WIDE_SUM)
+        assert main(command + ["--model-file", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_wide_sum_rate(self, tmp_path, capsys):
+        path = tmp_path / "sum.json"
+        path.write_text(self.WIDE_SUM)
+        assert main(["rate", "--model-file", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"Se = {0.5 * math.log(2 * math.pi * math.e * 1200):.7f}"
+        assert lines[2] == "r0 = 1200.0000000"
 
     def test_table_of_poisson_is_exact(self, tmp_path, capsys):
         # its maximum-entropy extension is poisson:0.9 itself: log(1 - 0.81)
@@ -690,7 +734,8 @@ class TestCliOutputs:
          "scaled(2,poisson:0.5)"),
         ({"kind": "filter", "symbol": [1, -0.5], "base": {"kind": "poisson", "r": 0.5}},
          "filter([1,-0.5],poisson:0.5)"),
-    ], ids=["scaled", "filter"])
+        (THREE_TERM_SUM, "sum(poisson:0.5,ar:0.5,-0.2:1,power_singular:0.3,1)"),
+    ], ids=["scaled", "filter", "sum"])
     def test_report_json_names_model(self, model, name, tmp_path, capsys):
         argv = ["report", "--n", "1,2", "--format", "json"] + model_args(model, tmp_path)
         assert main(argv) == EXIT_OK
@@ -769,24 +814,45 @@ class TestCliOutputs:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _workloads():
+    """entrobench/workloads.py, the benchmark's commands and checks."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", REPO_ROOT / "entrobench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 class TestBenchmarkCommands:
     def test_workloads_pass_their_checks(self, monkeypatch, capsys):
         # every command line of the benchmark's workloads, with the checks
         # the benchmark applies to its output; an option the CLI dropped
         # exits 3 here
         monkeypatch.chdir(REPO_ROOT)
-        spec = importlib.util.spec_from_file_location(
-            "workloads", REPO_ROOT / "entrobench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
         failed = []
-        for name, workload in workloads.WORKLOADS.items():
+        for name, workload in _workloads().WORKLOADS.items():
             for label, argv in workload.commands(0):
                 rc = main(argv)
                 checks = workload.check(label, rc, capsys.readouterr().out)
                 failed += [(name, check) for check, passed, _ in checks if not passed]
         assert failed == []
+
+    def test_filter_check_catches_a_wrong_law(self, monkeypatch, capsys):
+        # a wrong int log|g| (log|lead| alone, -log 2 here where the law has
+        # 0) in both the closed-form rate and the printed shift: the residual
+        # still shows it, since it comes from the quadrature rate of |g|^2 f
+        def lead_only(coeffs):
+            return math.log(abs(coeffs[-1]))
+
+        monkeypatch.setattr("entrospec.spectral.log_abs_symbol_integral", lead_only)
+        monkeypatch.setattr("entrospec.cli.log_abs_symbol_integral", lead_only)
+        argv = ["filter", "--model", "power_singular:0.3", "--symbol", "1,-0.5", "--workers", "1"]
+        rc = main(argv)
+        workload = _workloads().WORKLOADS["exact-long-memory"]
+        checks = workload.check("filter-ps0.3", rc, capsys.readouterr().out)
+        failed = [name for name, passed, _ in checks if not passed]
+        assert failed == ["filter-ps0.3/identity_residual"]
 
 
 def _csv_table(text):
