@@ -137,7 +137,7 @@ def cmd_smb(args) -> int:
     if field and not isinstance(model, SeparableFieldModel):
         raise ModelConfigError("smb2d needs a separable field model (--model-file)")
     experiment = smb.smb2d_experiment if field else smb.smb_experiment
-    report = experiment(model, _int_list(args.n), args.m, args.seed, workers=args.workers)
+    report = experiment(model, _int_list(args.n), args.m, args.seed)
     if args.format == "json":
         text = json.dumps({
             "model": report.model_id,
@@ -150,7 +150,6 @@ def cmd_smb(args) -> int:
             "theoretical_sd": report.theoretical_sd.tolist(),
             "ensemble_size": report.ensemble_size,
             "base_seed": report.base_seed,
-            "workers": report.workers,
             "sampler": report.sampler,
             "pass": report.passed.tolist(),
             "all_passed": report.all_passed,
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default stdout)")
         if formats:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("rate", help="print the entropy rate and Szego integral")
     add_common(p, formats=False)

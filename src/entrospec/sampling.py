@@ -1,12 +1,13 @@
 """Seeded, reproducible sampling of Gaussian paths and separable fields.
 
-The generator is a counter-based SplitMix64 feeding Box-Muller.  Draws
-are ensembles: `sample_paths` and `sample_field` give one path or field
-per seed, from that seed's own stream, so a sample depends on its seed
-alone and identical (model, n, seed) reproduces it bit-exactly.
-`ensemble_seeds` derives the seeds of an experiment from (base seed,
-index).  Nothing in the package calls `standard_normals` or
-`ensemble_residuals`; they stay as hooks of the benchmark's tracer.
+The generator is a counter-based SplitMix64 feeding Box-Muller: a stream
+is a uint64 id, and its normals are a function of the id alone.  Draws are
+ensembles: `sample_paths` and `sample_field` give one path or field per
+stream, so a sample depends on its stream alone and identical
+(model, n, stream) reproduces it bit-exactly.  `ensemble_streams` derives
+the streams of an experiment from (base seed, index).  Nothing in the
+package calls `standard_normals` or `ensemble_residuals`; they stay as
+hooks of the benchmark's tracer.
 
 1-D paths come from circulant embedding (Davies & Harte 1987; Wood & Chan
 1994): R_n is the leading block of a circulant matrix built from the
@@ -68,15 +69,12 @@ def _stream_seeds(bases, indices):
         return _mix64(_mix64(bases + _GOLDEN) ^ _mix64(index))
 
 
-def _seed_array(seeds) -> np.ndarray:
-    """Seeds as uint64, each reduced mod 2**64."""
-    return np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
-
-
-def ensemble_seeds(base_seed: int, count: int) -> np.ndarray:
-    """The stream ids of (base_seed, i) for i in range(count), as uint64."""
+def ensemble_streams(base_seed: int, count: int) -> np.ndarray:
+    """The uint64 streams of (base_seed, i) for i in range(count), base_seed
+    reduced mod 2**64.  Each is mixed twice, (base, i) then (that, 0), which
+    keeps every seeded value of the package."""
     base = np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF)
-    return _stream_seeds(base, np.arange(count, dtype=np.uint64))
+    return _stream_seeds(_stream_seeds(base, np.arange(count, dtype=np.uint64)), 0)
 
 
 def _normals_into(out: np.ndarray, streams: np.ndarray, work=None) -> None:
@@ -86,6 +84,7 @@ def _normals_into(out: np.ndarray, streams: np.ndarray, work=None) -> None:
     uint64 scratch of shape (2, rows, 2 * ceil(count / 2)); a caller that
     fills many slices passes one, so that no slice allocates.
     """
+    streams = np.asarray(streams, dtype=np.uint64)
     rows, count = out.shape
     pairs = (count + 1) // 2
     half = count // 2
@@ -118,7 +117,7 @@ def _normals_into(out: np.ndarray, streams: np.ndarray, work=None) -> None:
 def standard_normals(stream: int, count: int) -> np.ndarray:
     """Box-Muller normals from the counter-based stream."""
     out = np.empty((1, count))
-    _normals_into(out, np.array([stream], dtype=np.uint64))
+    _normals_into(out, [stream])
     return out[0]
 
 
@@ -164,17 +163,16 @@ def _circulant_rows(s: np.ndarray, z: np.ndarray, w: np.ndarray, x: np.ndarray) 
     np.fft.irfft(w, m, out=x)
 
 
-def sample_paths(model: GaussianProcessModel, n: int, seeds) -> np.ndarray:
-    """Ensemble draw of N(0, R_n) paths, one row per seed.
+def sample_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
+    """Ensemble draw of N(0, R_n) paths, one row per stream.
 
-    Row i is the circulant synthesis of m normals from the stream of
-    seeds[i] (see `_circulant_embedding`), drawn _CE_CHUNK rows at a time,
-    and depends on that seed alone.  Without a nonnegative embedding, row i
-    is L z for the Cholesky factor L of R_n and n normals z of that stream.
+    Row i is the circulant synthesis of m normals from stream streams[i]
+    (see `_circulant_embedding`), drawn _CE_CHUNK rows at a time, and
+    depends on that stream alone.  Without a nonnegative embedding, row i is
+    L z for the Cholesky factor L of R_n and n normals z of that stream.
     """
     if n < 1:
         raise DimensionMismatch(f"path length must be >= 1, got {n}")
-    streams = _stream_seeds(_seed_array(seeds), 0)
     embedding = _circulant_embedding(model, n)
     if embedding is None:
         return _cholesky_paths(model, n, streams)
@@ -223,16 +221,15 @@ def log_derivative(dphi, x) -> np.ndarray:
     return np.log(deriv)
 
 
-def sample_field(field_model, n: int, seeds) -> np.ndarray:
-    """Ensemble draw of separable fields, a (len(seeds), n, n) stack.
+def sample_field(field_model, n: int, streams) -> np.ndarray:
+    """Ensemble draw of separable fields, a (len(streams), n, n) stack.
 
     Field i is L_a Z_i L_b^T for the Cholesky factors L_a, L_b and the n^2
-    normals Z_i of the stream of seeds[i], one GEMM pair per field, so it
-    depends on that seed alone.
+    normals Z_i of stream streams[i], one GEMM pair per field, so it depends
+    on that stream alone.
     """
     if n < 1:
         raise DimensionMismatch(f"field size must be >= 1, got {n}")
-    streams = _stream_seeds(_seed_array(seeds), 0)
     k = len(streams)
     la = field_model.cholesky_a(n)
     lb = field_model.cholesky_b(n)

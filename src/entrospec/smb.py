@@ -2,11 +2,11 @@
 the pointwise (Shannon-McMillan-Breiman type) convergence, in 1-D and on
 separable Z^2 fields.
 
-One driver runs the ensemble of either dimension.  It derives the seeds,
-draws the samples of one slice of them at a time, fills an (ensemble x
-grid) array from their scores, divides by the block size n^d and compares
-each column's mean with H_n/n^d and the rate, which 1-D models and
-separable fields answer by the same names.  `smb_experiment` draws paths
+One driver runs the ensemble of either dimension.  It derives the
+streams once, draws the samples of one slice of them at a time, fills an
+(ensemble x grid) array from their scores, divides by the block size n^d
+and compares each column's mean with H_n/n^d and the rate, which 1-D
+models and separable fields answer by the same names.  `smb_experiment` draws paths
 (`sampling.sample_paths`) and scores them with `information_at`, the one
 kernel of the 1-D path information I_n = -log rho_n; `smb2d_experiment`
 draws fields (`sampling.sample_field`) and scores them with their
@@ -25,7 +25,7 @@ from .errors import DimensionMismatch, ModelConfigError, RateNotFinite
 from .field2d import SeparableFieldModel
 from .gaussian_model import LOG_2PI, GaussianProcessModel
 
-# seeds per sample_paths call in smb_experiment; a slice holds one
+# streams per sample_paths call in smb_experiment; a slice holds one
 # (slice x n) float64 path matrix
 _ENSEMBLE_SLICE = 256
 # field elements per sample_field call in smb2d_experiment: max(1, 2**14 // n^2)
@@ -50,7 +50,6 @@ class ConvergenceReport:
     theoretical_sd: np.ndarray
     ensemble_size: int
     base_seed: int
-    workers: int
     sampler: str  # path synthesis: "circulant" or "cholesky"
     values_by_n: list  # per n, the normalized information of every sample
     passed: np.ndarray = field(init=False)
@@ -122,14 +121,14 @@ def expected_log_derivative(dphi, variance: float) -> float:
 
 
 def _ensemble_experiment(
-    model, n_grid, ensemble_size, base_seed, workers, dims, draw, score, batch, sampler,
+    model, n_grid, ensemble_size, base_seed, dims, draw, score, batch, sampler,
     shift=0.0, model_id=None,
 ) -> ConvergenceReport:
-    """The pipeline of both dimensions: seeds, draws, scores, statistics.
+    """The pipeline of both dimensions: streams, draws, scores, statistics.
 
     `model` answers entropy_rate(), block_entropy(n) and describe() for
-    blocks of n^dims points.  `draw(n_max, seeds)` gives one sample per
-    seed at the largest n, `batch(n_max)` seeds at a time, and
+    blocks of n^dims points.  `draw(n_max, streams)` gives one sample per
+    stream at the largest n, `batch(n_max)` streams at a time, and
     `score(X, n_grid)` their information at every n as a
     (len(X) x len(n_grid)) array.  `sampler(n_max)` names the synthesis.
     `shift` is added to the rate and to every H_n/n^dims.  Each n's mean and
@@ -146,11 +145,11 @@ def _ensemble_experiment(
         raise RateNotFinite(f"entropy rate of {model.describe()} is -inf")
     n_max = n_grid[-1]
     sizes = np.power(n_grid, dims)  # points of each block
-    seeds = sampling.ensemble_seeds(base_seed, ensemble_size)
+    streams = sampling.ensemble_streams(base_seed, ensemble_size)
     values = np.empty((ensemble_size, len(n_grid)))
     step = batch(n_max)
     for i0 in range(0, ensemble_size, step):
-        values[i0 : i0 + step] = score(draw(n_max, seeds[i0 : i0 + step]), n_grid)
+        values[i0 : i0 + step] = score(draw(n_max, streams[i0 : i0 + step]), n_grid)
     values /= sizes
 
     return ConvergenceReport(
@@ -164,7 +163,6 @@ def _ensemble_experiment(
         theoretical_sd=1.0 / np.sqrt(2.0 * sizes),
         ensemble_size=ensemble_size,
         base_seed=base_seed,
-        workers=workers,
         sampler=sampler(n_max),
         values_by_n=list(values.T),
     )
@@ -175,7 +173,6 @@ def smb_experiment(
     n_grid,
     ensemble_size: int,
     base_seed: int,
-    workers: int = 1,
     transform=None,
 ) -> ConvergenceReport:
     """Ensemble statistics of (1/n) I_n against the entropy rate.
@@ -184,14 +181,13 @@ def smb_experiment(
     increasing map.  Paths stay Gaussian: I_n gains the Jacobian terms
     sum log phi'(x_j), and the rate and H_n/n the exact marginal shift
     E[log phi'(X_0)], X_0 ~ N(0, r(0)); phi' <= 0 raises NonMonotone.
-    `workers` is only recorded in the report.  Paths are sampled in slices
-    of at most _ENSEMBLE_SLICE seeds, and each slice is scored by
-    `information_at`.
+    Paths are sampled in slices of at most _ENSEMBLE_SLICE streams, and each
+    slice is scored by `information_at`.
     """
     dphi = None if transform is None else transform[1]
     return _ensemble_experiment(
-        model, n_grid, ensemble_size, base_seed, workers, dims=1,
-        draw=lambda n_max, seeds: sampling.sample_paths(model, n_max, seeds),
+        model, n_grid, ensemble_size, base_seed, dims=1,
+        draw=lambda n_max, streams: sampling.sample_paths(model, n_max, streams),
         score=lambda X, grid: information_at(model, X, grid, dphi),
         batch=lambda n_max: _ENSEMBLE_SLICE,
         sampler=lambda n_max: sampling.path_sampler(model, n_max),
@@ -205,23 +201,21 @@ def smb2d_experiment(
     n_grid,
     ensemble_size: int,
     base_seed: int,
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Ensemble statistics of (1/n^2) h_n^(2) against the 2-D rate.
 
-    `workers` is only recorded in the report.  One field per seed is drawn
-    at the largest n by `sampling.sample_field`, in stacks of
-    max(1, _FIELD_BATCH // n^2) fields, and h_n^(2) at every n of the grid
-    is the information of its leading n x n block
+    One field per stream is drawn at the largest n by `sampling.sample_field`,
+    in stacks of max(1, _FIELD_BATCH // n^2) fields, and h_n^(2) at every n
+    of the grid is the information of its leading n x n block
     (`SeparableFieldModel.log_block_density_2d` with the grid): nested boxes
     of one realization, as `smb_experiment` scores prefixes of one path, so
-    the values at different n are correlated.  The leading
-    block of a field drawn at n_max has the law of a field drawn at n,
-    because the Cholesky factors are lower triangular.
+    the values at different n are correlated.  The leading block of a field
+    drawn at n_max has the law of a field drawn at n, because the Cholesky
+    factors are lower triangular.
     """
     return _ensemble_experiment(
-        fm, n_grid, ensemble_size, base_seed, workers, dims=2,
-        draw=lambda n_max, seeds: sampling.sample_field(fm, n_max, seeds),
+        fm, n_grid, ensemble_size, base_seed, dims=2,
+        draw=lambda n_max, streams: sampling.sample_field(fm, n_max, streams),
         score=lambda X, grid: -fm.log_block_density_2d(X, grid),
         batch=lambda n_max: max(1, _FIELD_BATCH // (n_max * n_max)),
         sampler=lambda n_max: "cholesky",

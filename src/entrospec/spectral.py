@@ -106,11 +106,12 @@ def cosine_integrals(g, max_n: int, what: str, jumps=()):
     evaluates g at its new nodes only.
 
     The zoo's singularities (the power-singular cusp or zero at 0, a zero
-    at +-pi, a gap's jumps) sit at panel ends, where the nodes cluster
-    double-exponentially, so the rule converges exponentially where a
-    uniform grid converges like h^(1 + 2 alpha).  With s = (pi/2) sinh u,
-    the nodes at +-u of [0, pi] lie delta = pi / (1 + e^(2s)) from its ends,
-    weight (pi^2/4) cosh(u) / cosh(s)^2; a panel of length L scales both by
+    at +-pi, a gap's jumps, a symbol root on the circle) sit at panel ends,
+    where the nodes cluster double-exponentially, so the rule converges
+    exponentially where a uniform grid converges like h^(1 + 2 alpha).
+    With s = (pi/2) sinh u, the nodes at +-u of [0, pi] lie
+    delta = pi / (1 + e^(2s)) from its ends, weight
+    (pi^2/4) cosh(u) / cosh(s)^2; a panel of length L scales both by
     L / pi.  A node x and its mirror -x share cos(nx) and are summed folded.
     A non-finite g value, or the level cap, raises QuadratureNotConverged.
     """
@@ -219,7 +220,8 @@ class SpectralDensity:
         return np.log(self.eval(t))
 
     def jump_points(self) -> tuple:
-        """The t in (0, pi) where the density jumps, quadrature panel ends."""
+        """The t in (0, pi) where the density jumps or a filter symbol has a
+        root, quadrature panel ends."""
         return ()
 
     def describe(self) -> str:
@@ -504,6 +506,14 @@ class SumDensity(SpectralDensity):
         first = self.terms[0].autocovariance(max_lag)
         return sum((f.autocovariance(max_lag) for f in self.terms[1:]), first)
 
+    def szego_integral(self):
+        # only a gap (scaled, filtered or summed) has int log f = -inf, and it
+        # vanishes on an arc around t = 0; such arcs meet, so the sum vanishes
+        # on the shortest of them
+        if all(f.szego_integral() == NEG_INF for f in self.terms):
+            return NEG_INF
+        return szego_integral_quadrature(self)
+
     def jump_points(self):
         return tuple(x for f in self.terms for x in f.jump_points())
 
@@ -550,7 +560,10 @@ class FilterProduct(SpectralDensity):
         )
 
     def jump_points(self):
-        return self.base.jump_points()
+        # a symbol root on the unit circle is a log zero of the density
+        roots = _poly_roots(self.symbol)[0]
+        angles = np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6])
+        return self.base.jump_points() + tuple(float(a) for a in angles if 0.0 < a < math.pi)
 
     def describe(self):
         sym = ",".join(f"{c:g}" for c in self.symbol)

@@ -482,7 +482,8 @@ class TestCliExitCodes:
         {"kind": "scaled", "factor": 2, "base": GAP},
         {"kind": "filter", "symbol": [1, 0.5], "base": GAP},
         {"kind": "separable", "factor_a": GAP, "factor_b": POISSON},
-    ], ids=["gap", "scaled", "filter", "separable"])
+        {"kind": "sum", "terms": [GAP, {"kind": "gap", "fraction": 0.5}]},
+    ], ids=["gap", "scaled", "filter", "separable", "sum"])
     def test_rate_of_degenerate_model(self, model, tmp_path, capsys):
         # -inf passes through the model algebra; the gap to white noise is +inf
         assert main(["rate"] + model_args(model, tmp_path)) == EXIT_OK
@@ -499,6 +500,28 @@ class TestCliExitCodes:
             "log_gain_integral = 0.0000000\n"
             "identity_residual = n/a\n"
         )
+
+    def test_gap_sum_reads_as_one_gap(self, tmp_path, capsys):
+        # gaps on |t| <= pi/4 and |t| <= pi/2 vanish together on |t| <= pi/4
+        gap_sum = {"kind": "sum", "terms": [self.GAP, {"kind": "gap", "fraction": 0.5}]}
+        for argv in (["filter", "--symbol", "1,0.5"], ["report", "--n", "1,2"],
+                     ["predict", "--n", "4"], ["smb", "--n", "4", "--m", "2"]):
+            outputs = []
+            for model in (self.GAP, gap_sum):
+                code = main(argv + model_args(model, tmp_path))
+                out, err = capsys.readouterr()
+                # smb names the model in its message
+                outputs.append((code, out, err.replace("sum(gap:0.25,1,gap:0.5,1)", "gap:0.25,1")))
+            assert outputs[0] == outputs[1], argv
+
+    @pytest.mark.parametrize("model", ["white:1", "power_singular:0.3"])
+    def test_filter_with_root_on_circle(self, model, capsys):
+        # 1 - z + z^2 vanishes at t = +-pi/3, a panel end of the quadrature
+        assert main(["filter", "--model", model, "--symbol", "1,-1,1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "log_gain_integral = 0.0000000" in out
+        residual = out.splitlines()[3].split(" = ")[1]
+        assert float(residual) <= 1e-12
 
     # every input check of the densities, the model parser and the CLI
     INPUT_ERRORS = [
@@ -806,12 +829,15 @@ class TestCliOutputs:
         assert main(argv + ["--format", "json"]) == EXIT_CONFIG
 
     def test_workers_flag_matches_serial(self, tmp_path):
-        a = tmp_path / "w1.csv"
-        b = tmp_path / "w4.csv"
-        base = ["smb", "--model", "ar:0.5:0.75", "--n", "64", "--m", "64", "--seed", "2"]
+        # --workers is accepted and ignored: it is neither used nor recorded
+        a = tmp_path / "w1.json"
+        b = tmp_path / "w4.json"
+        base = ["smb", "--model", "ar:0.5:0.75", "--n", "64", "--m", "64", "--seed", "2",
+                "--format", "json"]
         assert main(base + ["--workers", "1", "--out", str(a)]) == EXIT_OK
         assert main(base + ["--workers", "4", "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+        assert "workers" not in json.loads(a.read_text())
 
 
 def _workloads():
@@ -879,7 +905,7 @@ class TestOutputContract:
 
     SMB_KEYS = [
         "model", "dims", "n_grid", "means", "sds", "se_exact", "hn_over_n", "theoretical_sd",
-        "ensemble_size", "base_seed", "workers", "sampler", "pass", "all_passed",
+        "ensemble_size", "base_seed", "sampler", "pass", "all_passed",
     ]
     REPORT_KEYS = [
         "model", "se", "r0", "n_grid", "H_n", "KL_gauss", "KL_prod", "markov_defects",
@@ -914,7 +940,7 @@ class TestOutputContract:
             "model": rep.model_id, "dims": rep.dims, "n_grid": rep.n_grid,
             "means": list(rep.means), "sds": list(rep.sds), "se_exact": rep.se_exact,
             "hn_over_n": list(rep.hn_over_n), "theoretical_sd": list(rep.theoretical_sd),
-            "ensemble_size": 30, "base_seed": 6, "workers": 1, "sampler": rep.sampler,
+            "ensemble_size": 30, "base_seed": 6, "sampler": rep.sampler,
             "pass": [bool(p) for p in rep.passed], "all_passed": rep.all_passed,
         }
 

@@ -23,7 +23,7 @@ from entrospec.sampling import (
     _normals_into,
     _stream_seeds,
     ensemble_residuals,
-    ensemble_seeds,
+    ensemble_streams,
     log_derivative,
     path_sampler,
     sample_field,
@@ -50,9 +50,8 @@ def synthesis_map(model, n):
 
 
 def normals(seed, count):
-    """The first count normals of the stream that sample_paths and
-    sample_field draw for seed."""
-    return standard_normals(ensemble_seeds(seed, 1)[0], count)
+    """The first count normals of the stream of (seed, index 0)."""
+    return standard_normals(scalar_stream(seed, 0), count)
 
 
 MASK = 2**64 - 1
@@ -77,13 +76,13 @@ def scalar_stream(base, index):
 
 class TestStreams:
     def test_stream_seed_deterministic(self):
-        assert ensemble_seeds(42, 1)[0] == ensemble_seeds(42, 1)[0]
-        assert ensemble_seeds(42, 2)[0] != ensemble_seeds(42, 2)[1]
-        assert ensemble_seeds(42, 1)[0] != ensemble_seeds(43, 1)[0]
+        assert ensemble_streams(42, 1)[0] == ensemble_streams(42, 1)[0]
+        assert ensemble_streams(42, 2)[0] != ensemble_streams(42, 2)[1]
+        assert ensemble_streams(42, 1)[0] != ensemble_streams(43, 1)[0]
 
     def test_streams_decorrelated(self):
         # adjacent indices give normals with negligible empirical correlation
-        streams = ensemble_seeds(7, 2)
+        streams = ensemble_streams(7, 2)
         a = standard_normals(streams[0], 20000)
         b = standard_normals(streams[1], 20000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
@@ -104,11 +103,11 @@ class TestStreams:
 class TestBatchedNormals:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
     def test_rows_bit_identical_to_single_streams(self, n):
-        seeds = [0, 1, 12345, 2**63, 2**64 - 1]
-        X = np.empty((len(seeds), n))
-        _normals_into(X, _stream_seeds(np.array(seeds, dtype=np.uint64), 0))
-        for row, s in zip(X, seeds):
-            assert np.array_equal(row, normals(s, n))
+        streams = [0, 1, 12345, 2**63, 2**64 - 1]
+        X = np.empty((len(streams), n))
+        _normals_into(X, np.array(streams, dtype=np.uint64))
+        for row, s in zip(X, streams):
+            assert np.array_equal(row, standard_normals(s, n))
 
     def test_stream_values_pinned(self):
         # bit-exact reproducibility: values recorded from the single-stream generator
@@ -120,7 +119,7 @@ class TestBatchedNormals:
             -0.9886041246243277,
         ]
         assert normals(0, 5).tolist() == want
-        assert standard_normals(ensemble_seeds(2**64 - 1, 4)[3], 3).tolist() == [
+        assert standard_normals(scalar_stream(2**64 - 1, 3), 3).tolist() == [
             1.1321284469738484,
             -0.016626757606585725,
             -1.2646342872110257,
@@ -134,10 +133,30 @@ class TestBatchedNormals:
 
     @pytest.mark.parametrize("base", [0, 7, 2**63, 2**64 - 1, -3, 2**70 + 5])
     def test_ensemble_seeds_match_scalar(self, base):
-        got = ensemble_seeds(base, 300)
+        # (base, i) mixed, then (that, 0)
+        got = ensemble_streams(base, 300)
         assert got.dtype == np.uint64
-        assert got.tolist() == [scalar_stream(base, i) for i in range(300)]
-        assert ensemble_seeds(base, 0).size == 0
+        assert got.tolist() == [scalar_stream(scalar_stream(base, i), 0) for i in range(300)]
+        assert ensemble_streams(base, 0).size == 0
+
+    def test_draws_pinned(self):
+        # recorded before the draws took streams, from the same streams
+        streams = ensemble_streams(5, 3)
+        X = sample_paths(GaussianProcessModel(PoissonKernel(0.5)), 8, streams)
+        assert X.tolist() == [
+            [1.377728069674568, -0.10500467593332381, 0.05061320858122478, 0.5675908180934951,
+             0.9457296422018568, 0.42062072306971815, 0.38061001260648575, 0.48115902114855924],
+            [-2.5449047382914944, -0.7449600820371785, -0.34094386094054724, -0.03751283435681493,
+             -0.5823867140564002, -1.305319471676195, -0.2522814397735891, -1.6484621974267022],
+            [-1.0275182080777803, -1.2118278025182683, -0.359411029812248, 0.02416447430632651,
+             -0.5677908496585148, -1.2545162067039417, 0.4973520379300059, -0.5802350662011684],
+        ]
+        fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
+        assert sample_field(fm, 2, streams).tolist() == [
+            [[-0.2230739158092626, 0.031145771256364644], [0.4336284279715053, 0.6341200113271729]],
+            [[-2.919663510310328, -1.4207438325248851], [-2.1269896676530564, -1.863870826240034]],
+            [[-2.561625509772785, -0.7489699369099], [-1.282206985131233, -1.5058580385965141]],
+        ]
 
 
 class TestSamplePath:
@@ -198,15 +217,15 @@ class TestSamplePath:
 class TestEnsemble:
     def test_rows_match_single_paths(self):
         # rows are bit-identical to single paths across chunk seams, and each
-        # is the synthesis map applied to that seed's normals
+        # is the synthesis map applied to that stream's normals
         model = GaussianProcessModel(PoissonKernel(0.5))
         n = 128
-        seeds = list(range(_CE_CHUNK + 5)) + [159]
-        X = sample_paths(model, n, seeds)
+        streams = list(range(_CE_CHUNK + 5)) + [159]
+        X = sample_paths(model, n, streams)
         m, B = synthesis_map(model, n)
-        for i, s in enumerate(seeds):
+        for i, s in enumerate(streams):
             assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
-            assert np.max(np.abs(X[i] - normals(s, m) @ B)) <= 1e-10
+            assert np.max(np.abs(X[i] - standard_normals(s, m) @ B)) <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(make_non_banded_zoo()))
     def test_non_banded_rows_across_block_seams(self, name):
@@ -214,12 +233,12 @@ class TestEnsemble:
         # factor is dense and a seam error would show in later innovations
         model = make_non_banded_zoo()[name]
         n = 2 * _FACTOR_BLOCK + 3
-        seeds = [3, 14, 159]
-        X = sample_paths(model, n, seeds)
+        streams = [3, 14, 159]
+        X = sample_paths(model, n, streams)
         E = ensemble_residuals(model, X)
         m, B = synthesis_map(model, n)
-        for i, s in enumerate(seeds):
-            z = normals(s, m)
+        for i, s in enumerate(streams):
+            z = standard_normals(s, m)
             assert np.max(np.abs(X[i] - z @ B)) <= 1e-10
             assert np.max(np.abs(E[i] - dense_innovations(model, X[i]))) <= 1e-10
 
@@ -280,13 +299,13 @@ class TestSamplerChoice:
         # L z of n normals, one GEMV each
         model, n = self.CASES[case]
         assert path_sampler(model, n) == "cholesky"
-        seeds = [3, 14, 159]
-        X = sample_paths(model, n, seeds)
+        streams = [3, 14, 159]
+        X = sample_paths(model, n, streams)
         chol = np.linalg.cholesky(dense_cov(model, n))
         # independent of the sampler: the Levinson innovations whiten each row
         Z = ensemble_residuals(model, X) / np.sqrt(model.factorization(n).sigma2[:n])
-        for i, s in enumerate(seeds):
-            z = normals(s, n)
+        for i, s in enumerate(streams):
+            z = standard_normals(s, n)
             assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
             assert np.max(np.abs(Z[i] - z)) <= 1e-10
             assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
@@ -300,10 +319,10 @@ class TestSamplerChoice:
         assert path_sampler(model, n) == "circulant"
         assert m == 4 * 2 * (n - 1)
         assert np.max(np.abs(B.T @ B - dense_cov(model, n))) <= 1e-12
-        seeds = [3, 14, 159]
-        X = sample_paths(model, n, seeds)
-        for i, s in enumerate(seeds):
-            assert np.max(np.abs(X[i] - normals(s, m) @ B)) <= 1e-12
+        streams = [3, 14, 159]
+        X = sample_paths(model, n, streams)
+        for i, s in enumerate(streams):
+            assert np.max(np.abs(X[i] - standard_normals(s, m) @ B)) <= 1e-12
             assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
 
     def test_padded_embedding(self):
@@ -369,28 +388,28 @@ class TestSampleField:
     def test_stacks_match_single_fields(self, n):
         # stacks of smb2d's size, max(1, _FIELD_BATCH // n^2) fields; n^2 is
         # odd at 1, 3, 45 and 129, and the stacks of 45 and 64 end inside the
-        # seeds, so the comparison crosses stack seams and a partial last stack
+        # streams, so the comparison crosses stack seams and a partial last stack
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
         batch = max(1, _FIELD_BATCH // (n * n))
-        seeds = [0, 1, 2**64 - 1] + list(range(10, 10 + 2 * batch))
+        streams = [0, 1, 2**64 - 1] + list(range(10, 10 + 2 * batch))
         stack = np.concatenate(
-            [sample_field(fm, n, seeds[i0 : i0 + batch]) for i0 in range(0, len(seeds), batch)]
+            [sample_field(fm, n, streams[i0 : i0 + batch]) for i0 in range(0, len(streams), batch)]
         )
-        assert stack.shape == (len(seeds), n, n)
-        for i in {0, 1, 2, batch - 1, batch, len(seeds) - 1}:
-            assert np.array_equal(stack[i], sample_field(fm, n, [seeds[i]])[0])
+        assert stack.shape == (len(streams), n, n)
+        for i in {0, 1, 2, batch - 1, batch, len(streams) - 1}:
+            assert np.array_equal(stack[i], sample_field(fm, n, [streams[i]])[0])
 
     def test_single_field_is_cholesky_draw(self):
-        # L_a Z L_b^T from the seed's own stream, independent of the stacking
+        # L_a Z L_b^T from the stream's own normals, independent of the stacking
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
         n = 5
-        z = normals(11, n * n).reshape(n, n)
+        z = standard_normals(11, n * n).reshape(n, n)
         want = fm.cholesky_a(n) @ z @ fm.cholesky_b(n).T
         assert np.max(np.abs(sample_field(fm, n, [11])[0] - want)) <= 1e-14
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_bad_size_raises(self, n):
         fm = SeparableFieldModel(White(1.0), White(1.0))
-        for seeds in ([0], [0, 1]):
+        for streams in ([0], [0, 1]):
             with pytest.raises(DimensionMismatch):
-                sample_field(fm, n, seeds)
+                sample_field(fm, n, streams)

@@ -21,7 +21,7 @@ from entrospec.cli import EXIT_OK, main
 from entrospec.gaussian_model import LOG_2PI
 from entrospec.sampling import (
     ensemble_residuals,
-    ensemble_seeds,
+    ensemble_streams,
     log_derivative,
     sample_field,
     sample_paths,
@@ -102,7 +102,7 @@ class TestExpectedLogDerivative:
         assert got == pytest.approx(0.05795692528396653, abs=1e-10)
 
     def test_monte_carlo_cross_check(self):
-        z = standard_normals(ensemble_seeds(31, 1)[0], 400000)
+        z = standard_normals(ensemble_streams(31, 1)[0], 400000)
         mc = float(np.mean(np.log(1 + 0.1 * np.cos(z))))
         exact = expected_log_derivative(lambda x: 1 + 0.1 * np.cos(x), 1.0)
         assert mc == pytest.approx(exact, abs=5e-4)
@@ -174,15 +174,8 @@ class TestSmbExperiment:
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.sds, b.sds)
 
-    def test_worker_count_does_not_change_results(self):
-        model = GaussianProcessModel(PoissonKernel(0.5))
-        one = smb_experiment(model, [64], 96, base_seed=4, workers=1)
-        four = smb_experiment(model, [64], 96, base_seed=4, workers=4)
-        assert np.array_equal(one.means, four.means)
-        assert np.array_equal(one.sds, four.sds)
-
     def test_ensemble_slices_do_not_change_results(self, monkeypatch):
-        # slices of 7 seeds, one of them partial, against a single slice
+        # slices of 7 streams, one of them partial, against a single slice
         model = GaussianProcessModel(PoissonKernel(0.5))
         transform = (lambda x: x + 0.1 * np.sin(x), lambda x: 1 + 0.1 * np.cos(x))
         whole = smb_experiment(model, [16, 64], 30, base_seed=4, transform=transform)
@@ -197,10 +190,10 @@ class TestSmbExperiment:
         # one cumsum along the path
         n_max = grid[-1]
         sigma2 = model.factorization(n_max).sigma2[:n_max]
-        seeds = ensemble_seeds(base, m)
+        streams = ensemble_streams(base, m)
         values = np.empty((m, len(grid)))
         for i0 in range(0, m, slice_size):
-            X = sample_paths(model, n_max, seeds[i0 : i0 + slice_size])
+            X = sample_paths(model, n_max, streams[i0 : i0 + slice_size])
             inc = ensemble_residuals(model, X)
             inc *= inc
             inc /= sigma2
@@ -291,7 +284,7 @@ class TestSmb2d:
         # the one field of a one-field ensemble is drawn from the base seed's stream 0
         fm = SeparableFieldModel(PoissonKernel(0.5), PoissonKernel(0.5))
         got = smb2d_experiment(fm, [8], 1, base_seed=3).values_by_n[0][0]
-        x = sample_field(fm, 8, ensemble_seeds(3, 1))
+        x = sample_field(fm, 8, ensemble_streams(3, 1))
         want = -fm.log_block_density_2d(x, [8])[0, 0] / 64
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -305,11 +298,11 @@ class TestSmb2d:
     def test_values_match_per_field_loop(self):
         # one field per seed at the largest n, scored on its leading blocks,
         # against the size-n block density of the contiguous leading n x n
-        # block of one single-seed sample_field per seed
+        # block of one single-stream sample_field per stream
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
         grid, m, base = [16, 64, 128], 70, 5
         rep = smb2d_experiment(fm, grid, m, base_seed=base)
-        fields = [sample_field(fm, grid[-1], [s]) for s in ensemble_seeds(base, m)]
+        fields = [sample_field(fm, grid[-1], [s]) for s in ensemble_streams(base, m)]
         for n, got in zip(grid, rep.values_by_n):
             want = [
                 -fm.log_block_density_2d(np.ascontiguousarray(x[:, :n, :n]), [n])[0, 0] / (n * n)
@@ -341,25 +334,38 @@ class TestSmb2d:
         assert [len(v) for v in rep.values_by_n] == [3] * 4
 
     def test_driver_draws_stacks_of_cache_size(self, monkeypatch):
-        # at n_max = 8 a draw holds 2**14 // 64 = 256 fields: 600 seeds take
+        # at n_max = 8 a draw holds 2**14 // 64 = 256 fields: 600 streams take
         # two full stacks and a partial one
         stacks = []
         draw = sampling.sample_field
 
-        def counted_draw(fm, n, seeds):
-            stacks.append((n, len(seeds)))
-            return draw(fm, n, seeds)
+        def counted_draw(fm, n, streams):
+            stacks.append((n, len(streams)))
+            return draw(fm, n, streams)
 
         monkeypatch.setattr(sampling, "sample_field", counted_draw)
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
         smb2d_experiment(fm, [4, 8], 600, base_seed=2)
         assert stacks == [(8, 256), (8, 256), (8, 88)]
 
-    def test_worker_count_does_not_change_results(self):
+    def test_streams_derived_once(self, monkeypatch):
+        # at n_max = 128 each field is its own draw; the driver derives the
+        # streams of the whole ensemble once, and the draws take them as given
+        calls = []
+        mix = sampling._stream_seeds
+
+        def counted_mix(*args):
+            calls.append(1)
+            return mix(*args)
+
+        monkeypatch.setattr(sampling, "_stream_seeds", counted_mix)
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
-        one = smb2d_experiment(fm, [16], 40, base_seed=9, workers=1)
-        three = smb2d_experiment(fm, [16], 40, base_seed=9, workers=3)
-        assert np.array_equal(one.means, three.means)
+        counts = []
+        for m in (1, 200):
+            calls.clear()
+            smb2d_experiment(fm, [16, 128], m, base_seed=0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_white_field_rate(self):
         fm = SeparableFieldModel(White(1.0), White(1.0))

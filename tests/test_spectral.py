@@ -241,6 +241,36 @@ class TestSzegoIntegral:
             assert density.jump_points() == (0.25 * math.pi,)
             assert abs(density.szego_integral() - want) <= 1e-14
 
+    # densities with int log f = -inf: a gap, scaled, filtered or summed
+    DEGENERATE = {
+        "gap": SpectralGap(0.25),
+        "scaled": SpectralGap(0.5, 2.0).scaled(3.0),
+        "filter": FilterProduct([1.0, -1.0, 1.0], SpectralGap(0.1)),
+        "gap+gap": SpectralGap(0.25) + SpectralGap(0.5),
+        "sum3": SumDensity((
+            SpectralGap(0.25).scaled(2.0),
+            FilterProduct([1.0, 0.5], SpectralGap(0.4)),
+            SpectralGap(0.75, 3.0),
+        )),
+    }
+
+    def test_minus_inf_densities_vanish_around_zero(self):
+        # why a sum whose terms all have int log f = -inf has it too: each
+        # term is 0 on an arc around t = 0, so the terms' arcs meet
+        zoo = {**PREFIX_DENSITIES, "cusp_sum": CUSP_SUM, **self.DEGENERATE}
+        degenerate = sorted(name for name, f in zoo.items() if f.szego_integral() == NEG_INF)
+        assert degenerate == sorted(self.DEGENERATE)
+        t = np.linspace(-0.05 * math.pi, 0.05 * math.pi, 101)
+        for name in degenerate:
+            assert np.all(zoo[name].eval(t) == 0.0), name
+
+    def test_symbol_roots_on_circle_are_panel_ends(self):
+        # 1 - z + z^2 vanishes at t = +-pi/3; 1 - 0.5 z has its root at z = 2
+        ma = MovingAverage([1.0, -1.0, 1.0])
+        assert ma.jump_points() == pytest.approx((math.pi / 3,), abs=1e-12)
+        assert FilterProduct([1.0, -0.5], SpectralGap(0.25)).jump_points() == (0.25 * math.pi,)
+        assert abs(szego_integral_quadrature(ma)) <= 1e-14
+
     def test_vanishing_density_raises(self):
         with pytest.raises(QuadratureNotConverged) as info:
             szego_integral_quadrature(SpectralGap(0.25, 4.0 / 3.0))
@@ -319,6 +349,12 @@ class TestLogDensityFourierCoeffs:
         want = (math.log(w) - math.log(level + w)) * np.sin(n * a * math.pi) / (n * math.pi)
         coeffs = (SpectralGap(a, level) + White(w)).log_fourier_coeffs(256)
         assert np.max(np.abs(coeffs - want)) <= 1e-13
+
+    def test_symbol_root_on_circle_vs_closed_form(self):
+        # L(1..64) of ma:1,-1,1 by quadrature, with a panel end at pi/3
+        ma = MovingAverage([1.0, -1.0, 1.0])
+        quad = cosine_integrals(ma._log_eval, 64, "L(n)", ma.jump_points())
+        assert np.max(np.abs(quad[1:] - ma.log_fourier_coeffs(64))) <= 1e-13
 
     def test_power_singular(self):
         coeffs = PowerSingular(0.3, 1.0).log_fourier_coeffs(5)
