@@ -1,6 +1,10 @@
 """Model description parsing: compact CLI strings ("kind:params", e.g.
-poisson:0.5) and JSON model files.  docs/model_schema.md lists both forms
-with worked examples, and the tests parse every one of them.
+poisson:0.5) and JSON model files.  One table, `_KINDS`, gives every kind's
+constructor and fields, and one builder reads any model object through it;
+an inline string is first turned into the object a file would hold, so
+poisson:0.5 is read as {"kind": "poisson", "r": 0.5}.
+docs/model_schema.md lists both forms with worked examples, and the tests
+parse every one of them.
 """
 
 from __future__ import annotations
@@ -8,9 +12,8 @@ from __future__ import annotations
 import json
 import math
 
-from . import spectral
+from . import field2d, spectral
 from .errors import ModelConfigError
-from .field2d import SeparableFieldModel
 from .gaussian_model import GaussianProcessModel
 
 
@@ -27,31 +30,76 @@ def _finite(value) -> float:
     return number
 
 
-def _number(cfg: dict, name: str, default=None) -> float:
-    """cfg[name] (or default, if given, where it is absent) as a finite float;
-    ModelConfigError naming the field for a boolean, a string or any other
-    value that is not a JSON number."""
-    value = cfg[name] if default is None else cfg.get(name, default)
+def _number(value, name: str) -> float:
+    """value as a finite float; ModelConfigError naming the field for a
+    boolean, a string or any other value that is not a JSON number."""
     # type(True) is bool, not int
     if type(value) not in (int, float):
         raise ModelConfigError(f"field {name!r} must be a number, got {value!r}")
     return _finite(value)
 
 
-def _numbers(cfg: dict, name: str) -> list:
-    """cfg[name], a JSON array of numbers, as finite floats; ModelConfigError
+def _numbers(value, name: str) -> list:
+    """value, a JSON array of numbers, as finite floats; ModelConfigError
     naming the field for anything else, a string included."""
-    values = cfg[name]
-    if type(values) is not list or any(type(v) not in (int, float) for v in values):
-        raise ModelConfigError(f"field {name!r} must be an array of numbers, got {values!r}")
-    return [_finite(v) for v in values]
+    if type(value) is not list or any(type(v) not in (int, float) for v in value):
+        raise ModelConfigError(f"field {name!r} must be an array of numbers, got {value!r}")
+    return [_finite(v) for v in value]
 
 
 def _density(value, name: str) -> spectral.SpectralDensity:
-    """density_from_config(value), or ModelConfigError naming the field."""
-    if type(value) is not dict:
-        raise ModelConfigError(f"field {name!r} must be a model object, got {value!r}")
-    return density_from_config(value)
+    """The density of a nested model object, or ModelConfigError naming the field."""
+    density = _build(value) if type(value) is dict else None
+    if not isinstance(density, spectral.SpectralDensity):
+        raise ModelConfigError(f"field {name!r} must be a density model object, got {value!r}")
+    return density
+
+
+def _densities(value, name: str) -> tuple:
+    """The densities of a JSON array of two or more model objects."""
+    if type(value) is not list or len(value) < 2:
+        raise ModelConfigError(f"field {name!r} must list 2+ models, got {value!r}")
+    return tuple(_density(v, name) for v in value)
+
+
+# kind -> (constructor, {field: (reader, default)}), fields in the order of the
+# constructor's arguments and of the inline parameters; None: no default
+_KINDS = {
+    "white": (spectral.White, {"level": (_number, 1.0)}),
+    "poisson": (spectral.PoissonKernel, {"r": (_number, None)}),
+    "ma": (spectral.MovingAverage, {"coeffs": (_numbers, None)}),
+    "ar": (spectral.AutoRegressive,
+           {"coeffs": (_numbers, None), "innovation_variance": (_number, None)}),
+    "power_singular": (spectral.PowerSingular,
+                       {"alpha": (_number, None), "scale": (_number, 1.0)}),
+    "fourier_table": (spectral.FourierTable, {"covariances": (_numbers, None)}),
+    "gap": (spectral.SpectralGap, {"fraction": (_number, None), "level": (_number, 1.0)}),
+    "scaled": (spectral.Scaled, {"base": (_density, None), "factor": (_number, None)}),
+    "sum": (spectral.SumDensity, {"terms": (_densities, None)}),
+    "filter": (spectral.FilterProduct, {"symbol": (_numbers, None), "base": (_density, None)}),
+    "separable": (field2d.SeparableFieldModel,
+                  {"factor_a": (_density, None), "factor_b": (_density, None)}),
+}
+
+
+def _build(cfg):
+    """The density or separable field that a model object describes."""
+    if type(cfg) is not dict or "kind" not in cfg:
+        raise ModelConfigError("model config must be an object with a 'kind' field")
+    kind = cfg["kind"]
+    if type(kind) is not str or kind not in _KINDS:  # a list cannot key a dict
+        raise ModelConfigError(f"unknown model kind {kind!r}")
+    make, fields = _KINDS[kind]
+    stray = [key for key in cfg if key != "kind" and key not in fields]
+    if stray:
+        raise ModelConfigError(f"unknown field {stray[0]!r} for kind {kind!r}")
+    # a plain loop: a comprehension would add a frame per nesting level
+    args = []
+    for name, (read, default) in fields.items():
+        if name not in cfg and default is None:
+            raise ModelConfigError(f"{kind} model missing {name!r}")
+        args.append(read(cfg.get(name, default), name))
+    return make(*args)
 
 
 def _floats(text: str):
@@ -74,76 +122,36 @@ def _params(kind: str, text: str, fewest: int, most: int, usage: str) -> list:
     return values
 
 
+# inline kinds whose parameters are their fields in order; ma and ar split their own
+_USAGE = {"white": "white:level", "poisson": "poisson:r",
+          "power_singular": "power_singular:alpha[,scale]"}
+
+
 def density_from_string(text: str) -> spectral.SpectralDensity:
+    """The density of "kind:params", read as the model object a file would hold."""
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
-    if kind == "white":
-        (level,) = _params(kind, rest, 0, 1, "white:level") or [1.0]
-        return spectral.White(level)
-    if kind == "poisson":
-        (r,) = _params(kind, rest, 1, 1, "poisson:r")
-        return spectral.PoissonKernel(r)
     if kind == "ma":
-        return spectral.MovingAverage(_floats(rest))
-    if kind == "ar":
+        cfg = {"coeffs": _floats(rest)}
+    elif kind == "ar":
         coeff_text, _, var_text = rest.rpartition(":")
         if not coeff_text:
             raise ModelConfigError("ar needs 'ar:c1,...,cp:s2'")
         (variance,) = _params(kind, var_text, 1, 1, "ar:c1,...,cp:s2")
-        return spectral.AutoRegressive(_floats(coeff_text), variance)
-    if kind == "power_singular":
-        vals = _params(kind, rest, 1, 2, "power_singular:alpha[,scale]")
-        if len(vals) == 1:
-            vals.append(1.0)
-        return spectral.PowerSingular(vals[0], vals[1])
-    raise ModelConfigError(f"unknown model kind {kind!r}")
-
-
-def density_from_config(cfg: dict) -> spectral.SpectralDensity:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ModelConfigError("model config must be an object with a 'kind' field")
-    kind = cfg["kind"]
-    try:
-        if kind == "white":
-            return spectral.White(_number(cfg, "level", 1.0))
-        if kind == "poisson":
-            return spectral.PoissonKernel(_number(cfg, "r"))
-        if kind == "ma":
-            return spectral.MovingAverage(_numbers(cfg, "coeffs"))
-        if kind == "ar":
-            coeffs = _numbers(cfg, "coeffs")
-            return spectral.AutoRegressive(coeffs, _number(cfg, "innovation_variance"))
-        if kind == "power_singular":
-            return spectral.PowerSingular(_number(cfg, "alpha"), _number(cfg, "scale", 1.0))
-        if kind == "fourier_table":
-            return spectral.FourierTable(_numbers(cfg, "covariances"))
-        if kind == "gap":
-            return spectral.SpectralGap(_number(cfg, "fraction"), _number(cfg, "level", 1.0))
-        if kind == "scaled":
-            return spectral.Scaled(_density(cfg["base"], "base"), _number(cfg, "factor"))
-        if kind == "sum":
-            configs = cfg["terms"]
-            if type(configs) is not list or len(configs) < 2:
-                raise ModelConfigError(f"field 'terms' must list 2+ models, got {configs!r}")
-            return spectral.SumDensity(tuple(_density(t, "terms") for t in configs))
-        if kind == "filter":
-            symbol = _numbers(cfg, "symbol")
-            return spectral.FilterProduct(symbol, _density(cfg["base"], "base"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelConfigError(f"bad parameters for kind {kind!r}: {exc}") from exc
-    raise ModelConfigError(f"unknown model kind {kind!r}")
+        cfg = {"coeffs": _floats(coeff_text), "innovation_variance": variance}
+    elif kind in _USAGE:
+        fields = _KINDS[kind][1]
+        fewest = sum(default is None for _, default in fields.values())
+        cfg = dict(zip(fields, _params(kind, rest, fewest, len(fields), _USAGE[kind])))
+    else:
+        raise ModelConfigError(f"unknown model kind {kind!r}")
+    return _build({"kind": kind, **cfg})
 
 
 def model_from_config(cfg: dict):
     """GaussianProcessModel or SeparableFieldModel from a JSON object."""
-    if isinstance(cfg, dict) and cfg.get("kind") == "separable":
-        try:
-            fa = _density(cfg["factor_a"], "factor_a")
-            fb = _density(cfg["factor_b"], "factor_b")
-        except KeyError as exc:
-            raise ModelConfigError(f"separable model missing {exc}") from exc
-        return SeparableFieldModel(fa, fb)
-    return GaussianProcessModel(density_from_config(cfg))
+    model = _build(cfg)
+    return GaussianProcessModel(model) if isinstance(model, spectral.SpectralDensity) else model
 
 
 def load_model_file(path: str):

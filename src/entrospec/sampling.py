@@ -234,11 +234,5 @@ def sample_field(field_model, n: int, streams) -> np.ndarray:
     la = field_model.cholesky_a(n)
     lb = field_model.cholesky_b(n)
     z = np.empty((k, n * n))
-    work = np.empty((2, k, 2 * ((n * n + 1) // 2)), dtype=np.uint64)
-    _normals_into(z, streams, work)
-    # the scratch is free once the normals are drawn; L_a Z goes there, and
-    # the field over the normals it was made from
-    la_z = work.reshape(-1).view(np.float64)[: k * n * n].reshape(k, n, n)
-    zk = z.reshape(k, n, n)
-    np.matmul(la, zk, out=la_z)
-    return np.matmul(la_z, lb.T, out=zk)
+    _normals_into(z, streams)
+    return la @ z.reshape(k, n, n) @ lb.T

@@ -197,6 +197,13 @@ def _trig_power(coeffs, t):
 # density variants
 
 
+def _id(x: float) -> str:
+    """x as written in a model id: the shortest repr that reads back as x,
+    with a trailing ".0" dropped, so 1.0 is "1" and every digit is kept."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 class SpectralDensity:
     """Base class; subclasses are immutable value objects."""
 
@@ -260,7 +267,7 @@ class White(SpectralDensity):
         return np.zeros(max_n)
 
     def describe(self):
-        return f"white:{self.level:g}"
+        return f"white:{_id(self.level)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -289,7 +296,7 @@ class PoissonKernel(SpectralDensity):
         return self.r**n / n
 
     def describe(self):
-        return f"poisson:{self.r:g}"
+        return f"poisson:{_id(self.r)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -355,8 +362,7 @@ class AutoRegressive(SpectralDensity):
         return kl[1:] / np.arange(1, max_n + 1)
 
     def describe(self):
-        cs = ",".join(f"{c:g}" for c in self.coeffs)
-        return f"ar:{cs}:{self.innovation_variance:g}"
+        return f"ar:{','.join(map(_id, self.coeffs))}:{_id(self.innovation_variance)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -398,7 +404,7 @@ class PowerSingular(SpectralDensity):
         return -self.alpha / np.arange(1, max_n + 1)
 
     def describe(self):
-        return f"power_singular:{self.alpha:g},{self.scale:g}"
+        return f"power_singular:{_id(self.alpha)},{_id(self.scale)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -461,7 +467,7 @@ class SpectralGap(SpectralDensity):
         return (self.fraction * math.pi,)
 
     def describe(self):
-        return f"gap:{self.fraction:g},{self.level:g}"
+        return f"gap:{_id(self.fraction)},{_id(self.level)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -489,7 +495,7 @@ class Scaled(SpectralDensity):
         return self.base.jump_points()
 
     def describe(self):
-        return f"scaled({self.factor:g},{self.base.describe()})"
+        return f"scaled({_id(self.factor)},{self.base.describe()})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -566,8 +572,7 @@ class FilterProduct(SpectralDensity):
         return self.base.jump_points() + tuple(float(a) for a in angles if 0.0 < a < math.pi)
 
     def describe(self):
-        sym = ",".join(f"{c:g}" for c in self.symbol)
-        return f"filter([{sym}],{self.base.describe()})"
+        return f"filter([{','.join(map(_id, self.symbol))}],{self.base.describe()})"
 
 
 class MovingAverage(FilterProduct):
@@ -581,7 +586,7 @@ class MovingAverage(FilterProduct):
         return self.symbol
 
     def describe(self):
-        return "ma:" + ",".join(f"{c:g}" for c in self.coeffs)
+        return "ma:" + ",".join(map(_id, self.coeffs))
 
 
 # ---------------------------------------------------------------------------

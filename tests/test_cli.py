@@ -26,6 +26,7 @@ from entrospec import (
 from entrospec import entropy_analysis, prediction, smb
 from entrospec.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from entrospec.modelspec import (
+    _KINDS,
     density_from_string,
     load_model_file,
     model_from_config,
@@ -150,6 +151,19 @@ class TestModelStrings:
         assert main(["rate", "--model", text]) == EXIT_CONFIG
         assert kind in capsys.readouterr().err
 
+    # parameters whose shortest repr has 17 significant digits
+    FULL_DIGITS = [
+        White(1234567.8901234567),
+        PoissonKernel(0.12345678901234568),
+        MovingAverage([1.0000000000000002, -0.33333333333333326]),
+        AutoRegressive([0.30000000000000004, -0.19999999999999998], 1.0000000000000002),
+        PowerSingular(0.30000000000000004, 1.2345678901234566e-07),
+    ]
+
+    @pytest.mark.parametrize("density", FULL_DIGITS, ids=lambda d: type(d).__name__)
+    def test_id_keeps_every_digit(self, density):
+        assert density_from_string(density.describe()) == density
+
 
 class TestModelConfigs:
     def test_nested_config(self):
@@ -216,16 +230,28 @@ class TestModelConfigs:
             load_model_file(str(path))
 
 
+def model_objects(cfg):
+    """cfg and every model object nested in it, at any depth."""
+    if isinstance(cfg, list):
+        return [obj for item in cfg for obj in model_objects(item)]
+    if not isinstance(cfg, dict):
+        return []
+    return [cfg] + [obj for value in cfg.values() for obj in model_objects(value)]
+
+
 class TestSchemaDoc:
     """docs/model_schema.md goes through the parser, so it cannot drift."""
 
-    KINDS = {
-        "white", "poisson", "ma", "ar", "power_singular", "fourier_table", "gap",
-        "scaled", "sum", "filter", "separable",
-    }
-
     def test_documents_every_kind(self):
-        assert {cfg["kind"] for cfg in schema_doc_configs()} == self.KINDS
+        assert {cfg["kind"] for cfg in schema_doc_configs()} == set(_KINDS)
+
+    def test_documents_every_field(self):
+        # the JSON examples together name every field of every kind
+        named = {kind: set() for kind in _KINDS}
+        for cfg in schema_doc_configs():
+            for obj in model_objects(cfg):
+                named[obj["kind"]].update(obj.keys() - {"kind"})
+        assert named == {kind: set(fields) for kind, (_, fields) in _KINDS.items()}
 
     @pytest.mark.parametrize("cfg", schema_doc_configs(), ids=lambda cfg: cfg["kind"])
     def test_json_example_parses(self, cfg):
@@ -343,6 +369,28 @@ class TestJsonParameterTypes:
         path.write_text(text)
         assert main(["rate", "--model-file", str(path)]) == EXIT_CONFIG
         assert f"field {name!r}" in capsys.readouterr().err
+
+
+class TestUnknownFields:
+    # a misspelled or stray field was dropped, and its default used, with exit 0
+    # (model, the stray field, the kind of the object that holds it)
+    CONFIGS = {
+        "power_singular": ({"kind": "power_singular", "alpha": 0.3, "scal": 4},
+                           "scal", "power_singular"),
+        "gap": ({"kind": "gap", "fraction": 0.25, "levle": 2}, "levle", "gap"),
+        "separable": ({"kind": "separable", "factor_a": {"kind": "white"},
+                       "factor_b": {"kind": "white"}, "factor_c": {"kind": "white"}},
+                      "factor_c", "separable"),
+        "sum-term": ({"kind": "sum", "terms": [{"kind": "white"},
+                                               {"kind": "poisson", "r": 0.5, "s": 1}]},
+                     "s", "poisson"),
+    }
+
+    @pytest.mark.parametrize("cfg, name, kind", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_is_config_error(self, cfg, name, kind, tmp_path, capsys):
+        assert main(["rate"] + model_args(cfg, tmp_path)) == EXIT_CONFIG
+        message = f"unknown field {name!r} for kind {kind!r}"
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 class TestMaxEntropyGap:
@@ -548,6 +596,12 @@ class TestCliExitCodes:
          "n-grid must be strictly increasing and nonempty"),
         (["smb2d", "--n", "4", "--m", "2"], "poisson:0.5",
          "smb2d needs a separable field model (--model-file)"),
+        (["rate"], {"kind": ["poisson"], "r": 0.5}, "unknown model kind ['poisson']"),
+        (["rate"], {"kind": "poisson"}, "poisson model missing 'r'"),
+        (["rate"], {"kind": "scaled", "factor": 2, "base": {
+            "kind": "separable", "factor_a": {"kind": "white"}, "factor_b": {"kind": "white"}}},
+         "field 'base' must be a density model object, got {'kind': 'separable', "
+         "'factor_a': {'kind': 'white'}, 'factor_b': {'kind': 'white'}}"),
     ]
 
     @pytest.mark.parametrize("command, model, message", INPUT_ERRORS)
@@ -578,6 +632,15 @@ class TestCliExitCodes:
         assert main(command + ["--model-file", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_deep_scaled_chain_loads(self, tmp_path, capsys):
+        # two frames per level: 400 levels fit under the default recursion
+        # limit with room for the test runner's own frames
+        cfg = {"kind": "white"}
+        for _ in range(400):
+            cfg = {"kind": "scaled", "factor": 1, "base": cfg}
+        assert main(["rate"] + model_args(cfg, tmp_path)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[2] == "r0 = 1.0000000"
 
     # a sum file is two levels deep however many terms it lists
     WIDE_SUM = json.dumps({"kind": "sum", "terms": [{"kind": "white"}] * 1200})

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from entrospec import (
 from entrospec import sampling, smb
 from entrospec.cli import EXIT_OK, main
 from entrospec.gaussian_model import LOG_2PI
+from entrospec.modelspec import load_model_file
 from entrospec.sampling import (
     ensemble_residuals,
     ensemble_streams,
@@ -36,6 +38,8 @@ from entrospec.smb import (
 )
 
 from conftest import ARC_GAP
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "entrobench" / "models"
 
 
 def innovation_average(model, X):
@@ -347,6 +351,23 @@ class TestSmb2d:
         fm = SeparableFieldModel(PoissonKernel(0.5), White(1.0))
         smb2d_experiment(fm, [4, 8], 600, base_seed=2)
         assert stacks == [(8, 256), (8, 256), (8, 88)]
+
+    def test_working_set_does_not_grow_with_m(self):
+        # the benchmark's field model and grid: fields are drawn and scored
+        # one stack at a time, so eight times the ensemble adds less than one
+        # n x n field (128 KB at n = 128) to the peak; each run loads its own
+        # model, so that neither reuses the other's cached factors
+        n_max = 128
+        peaks = []
+        for m in (50, 400):
+            fm = load_model_file(str(MODELS / "separable_poisson_ar2.json"))
+            tracemalloc.start()
+            try:
+                smb2d_experiment(fm, [16, 32, 64, n_max], m, base_seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + n_max * n_max * 8
 
     def test_streams_derived_once(self, monkeypatch):
         # at n_max = 128 each field is its own draw; the driver derives the
