@@ -120,12 +120,11 @@ def cmd_report(args) -> int:
         }, indent=2)
     else:
         n, k = np.asarray(report.n_grid), len(report.n_grid)
+        mi = entropy_analysis.mutual_information_table(model, report.n_grid)
         text = _csv(
             "n,H_n,H_n_over_n,KL_gauss,KL_prod",
             n, report.h_n, report.h_n / n, report.kl_gauss, report.kl_prod,
-        ) + "\n" + _csv(
-            "n,p,mutual_information", np.repeat(n, k), np.tile(n, k), report.mi_table.ravel(),
-        )
+        ) + "\n" + _csv("n,p,mutual_information", np.repeat(n, k), np.tile(n, k), mi.ravel())
     _emit(args, text)
     return EXIT_OK
 

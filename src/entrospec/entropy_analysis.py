@@ -41,6 +41,11 @@ def block_mutual_information(model: GaussianProcessModel, n: int, p: int) -> flo
     return 0.5 * (fact.log_det(n) + fact.log_det(p) - fact.log_det(n + p))
 
 
+def mutual_information_table(model: GaussianProcessModel, n_grid) -> np.ndarray:
+    """I(n, p) for n (rows) and p (columns) over the grid; it factors to 2 max(n)."""
+    return np.array([[block_mutual_information(model, n, p) for p in n_grid] for n in n_grid])
+
+
 def markov_defect(model: GaussianProcessModel, p: int) -> float:
     """(H_{p+1} - H_p) - Se >= 0; zero exactly for memory-p processes.  At
     p = 0 it is the independence defect H_1 - Se, zero exactly for white
@@ -85,7 +90,6 @@ class EntropyReport:
     h_n: np.ndarray
     kl_gauss: np.ndarray
     kl_prod: np.ndarray
-    mi_table: np.ndarray  # (len(n_grid), len(n_grid)): I(n, p)
     markov_defects: np.ndarray
     independence: float
     pinsker: float
@@ -98,9 +102,6 @@ class EntropyReport:
         h_n = np.array([model.block_entropy(n) for n in n_grid])
         kl_g = np.array([relative_entropy(model, n, 1.0) for n in n_grid])
         kl_p = np.array([relative_entropy(model, n, model.r0) for n in n_grid])
-        mi = np.array(
-            [[block_mutual_information(model, n, p) for p in n_grid] for n in n_grid]
-        )
         defects = np.array([markov_defect(model, p) for p in range(1, MARKOV_MAX_P + 1)])
         terms, _, residual = dyadic_decomposition(model, DYADIC_LEVELS)
         return cls(
@@ -111,7 +112,6 @@ class EntropyReport:
             h_n=h_n,
             kl_gauss=kl_g,
             kl_prod=kl_p,
-            mi_table=mi,
             markov_defects=defects,
             independence=markov_defect(model, 0),
             pinsker=relative_entropy_rate(model, 1.0),

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 
 from . import toeplitz
+from .errors import NumericalError
 from .spectral import SpectralDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -32,8 +33,7 @@ class GaussianProcessModel:
     def __init__(self, density: SpectralDensity):
         self.density = density
         self._lock = threading.RLock()
-        self._acov = density.autocovariance(0)
-        self._acov.setflags(write=False)
+        self._acov = self._covariances(0)
         self._fact = None
         self._szego = None
         self._chol = {}
@@ -46,11 +46,19 @@ class GaussianProcessModel:
             if self._fact is not None and self._fact.order >= n:
                 return
             if len(self._acov) < n:
-                acov = self.density.autocovariance(n - 1)
-                acov.setflags(write=False)
-                self._acov = acov
+                self._acov = self._covariances(n - 1)
             grow = toeplitz.levinson if self._fact is None else self._fact.extend
             self._fact = grow(self._acov, max(n, 1))
+
+    def _covariances(self, max_lag: int) -> np.ndarray:
+        """r(0..max_lag), read-only, or a NumericalError at the first non-finite lag."""
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite lag
+            acov = self.density.autocovariance(max_lag)
+        if not np.isfinite(acov).all():
+            lag = int(np.argmin(np.isfinite(acov)))
+            raise NumericalError(f"autocovariance of {self.describe()}: r({lag}) = {acov[lag]}")
+        acov.setflags(write=False)
+        return acov
 
     def factorization(self, n: int) -> toeplitz.LevinsonFactorization:
         self._ensure(n)

@@ -2,14 +2,16 @@
 
 Produces innovation variances, reflection coefficients, log-determinant
 prefix sums and the last-order predictor; the lower-order predictors are
-rebuilt on demand from the reflection coefficients (O(n) storage).  Two
-loops update a predictor: the recursion itself, which finds the reflection
-coefficients, and `inverse_factor_blocks`, which rebuilds the predictors
-from them.  Residuals and quadratic forms are read off those blocks;
-`toeplitz_matrix` builds the dense R_n that LAPACK factors.
+rebuilt on demand from the reflection coefficients (O(n) storage).  One
+reflection step updates every predictor, in the recursion, which finds the
+reflection coefficients, and in `inverse_factor_blocks`, which rebuilds the
+predictors from them.  Residuals and quadratic forms are read off those
+blocks; `toeplitz_matrix` builds the dense R_n that LAPACK factors.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -19,6 +21,13 @@ PD_FLOOR_REL = 1e-13
 # rows per inverse-factor block: large enough for BLAS-3 efficiency, small
 # enough that one block (8 * 64 * n bytes) stays 2 MB at n = 4096
 _FACTOR_BLOCK = 64
+
+
+def _reflect(prev, k, out):
+    """out = prev - k * reversed(prev), the one predictor update, rounded after
+    the product and after the difference (never fused); out must not overlap prev."""
+    np.multiply(prev[::-1], k, out=out)
+    np.subtract(prev, out, out=out)
 
 
 class LevinsonFactorization:
@@ -53,38 +62,36 @@ class LevinsonFactorization:
         if not m0 <= n <= len(values):
             raise DimensionMismatch(f"cannot extend order {m0} to {n} from {len(values)} lags")
         floor = PD_FLOOR_REL * self.r0
-        sigma2 = np.append(self.sigma2, np.empty(n - m0))
-        k = np.append(self.reflections, np.empty(n - m0))
-        a = np.append(self.predictor, np.empty(n - m0))
-        tmp = np.empty(n - 1)
+        # a holds the predictor as (-1, a_1, ..., a_{m-1}, 0, ...): reflecting
+        # its first m + 1 entries writes k_m over the zero; a and spare swap
+        a, spare = np.concatenate(([-1.0], self.predictor, np.zeros(n - m0))), np.zeros(n)
         # r(m-1), ..., r(1) is a contiguous slice of the reversed lags
         rev = values[::-1].copy()
         s2 = self.sigma2.item(-1)
-        # r(m), k_m and sigma2_m as Python floats, the predictor update into
-        # tmp: much of the loop's cost is per-order overhead, which numpy
-        # scalars and temporaries would raise.  r(m) is read one at a time,
-        # since a list of all n lags would raise the peak memory
+        # k_m, sigma2_m and the log-det prefix go to array("d") buffers, made
+        # numpy arrays once: numpy scalar writes would raise the per-order
+        # overhead, and lists of floats would leave their pools resident (0.5
+        # MB at n = 4096).  r(m) and the logs are read one at a time likewise
+        ks, s2s = array("d"), array("d")
         for m in range(m0, n):
-            km = (values.item(m) - float(np.dot(a[: m - 1], rev[-m:-1]))) / s2
-            if m > 1:
-                np.multiply(a[m - 2 :: -1], km, out=tmp[: m - 1])
-                np.subtract(a[: m - 1], tmp[: m - 1], out=a[: m - 1])
-            a[m - 1] = km
-            k[m - 1] = km
+            km = (values.item(m) - float(a[1:m].dot(rev[-m:-1]))) / s2
+            _reflect(a[: m + 1], km, spare[: m + 1])
+            a, spare = spare, a
             s2 = s2 * (1.0 - km * km)
-            sigma2[m] = s2
             if s2 <= floor:
                 raise NotPositiveDefinite(m, s2)
+            ks.append(km)
+            s2s.append(s2)
+        sigma2, k = np.append(self.sigma2, s2s), np.append(self.reflections, ks)
         # compensated prefix sums D_m = sum_{j<m} log sigma2_j, continued
-        logdet = np.append(self._logdet, np.empty(n - m0))
-        logs = np.log(sigma2[m0:])
-        total, comp = self._logdet.item(-1), self._log_comp
-        for j in range(len(logs)):
-            y = logs.item(j) - comp
+        total, comp, prefix = self._logdet.item(-1), self._log_comp, array("d")
+        for y in memoryview(np.log(sigma2[m0:])):
+            y -= comp
             t = total + y
             comp, total = (t - total) - y, t
-            logdet[m0 + 1 + j] = total
-        return LevinsonFactorization(sigma2, k, self.r0, logdet, a, comp)
+            prefix.append(total)
+        logdet = np.append(self._logdet, prefix)
+        return LevinsonFactorization(sigma2, k, self.r0, logdet, a[1:], comp)
 
     def log_det(self, m: int) -> float:
         """log det R_m (telescoped product of innovation variances)."""
@@ -119,9 +126,7 @@ class LevinsonFactorization:
                 row = blk[j - j0]
                 if j > 0:
                     kj = k.item(j - 1)
-                    if j > 1:
-                        np.multiply(above[j - 2 :: -1], kj, out=row[1:j])
-                        np.subtract(above[: j - 1], row[1:j], out=row[1:j])
+                    _reflect(above[: j - 1], kj, row[1:j])
                     row[0] = -kj
                 row[j] = 1.0
                 row[j + 1 :] = 0.0

@@ -618,6 +618,15 @@ class TestCliExitCodes:
         "predict": ["predict", "--n", "16"],
     }
 
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_overflowing_covariance_is_numerical_error(self, command, capsys):
+        # the symbol's autocorrelation overflows, so r(0) is nan; a numpy
+        # RuntimeWarning on the way would fail the test (pytest's filterwarnings)
+        assert main(command + ["--model", "ma:1e308,1e308"]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == (
+            "", "numerical error: autocovariance of ma:1e+308,1e+308: r(0) = nan\n"
+        )
+
     NESTED = {
         "scaled-chain": '{"kind": "scaled", "factor": 2, "base": ' * 600
         + '{"kind": "white"}' + "}" * 600,
@@ -1011,6 +1020,7 @@ class TestOutputContract:
     def test_report(self, model, capsys):
         grid = [1, 2, 8, 64]
         rep = entropy_analysis.EntropyReport.build(model_from_string(model), grid)
+        mi = entropy_analysis.mutual_information_table(model_from_string(model), grid)
         argv = ["report", "--model", model, "--n", "1,2,8,64"]
 
         table, mi_table = self.output(argv, capsys).split("\n\n")
@@ -1024,7 +1034,7 @@ class TestOutputContract:
         _assert_columns(rows, [
             [n for n in grid for p in grid],
             [p for n in grid for p in grid],
-            [rep.mi_table[i, j] for i in range(4) for j in range(4)],
+            [mi[i, j] for i in range(4) for j in range(4)],
         ])
 
         data = json.loads(self.output(argv + ["--format", "json"], capsys))

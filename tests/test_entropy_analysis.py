@@ -260,6 +260,14 @@ class TestEntropyReport:
         assert len(csv.splitlines()) == 5
         assert len(mi_csv.splitlines()) == 1 + 16
 
+    @pytest.mark.parametrize("grid, order", [([1, 4, 16], 512), ([1, 4, 1024], 1024)])
+    def test_build_factors_to_its_grid(self, grid, order):
+        # the I(n, p) table, which only report's CSV prints, would factor to
+        # 2 max(n); the dyadic terms I(256, 256) factor to 512 on any grid
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        EntropyReport.build(model, grid)
+        assert model.factorization(1).order == order
+
     def test_report_deterministic(self, capsys):
         argv = ["report", "--model", "ma:1,0.5", "--n", "1,4,16", "--format", "json"]
         assert main(argv) == EXIT_OK

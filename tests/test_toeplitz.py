@@ -224,6 +224,17 @@ class TestInverseFactorBlocks:
         for m in (1, 2, *seams, 299):
             assert np.max(np.abs(A[m, :m] + dense_predictor(model, m))) <= 1e-12
 
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rows_are_the_recursions_predictors(self, name):
+        # the rows and the recursion take the same reflection step, so row m
+        # is the negated, reversed order-m predictor of Levinson, bit for bit
+        model = self.MODELS[name]
+        r = model.autocovariance(299)
+        A = self._assemble(model.factorization(300), 300)
+        B = _FACTOR_BLOCK
+        for m in (1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 299):
+            assert np.array_equal(A[m, :m], -levinson(r, m + 1).predictor[::-1])
+
     def test_order_outside_factorization(self):
         fact = levinson([1.0, 0.5, 0.25], 3)
         with pytest.raises(DimensionMismatch):
