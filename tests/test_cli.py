@@ -1128,11 +1128,13 @@ class TestImport:
         import subprocess
         import sys
 
-        # scipy is test-only, entrospec.kernels only names the backend, and
-        # numpy.random adds about 6 MB of RSS that the package never uses
+        # scipy is test-only, entrospec.kernels only names the backend,
+        # numpy.random adds about 6 MB of RSS that the package never uses, and
+        # concurrent.futures adds 6-9 ms of import where a plain thread serves
         code = (
             "import entrospec.cli, sys; "
-            "print(sorted({'scipy', 'numpy.random', 'entrospec.kernels'} & set(sys.modules)))"
+            "print(sorted({'scipy', 'numpy.random', 'entrospec.kernels', 'concurrent.futures'}"
+            " & set(sys.modules)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

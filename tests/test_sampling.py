@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
-from entrospec import toeplitz
+from entrospec import sampling, toeplitz
 from entrospec.cli import EXIT_ASSERT, EXIT_OK, main
 from entrospec.sampling import (
     _CE_CHUNK,
@@ -214,18 +217,84 @@ class TestSamplePath:
         assert q.var(ddof=1) == pytest.approx(2 * n, rel=0.15)
 
 
+def allow_cpus(monkeypatch, count):
+    """Make `sample_paths` see count usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def record_synthesis_threads(monkeypatch):
+    """The set of threads that run `_circulant_rows` from now on."""
+    threads = set()
+    rows = sampling._circulant_rows
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        rows(*args)
+
+    monkeypatch.setattr(sampling, "_circulant_rows", recorded)
+    return threads
+
+
 class TestEnsemble:
-    def test_rows_match_single_paths(self):
-        # rows are bit-identical to single paths across chunk seams, and each
-        # is the synthesis map applied to that stream's normals
+    def test_rows_match_single_paths(self, monkeypatch):
+        # rows are bit-identical to single paths across chunk seams and across
+        # the two threads' halves, and each is the synthesis map applied to
+        # that stream's normals; a second thread draws once there are two chunks
+        allow_cpus(monkeypatch, 2)
         model = GaussianProcessModel(PoissonKernel(0.5))
         n = 128
-        streams = list(range(_CE_CHUNK + 5)) + [159]
-        X = sample_paths(model, n, streams)
         m, B = synthesis_map(model, n)
-        for i, s in enumerate(streams):
-            assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
-            assert np.max(np.abs(X[i] - standard_normals(s, m) @ B)) <= 1e-10
+        for M in (1, 3, 4, 5, 9, 17, 200, 257):
+            streams = list(range(M - 1)) + [159]
+            threads = record_synthesis_threads(monkeypatch)
+            X = sample_paths(model, n, streams)
+            assert len(threads) == (2 if M > _CE_CHUNK else 1)
+            for i, s in enumerate(streams):
+                assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
+                assert np.max(np.abs(X[i] - standard_normals(s, m) @ B)) <= 1e-10
+
+    def test_one_cpu_draws_serially(self, monkeypatch):
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        streams = ensemble_streams(4, 3 * _CE_CHUNK + 1)
+        allow_cpus(monkeypatch, 2)
+        split = sample_paths(model, 100, streams)
+        allow_cpus(monkeypatch, 1)
+        threads = record_synthesis_threads(monkeypatch)
+        assert np.array_equal(sample_paths(model, 100, streams), split)
+        assert threads == {threading.current_thread()}
+
+    @pytest.mark.parametrize("side", [None, "worker", "caller"])
+    def test_worker_is_joined_and_its_error_raised(self, monkeypatch, side):
+        # the worker's rows are slowed, so that a return before the join
+        # would show: the rows are complete, no thread outlives the call, and
+        # an error in either half reaches the caller with its type
+        class Injected(Exception):
+            pass
+
+        caller = threading.current_thread()
+        rows = sampling._circulant_rows
+
+        def slowed(*args):
+            on_worker = threading.current_thread() is not caller
+            if on_worker:
+                time.sleep(0.01)
+            if side == ("worker" if on_worker else "caller"):
+                raise Injected(side)
+            rows(*args)
+
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        streams = range(3 * _CE_CHUNK)
+        allow_cpus(monkeypatch, 1)
+        serial = sample_paths(model, 64, streams)
+        allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "_circulant_rows", slowed)
+        before = threading.active_count()
+        if side is None:
+            assert np.array_equal(sample_paths(model, 64, streams), serial)
+        else:
+            with pytest.raises(Injected, match=side):
+                sample_paths(model, 64, streams)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("name", sorted(make_non_banded_zoo()))
     def test_non_banded_rows_across_block_seams(self, name):
