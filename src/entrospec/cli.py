@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: rate, report, smb, smb2d, predict, filter.
-Exit codes: 0 ok, 1 assertion failure (--assert), 2 numerical failure,
-3 config/parse failure.
+Exit codes: 0 ok, 1 assertion failure (--assert), 2 numerical failure or
+out of memory, 3 config/parse failure.
 
 This is the one module that formats output: reports are plain records,
 written here as `name = value` lines, CSV tables or JSON objects.  Floats
@@ -29,6 +29,10 @@ EXIT_ASSERT = 1
 EXIT_NUMERICAL = 2
 EXIT_CONFIG = 3
 
+# the most float64 elements one numpy array can hold: a larger size is a
+# config error here, not a numpy ValueError deep in the run
+MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 
 def _int_list(text: str):
     try:
@@ -39,6 +43,8 @@ def _int_list(text: str):
         raise ModelConfigError("n-grid must be strictly increasing and nonempty")
     if values[0] < 1:
         raise ModelConfigError(f"n-grid values must be >= 1, got {values[0]}")
+    if values[-1] > MAX_SIZE:
+        raise ModelConfigError(f"n-grid values must be <= {MAX_SIZE}, got {values[-1]}")
     return values
 
 
@@ -46,6 +52,8 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value > MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_SIZE}, got {value}")
     return value
 
 
@@ -273,6 +281,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except EntrospecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -143,6 +143,9 @@ def density_from_string(text: str) -> spectral.SpectralDensity:
         fields = _KINDS[kind][1]
         fewest = sum(default is None for _, default in fields.values())
         cfg = dict(zip(fields, _params(kind, rest, fewest, len(fields), _USAGE[kind])))
+    elif kind in _KINDS:
+        raise ModelConfigError(f"model kind {kind!r} has no inline form; describe it in a "
+                               "JSON file and pass --model-file")
     else:
         raise ModelConfigError(f"unknown model kind {kind!r}")
     return _build({"kind": kind, **cfg})

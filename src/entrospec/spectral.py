@@ -5,11 +5,12 @@ All integrals are with respect to the *normalized* Lebesgue measure
 Szego integral int log f dlambda exponentiates to the infinite-past
 one-step prediction error variance.  Entropies downstream are in nats.
 
-Every density gives its covariances r(0..N) in closed form, as a float64
-array.  Where the Szego integral or the log-density Fourier coefficients
-L(n) of the strong Szego diagnostics have no closed form (sums), one
-quadrature rule, `cosine_integrals`, gives int log f(t) cos(nt) dlambda for
-n = 0..N.
+Every density is even, f(-t) == f(t) bit for bit (the processes are real),
+and gives its covariances r(0..N) in closed form, as a float64 array.
+Where the Szego integral or the log-density Fourier coefficients L(n) of
+the strong Szego diagnostics have no closed form (sums), one quadrature
+rule, `cosine_integrals`, gives int log f(t) cos(nt) dlambda for n = 0..N
+from the values of log f on the half circle [0, pi].
 """
 
 from __future__ import annotations
@@ -99,21 +100,22 @@ class _PlainSum:
 
 
 def cosine_integrals(g, max_n: int, what: str, jumps=()):
-    """c[n] = int g(t) cos(nt) dlambda, n = 0..max_n, by tanh-sinh
-    quadrature (Takahasi & Mori 1974) on the panels of [0, pi] between the
-    jump points of g in (0, pi), each folded with its mirror in [-pi, 0].
-    The step halves until no value changes by _QUADRATURE_TOL; each level
-    evaluates g at its new nodes only.
+    """c[n] = int g(t) cos(nt) dlambda, n = 0..max_n, for an even g, by
+    tanh-sinh quadrature (Takahasi & Mori 1974): the integral over the
+    circle is (1/pi) int_0^pi g(t) cos(nt) dt, taken on the panels of
+    [0, pi] between the jump points of g in (0, pi), so g is evaluated at
+    nodes in [0, pi] only.  The step halves until no value changes by
+    _QUADRATURE_TOL; each level evaluates g at its new nodes only.
 
     The zoo's singularities (the power-singular cusp or zero at 0, a zero
-    at +-pi, a gap's jumps, a symbol root on the circle) sit at panel ends,
+    at pi, a gap's jumps, a symbol root on the circle) sit at panel ends,
     where the nodes cluster double-exponentially, so the rule converges
     exponentially where a uniform grid converges like h^(1 + 2 alpha).
     With s = (pi/2) sinh u, the nodes at +-u of [0, pi] lie
     delta = pi / (1 + e^(2s)) from its ends, weight
     (pi^2/4) cosh(u) / cosh(s)^2; a panel of length L scales both by
-    L / pi.  A node x and its mirror -x share cos(nx) and are summed folded.
-    A non-finite g value, or the level cap, raises QuadratureNotConverged.
+    L / pi.  A non-finite g value, or the level cap, raises
+    QuadratureNotConverged.
     """
     ends = [0.0, *sorted(set(jumps)), math.pi]
     panels = [((a, b), (b - a) / math.pi) for a, b in zip(ends, ends[1:])]
@@ -134,13 +136,12 @@ def cosine_integrals(g, max_n: int, what: str, jumps=()):
         x = np.concatenate([(a + k * delta, b - k * delta) for (a, b), k in panels], axis=None)
         w = np.concatenate([np.tile(k * weight, 2) for _, k in panels])
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(g(np.concatenate((x, -x))), dtype=np.float64)
-        points += vals.size
-        folded = w * (vals[: x.size] + vals[x.size :])
-        if not np.all(np.isfinite(folded)):
+            weighted = w * np.asarray(g(x), dtype=np.float64)
+        points += x.size
+        if not np.all(np.isfinite(weighted)):
             raise QuadratureNotConverged(what, math.inf, _QUADRATURE_TOL, points)
-        sums.add(x, folded)
-        cur = sums.sums() * (h * math.pi / 8.0)  # (pi^2/4) h, over the measure's 2 pi
+        sums.add(x, weighted)
+        cur = sums.sums() * (h * math.pi / 4.0)  # (pi^2/4) h, over the half circle's pi
         if prev is not None:
             change = float(np.max(np.abs(cur - prev)))
             if change < _QUADRATURE_TOL:
@@ -205,7 +206,11 @@ def _id(x: float) -> str:
 
 
 class SpectralDensity:
-    """Base class; subclasses are immutable value objects."""
+    """Base class; subclasses are immutable value objects.
+
+    Contract: `eval` and `_log_eval` are even, bit for bit, at every t
+    (0, pi, the jump points and the tiniest |t| included), since
+    `cosine_integrals` evaluates them on [0, pi] only."""
 
     def eval(self, t):
         raise NotImplementedError
@@ -536,6 +541,8 @@ class FilterProduct(SpectralDensity):
 
     def __init__(self, symbol, base):
         sym = tuple(float(c) for c in symbol)
+        if not sym:
+            raise ZeroSymbol("filter symbol has no coefficients")
         if not any(c != 0.0 for c in sym):
             raise ZeroSymbol("filter symbol is identically zero")
         object.__setattr__(self, "symbol", sym)

@@ -23,7 +23,7 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
-from entrospec import entropy_analysis, prediction, smb
+from entrospec import cli, entropy_analysis, prediction, smb
 from entrospec.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from entrospec.modelspec import (
     _KINDS,
@@ -602,6 +602,15 @@ class TestCliExitCodes:
             "kind": "separable", "factor_a": {"kind": "white"}, "factor_b": {"kind": "white"}}},
          "field 'base' must be a density model object, got {'kind': 'separable', "
          "'factor_a': {'kind': 'white'}, 'factor_b': {'kind': 'white'}}"),
+        *((["rate"], text, f"model kind {text.partition(':')[0]!r} has no inline form; "
+                           "describe it in a JSON file and pass --model-file")
+          for text in ("gap:0.25", "fourier_table:1,0.5", "scaled:2", "sum:", "filter:1",
+                       "separable:")),
+        (["rate"], "ma:", "filter symbol has no coefficients"),
+        (["rate"], {"kind": "ma", "coeffs": []}, "filter symbol has no coefficients"),
+        (["filter", "--symbol", ""], "poisson:0.5", "filter symbol has no coefficients"),
+        (["report", "--n", f"1,{10**21}"], "poisson:0.5",
+         f"n-grid values must be <= {cli.MAX_SIZE}, got {10**21}"),
     ]
 
     @pytest.mark.parametrize("command, model, message", INPUT_ERRORS)
@@ -853,6 +862,40 @@ class TestCliOutputs:
         ):
             assert main(argv) == EXIT_CONFIG
             assert "identically zero" in capsys.readouterr().err
+
+    # sizes past what one float64 array can hold, as --n, an n-grid or --m
+    HUGE = str(10**21)
+    HUGE_SIZES = {
+        "predict": (["predict", "--n", HUGE], HUGE),
+        "smb_m": (["smb", "--n", "4", "--m", HUGE], HUGE),
+        "smb_n": (["smb", "--n", f"4,{HUGE}", "--m", "2"], HUGE),
+        "limit": (["predict", "--n", str(cli.MAX_SIZE + 1)], str(cli.MAX_SIZE + 1)),
+    }
+
+    @pytest.mark.parametrize("argv, value", HUGE_SIZES.values(), ids=HUGE_SIZES.keys())
+    def test_size_past_array_limit_is_config_error(self, argv, value, capsys):
+        assert main(argv + ["--model", "poisson:0.5"]) == EXIT_CONFIG
+        assert f"got {value}" in capsys.readouterr().err
+
+    def test_array_limit_is_numpy_float64_limit(self):
+        # the limit itself parses; one more is what numpy refuses as a float64
+        # array before it allocates anything
+        assert cli._positive_int(str(cli.MAX_SIZE)) == cli.MAX_SIZE
+        assert cli._int_list(f"1,{cli.MAX_SIZE}") == [1, cli.MAX_SIZE]
+        with pytest.raises(ValueError):
+            np.empty(cli.MAX_SIZE + 1)
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 7.28 EiB"), "Unable to allocate 7.28 EiB"),
+        (MemoryError(), "allocation failed"),
+    ])
+    def test_memory_error_is_numerical_error(self, exc, message, monkeypatch, capsys):
+        def boom(*args):
+            raise exc
+
+        monkeypatch.setattr(prediction, "prediction_gap_series", boom)
+        assert main(["predict", "--model", "poisson:0.5", "--n", "16"]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", f"error: out of memory: {message}\n")
 
     # an empty field inside a list is a typo, not a number to drop
     EMPTY_FIELDS = {

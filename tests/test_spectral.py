@@ -78,10 +78,10 @@ class _DirectSums:
 
 
 class _InteriorZero(SpectralDensity):
-    """|sin(t - 1)|: a log zero inside a panel, where tanh-sinh stalls."""
+    """|sin(|t| - 1)|: a log zero inside a panel, where tanh-sinh stalls."""
 
     def eval(self, t):
-        return np.abs(np.sin(np.asarray(t, dtype=np.float64) - 1.0))
+        return np.abs(np.sin(np.abs(np.asarray(t, dtype=np.float64)) - 1.0))
 
 
 class TestEvalDensity:
@@ -115,6 +115,75 @@ class TestEvalDensity:
         t = np.linspace(-math.pi, math.pi, 1001)
         for model in zoo_with_singular.values():
             assert np.all(model.density.eval(t) >= 0.0)
+
+
+# every density kind and composite: a gap in a sum, a filter whose symbol
+# has a root on the circle, a sharp AR resonance, a table and a scaled cusp
+EVEN_DENSITIES = {
+    "white": White(2.0),
+    "poisson": PoissonKernel(0.5),
+    "poisson_neg": PoissonKernel(-0.5),
+    "ar2": AutoRegressive([0.5, -0.2], 1.0),
+    "ar_sharp": AutoRegressive([1.8, -0.9], 1.0),
+    "power0.1": PowerSingular(0.1, 1.0),
+    "power0.45": PowerSingular(0.45, 2.0),
+    "table": FourierTable([1.0, 0.6, 0.3, 0.1]),
+    "gap": SpectralGap(0.25),
+    "scaled": PowerSingular(0.3, 1.0).scaled(3.0),
+    "ma": MovingAverage([1.0, 0.9]),
+    "ma_root": MovingAverage([1.0, -1.0, 1.0]),
+    "filter": FilterProduct([1.0, -0.5, 0.3], PowerSingular(0.3, 1.0)),
+    "filter_root": FilterProduct([1.0, 1.0], SpectralGap(0.1) + White(0.5)),
+    "cusp_sum": CUSP_SUM,
+    "gap+white": SpectralGap(0.25) + White(0.01),
+    "sum3": SumDensity((
+        MovingAverage([1.0, -1.0]),
+        PowerSingular(0.1, 1.0),
+        FilterProduct([1.0, 0.5], SpectralGap(0.3)),
+    )),
+}
+
+
+class TestEvenDensities:
+    """The contract `cosine_integrals` relies on: f(-t) == f(t) bit for bit."""
+
+    @staticmethod
+    def grid(density):
+        t = np.concatenate((
+            [0.0, math.pi, math.pi / 4, math.pi / 2, math.pi / 3, 1e-300, 5e-324, 1e-10,
+             1e-12, 1e-15, math.nextafter(math.pi, 0.0)],
+            density.jump_points(),
+            np.geomspace(1e-300, 1e-10, 64),
+            np.random.default_rng(5).uniform(0.0, math.pi, 20_000),
+        ))
+        # each jump point and its neighbours in float64
+        for x in density.jump_points():
+            t = np.append(t, [math.nextafter(x, 0.0), math.nextafter(x, 4.0)])
+        return t
+
+    @pytest.mark.parametrize("density", EVEN_DENSITIES.values(), ids=EVEN_DENSITIES.keys())
+    def test_eval_is_even_bit_for_bit(self, density):
+        t = self.grid(density)
+        assert np.array_equal(density.eval(-t).view(np.int64), density.eval(t).view(np.int64))
+
+    @pytest.mark.parametrize("density", EVEN_DENSITIES.values(), ids=EVEN_DENSITIES.keys())
+    def test_log_eval_is_even_bit_for_bit(self, density):
+        t = self.grid(density)
+        with np.errstate(divide="ignore"):
+            left, right = density._log_eval(-t), density._log_eval(t)
+        assert np.array_equal(left.view(np.int64), right.view(np.int64))
+
+    def test_quadrature_evaluates_half_circle_only(self):
+        nodes = []
+
+        def g(t):
+            nodes.append(np.array(t, copy=True))
+            return CUSP_SUM._log_eval(t)
+
+        cosine_integrals(g, 64, "L(n)", jumps=(1.0,))
+        nodes = np.concatenate(nodes)
+        assert nodes.size > 0
+        assert np.all(nodes >= 0.0) and np.all(nodes <= math.pi)
 
 
 class TestAutocovariance:
@@ -337,7 +406,7 @@ class TestLogDensityFourierCoeffs:
         "density", [CUSP_SUM, White(4.0), PoissonKernel(0.5), PowerSingular(0.3, 2.0)], ids=repr
     )
     def test_plain_sum_matches_grid_at_n0(self, density):
-        # N = 0 sums the folded values without the grid; N = 1 spreads them
+        # N = 0 sums the weighted values without the grid; N = 1 spreads them
         plain = log_cosine_quadrature(density, 0)
         assert plain.shape == (1,)
         assert abs(plain[0] - log_cosine_quadrature(density, 1)[0]) <= 1e-14
