@@ -42,7 +42,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonMonotone
 from .gaussian_model import GaussianProcessModel
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -163,16 +162,17 @@ def path_sampler(model: GaussianProcessModel, n: int) -> str:
     return "cholesky" if _circulant_embedding(model, n) is None else "circulant"
 
 
-def _circulant_rows(s: np.ndarray, z: np.ndarray, w: np.ndarray, x: np.ndarray) -> None:
-    """Paths from the normals z (one row of m per path) into x (rows x m):
-    x = irfft(W, m), W the Hermitian half-spectrum in w (zero on entry in
+def _circulant_rows(s: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+    """Paths from the normals z (one row of m per path), written over z:
+    z = irfft(W, m), W the Hermitian half-spectrum in w (zero on entry in
     the imaginary parts of its end bins) with real parts s*z[:h] and
-    interior imaginary parts s*z[h:], h = len(s)."""
+    interior imaginary parts s*z[h:], h = len(s).  W holds all it needs of
+    the normals before the inverse FFT overwrites them."""
     m = z.shape[1]
     h = len(s)
     np.multiply(z[:, :h], s, out=w.real)
     np.multiply(z[:, h:], s[1 : m - h + 1], out=w.imag[:, 1 : m - h + 1])
-    np.fft.irfft(w, m, out=x)
+    np.fft.irfft(w, m, out=z)
 
 
 def _usable_cpus() -> int:
@@ -186,18 +186,24 @@ def sample_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
     """Ensemble draw of N(0, R_n) paths, one row per stream.
 
     Row i is the circulant synthesis of m normals from stream streams[i]
-    (see `_circulant_embedding`), drawn _CE_CHUNK rows at a time, and
-    depends on that stream alone.  With at least two chunks and two usable
-    CPUs, one thread, started and joined here, draws the second half of the
-    rows through its own half of the buffers; an error it raises is raised
-    here.  Without a nonnegative embedding, row i is L z for the Cholesky
-    factor L of R_n and n normals z of that stream, drawn serially.
+    (see `_circulant_embedding`), written over those normals _CE_CHUNK rows
+    at a time, and depends on that stream alone.  With at least two chunks
+    and two usable CPUs, one thread, started and joined here, draws the
+    second half of the rows through its own half of the buffers; an error
+    it raises is raised here.  Without a nonnegative embedding, row i is
+    L z for the Cholesky factor L of R_n and the n normals z of that
+    stream, all rows one stacked product as for a field; a
+    non-positive-definite R_n raises NotPositiveDefinite.
     """
     if n < 1:
         raise DimensionMismatch(f"path length must be >= 1, got {n}")
     embedding = _circulant_embedding(model, n)
     if embedding is None:
-        return _cholesky_paths(model, n, streams)
+        z = np.empty((len(streams), n))
+        _normals_into(z, streams)
+        # a stack of n x 1 columns, one GEMV each, unlike one GEMM z L^T
+        # whose blocking would tie a row to the ensemble size
+        return (model.cholesky(n) @ z[..., None])[..., 0]
     m, s = embedding
     count = len(streams)
     X = np.empty((count, n))
@@ -206,7 +212,7 @@ def sample_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
     # one set of buffers serves every chunk: multi-MB temporaries made
     # afresh per chunk would be page-faulted in again each time
     rows = min(threads * _CE_CHUNK, count)
-    z, x = np.empty((rows, m)), np.empty((rows, m))
+    z = np.empty((rows, m))
     w = np.zeros((rows, len(s)), dtype=np.complex128)
     work = np.empty((2, rows, 2 * ((m + 1) // 2)), dtype=np.uint64)
 
@@ -216,8 +222,8 @@ def sample_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
             k = min(_CE_CHUNK, hi - i0)
             buf = slice(b, b + k)
             _normals_into(z[buf], streams[i0 : i0 + k], work[:, buf])
-            _circulant_rows(s, z[buf], w[buf], x[buf])
-            X[i0 : i0 + k] = x[buf, :n]
+            _circulant_rows(s, z[buf], w[buf])
+            X[i0 : i0 + k] = z[buf, :n]
 
     if threads == 1:
         draw(0, count, 0)
@@ -239,18 +245,6 @@ def sample_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
         worker.join()
     if failed:
         raise failed[0]
-    return X
-
-
-def _cholesky_paths(model: GaussianProcessModel, n: int, streams) -> np.ndarray:
-    """Row i is L z_i for L = `model.cholesky(n)`, one GEMV per row so that
-    a row does not depend on the ensemble; the factor costs O(n^3) time and
-    n^2 floats.  A non-positive-definite R_n raises NotPositiveDefinite."""
-    chol = model.cholesky(n)
-    X = np.empty((len(streams), n))
-    _normals_into(X, streams)
-    for x in X:
-        x[:] = chol @ x
     return X
 
 

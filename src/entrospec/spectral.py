@@ -125,16 +125,17 @@ def cosine_integrals(g, max_n: int, what: str, jumps=()):
     change = math.inf
     for level in range(_DE_MAX_LEVEL + 1):
         h = _DE_STEP / 2**level
-        # a refinement adds only the odd multiples of the halved step
-        first, stride = (0, 1) if level == 0 else (1, 2)
+        # a refinement adds only the odd multiples of the halved step; level
+        # 0's u = 0 is the panel midpoint a + k delta = b - k delta, listed once
+        first, stride, skip = (0, 1, 1) if level == 0 else (1, 2, 0)
         u = h * np.arange(first, int(_DE_U_MAX / h) + 1, stride)
         s = 0.5 * math.pi * np.sinh(u)
         delta = math.pi / (1.0 + np.exp(2.0 * s))
         weight = np.cosh(u) / np.cosh(s) ** 2
-        if level == 0:
-            weight[0] *= 0.5  # u = 0 is one node per panel, listed twice below
-        x = np.concatenate([(a + k * delta, b - k * delta) for (a, b), k in panels], axis=None)
-        w = np.concatenate([np.tile(k * weight, 2) for _, k in panels])
+        x = np.concatenate(
+            [p for (a, b), k in panels for p in (a + k * delta, b - k * delta[skip:])]
+        )
+        w = np.concatenate([p for _, k in panels for p in (k * weight, k * weight[skip:])])
         with np.errstate(divide="ignore", invalid="ignore"):
             weighted = w * np.asarray(g(x), dtype=np.float64)
         points += x.size

@@ -23,7 +23,7 @@ from entrospec import (
     SeparableFieldModel,
     White,
 )
-from entrospec import cli, entropy_analysis, prediction, smb
+from entrospec import cli, entropy_analysis, modelspec, prediction, smb
 from entrospec.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from entrospec.modelspec import (
     _KINDS,
@@ -651,6 +651,17 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    def test_recursion_in_model_builder_is_config_error(self, monkeypatch, tmp_path, capsys):
+        # a chain that the JSON reader parses but the builder cannot nest:
+        # its depth depends on the caller's stack, so the builder is made to fail
+        def too_deep(cfg):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(modelspec, "model_from_config", too_deep)
+        assert main(["rate"] + model_args({"kind": "white"}, tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model file ") and err.endswith("nests too deeply\n")
+
     def test_deep_scaled_chain_loads(self, tmp_path, capsys):
         # two frames per level: 400 levels fit under the default recursion
         # limit with room for the test runner's own frames
@@ -691,22 +702,30 @@ class TestCliExitCodes:
         # the last delta_n, past the table: sigma2_n is sigma2_inf
         assert abs(float(lines[-1].split(",")[2])) <= 1e-15
 
-    # r(1..20) = 0.99 fails at order 21, [1, 1, 1, ...] at order 1, when the
-    # table is factored as it is read
+    # (table, failing order) when the table is factored as it is read:
+    # r(1..20) = 0.99 fails at order 21, [1, 1, 1, ...] at order 1, and a
+    # variance r(0) of 0 or below at order 0
     NOT_POSITIVE_DEFINITE = {
-        "ramp": [1.0] + [0.99] * 20 + [0.0] * 44,
-        "ones": [1.0, 1.0, 1.0] + [0.0] * 62,
+        "ramp": ([1.0] + [0.99] * 20 + [0.0] * 44, 21),
+        "ones": ([1.0, 1.0, 1.0] + [0.0] * 62, 1),
+        "zero": ([0.0], 0),
+        "negative": ([-1.0], 0),
     }
 
     @pytest.mark.parametrize("table", sorted(NOT_POSITIVE_DEFINITE))
     @pytest.mark.parametrize(
         "command", [["rate"], ["filter", "--symbol", "1,-0.5"], ["report"]], ids=lambda c: c[0]
     )
-    def test_not_positive_definite_table_is_numerical_error(self, table, command, tmp_path):
+    def test_not_positive_definite_table_is_numerical_error(
+        self, table, command, tmp_path, capsys
+    ):
         path = tmp_path / "table.json"
-        covariances = self.NOT_POSITIVE_DEFINITE[table]
+        covariances, order = self.NOT_POSITIVE_DEFINITE[table]
         path.write_text(json.dumps({"kind": "fourier_table", "covariances": covariances}))
         assert main(command + ["--model-file", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: innovation variance ")
+        assert err.endswith(f" at order {order}\n")
 
     @pytest.mark.parametrize(
         "argv",

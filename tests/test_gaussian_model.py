@@ -20,7 +20,7 @@ from entrospec import toeplitz
 from entrospec.gaussian_model import HALF_LOG_2PI_E, LOG_2PI
 from entrospec.prediction import prediction_gap_series
 from entrospec.sampling import sample_paths
-from entrospec.spectral import NEG_INF
+from entrospec.spectral import NEG_INF, log_abs_symbol_integral
 
 from conftest import ARC_GAP, make_zoo
 
@@ -151,6 +151,8 @@ class TestModelAlgebra:
         model = GaussianProcessModel(White(1.0))
         with pytest.raises(ZeroSymbol):
             GaussianProcessModel(FilterProduct([0.0, 0.0], model.density))
+        with pytest.raises(ZeroSymbol):
+            log_abs_symbol_integral([0.0, 0.0])
 
     def test_sum_density_covariance(self):
         a = GaussianProcessModel(PoissonKernel(0.5))

@@ -15,6 +15,7 @@ from entrospec import (
     NonMonotone,
     PoissonKernel,
     SeparableFieldModel,
+    SpectralGap,
     White,
 )
 from entrospec import sampling, toeplitz
@@ -47,8 +48,8 @@ def synthesis_map(model, n):
     """(m, B): the circulant synthesis applied to the identity in place of
     normals, so that a path drawn from the normals z is z @ B."""
     m, s = _circulant_embedding(model, n)
-    x = np.empty((m, m))
-    _circulant_rows(s, np.eye(m), np.zeros((m, len(s)), dtype=np.complex128), x)
+    x = np.eye(m)
+    _circulant_rows(s, x, np.zeros((m, len(s)), dtype=np.complex128))
     return m, x[:, :n]
 
 
@@ -360,24 +361,30 @@ class TestEnsemble:
 class TestSamplerChoice:
     CASES = {
         "resonant_n16": (RESONANT, 16),
+        # a density that vanishes on an arc has no nonnegative embedding at any n
+        "gap_white_n64": (GaussianProcessModel(SpectralGap(0.25) + White(0.01)), 64),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_levinson_fallback_matches_cholesky(self, case):
         # no nonnegative embedding up to 4x: rows are the dense Cholesky draw
-        # L z of n normals, one GEMV each
+        # L z of n normals, all rows one stacked product, each row a function
+        # of its own stream whatever the ensemble size
         model, n = self.CASES[case]
         assert path_sampler(model, n) == "cholesky"
-        streams = [3, 14, 159]
-        X = sample_paths(model, n, streams)
         chol = np.linalg.cholesky(dense_cov(model, n))
-        # independent of the sampler: the Levinson innovations whiten each row
-        Z = ensemble_residuals(model, X) / np.sqrt(model.factorization(n).sigma2[:n])
-        for i, s in enumerate(streams):
-            z = standard_normals(s, n)
-            assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
-            assert np.max(np.abs(Z[i] - z)) <= 1e-10
-            assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
+        sigma = np.sqrt(model.factorization(n).sigma2[:n])
+        for k in (1, 3, 200):
+            streams = [3, 14, 159, *range(1000, 1197)][:k]
+            X = sample_paths(model, n, streams)
+            assert X.shape == (k, n)
+            # independent of the sampler: the Levinson innovations whiten each row
+            Z = ensemble_residuals(model, X) / sigma
+            for i, s in enumerate(streams):
+                z = standard_normals(s, n)
+                assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
+                assert np.max(np.abs(Z[i] - z)) <= 1e-10
+                assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
 
     def test_fourier_table_pads_embedding(self):
         # the embeddings of [1, .9, .7] of size 4 and 8 are negative; the one

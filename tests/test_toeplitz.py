@@ -80,6 +80,13 @@ class TestLogDet:
         fact = levinson([1.0, 0.4, 0.0], 2)
         assert fact.log_det(2) == pytest.approx(math.log(0.84), abs=1e-14)
 
+    @pytest.mark.parametrize("m", [-1, 3])
+    def test_order_outside_factorization(self, m):
+        # log det R_m is held for m = 0..order
+        fact = levinson([1.0, 0.4, 0.0], 2)
+        with pytest.raises(DimensionMismatch):
+            fact.log_det(m)
+
     def test_prefix_differences_are_log_sigma2(self, zoo):
         for model in zoo.values():
             fact = model.factorization(64)
@@ -121,6 +128,8 @@ class TestQuadraticForm:
         fact = levinson([1.0, 0.5], 2)
         with pytest.raises(DimensionMismatch):
             fact.quadratic_form([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatch):
+            fact.quadratic_form([[1.0, 2.0], [3.0, 4.0]])
 
     @pytest.mark.parametrize("name", sorted(make_zoo()))
     def test_against_dense_solve(self, zoo, name):
