@@ -21,55 +21,59 @@ HALF_LOG_2PI_E = 0.5 * (LOG_2PI + 1.0)
 class GaussianProcessModel:
     """Ties a spectral density to its Toeplitz machinery.
 
-    Covariances, the Levinson factorization and the two dense factors of
-    R_n (`cholesky`, `whitening_factor`, kept per n) are cached, read-only.
-    The first request factors exactly its order n, and a later one past the
-    cached order extends the factorization to exactly its n, so each order
-    is computed once.  Construction reads r(0) only, so a model asked only
-    for its rate is never factored.  Models are immutable from the
-    caller's point of view and safe to query concurrently.
+    `autocovariance` alone reads the density: it caches r(0..) to the
+    largest lag asked for, checked finite, and reading lags never factors.
+    The lags, the Levinson factorization and the dense factors of R_n
+    (`cholesky`, `whitening_factor`, per n) are cached read-only.  Each
+    factorization request grows the cached one to exactly its n, so each
+    order is computed once, and a model asked only for its rate is never
+    factored.  Models are immutable to callers and safe to query concurrently.
     """
 
     def __init__(self, density: SpectralDensity):
         self.density = density
         self._lock = threading.RLock()
-        self._acov = self._covariances(0)
+        self._acov = np.empty(0)
         self._fact = None
         self._szego = None
         self._chol = {}
         self._whiten = {}
+        self.autocovariance(0)
 
     # -- caches ------------------------------------------------------------
 
-    def _ensure(self, n: int) -> None:
+    def autocovariance(self, max_lag: int) -> np.ndarray:
+        """r(0..max_lag), a read-only view of the cache, which grows to the
+        largest lag asked for; a NumericalError names the first non-finite lag."""
         with self._lock:
-            if self._fact is not None and self._fact.order >= n:
-                return
-            if len(self._acov) < n:
-                self._acov = self._covariances(n - 1)
-            grow = toeplitz.levinson if self._fact is None else self._fact.extend
-            self._fact = grow(self._acov, max(n, 1))
-
-    def _covariances(self, max_lag: int) -> np.ndarray:
-        """r(0..max_lag), read-only, or a NumericalError at the first non-finite lag."""
-        with np.errstate(all="ignore"):  # an overflow shows as a non-finite lag
-            acov = self.density.autocovariance(max_lag)
-        if not np.isfinite(acov).all():
-            lag = int(np.argmin(np.isfinite(acov)))
-            raise NumericalError(f"autocovariance of {self.describe()}: r({lag}) = {acov[lag]}")
-        acov.setflags(write=False)
-        return acov
+            if len(self._acov) <= max_lag:
+                with np.errstate(all="ignore"):  # an overflow shows as a non-finite lag
+                    acov = self.density.autocovariance(max_lag)
+                if not np.isfinite(acov).all():
+                    lag = int(np.argmin(np.isfinite(acov)))
+                    where = f"autocovariance of {self.describe()}"
+                    raise NumericalError(f"{where}: r({lag}) = {acov[lag]}")
+                acov.setflags(write=False)
+                self._acov = acov
+            return self._acov[: max_lag + 1]
 
     def factorization(self, n: int) -> toeplitz.LevinsonFactorization:
-        self._ensure(n)
-        return self._fact
+        """R_n's Levinson factorization, grown from the cached order to exactly
+        n (at least 1); NotPositiveDefinite names the order where R_n fails."""
+        n = max(n, 1)
+        with self._lock:
+            if self._fact is None or self._fact.order < n:
+                grow = toeplitz.levinson if self._fact is None else self._fact.extend
+                self._fact = grow(self.autocovariance(n - 1), n)
+            return self._fact
 
     def cholesky(self, n: int) -> np.ndarray:
         """L with R_n = L L^T (LAPACK on the dense R_n), the samplers' factor.
-        The covariances are read first, which factors R_n to order n, so a
-        non-positive-definite R_n raises NotPositiveDefinite from Levinson."""
+        R_n is factored by Levinson first, so a non-positive-definite R_n
+        raises NotPositiveDefinite, naming its order, before LAPACK runs."""
         with self._lock:
             if n not in self._chol:
+                self.factorization(n)
                 chol = np.linalg.cholesky(toeplitz.toeplitz_matrix(self.autocovariance(n - 1), n))
                 chol.setflags(write=False)
                 self._chol[n] = chol
@@ -93,11 +97,6 @@ class GaussianProcessModel:
     @property
     def r0(self) -> float:
         return self._acov.item(0)
-
-    def autocovariance(self, max_lag: int) -> np.ndarray:
-        """r(0..max_lag), a read-only view of the cache."""
-        self._ensure(max_lag + 1)
-        return self._acov[: max_lag + 1]
 
     def szego_integral(self) -> float:
         with self._lock:

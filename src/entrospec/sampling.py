@@ -139,15 +139,13 @@ def _circulant_embedding(model: GaussianProcessModel, n: int):
     The embedding row is c = (r_0..r_{m/2}, r_{m/2-1}..r_1), m = 2(n-1) at
     first and doubled after a negative eigenvalue; its eigenvalues are
     lambda = rfft(c).  s is sqrt(m lambda) on the half-spectrum, with the
-    1/sqrt(2) of the complex interior bins folded in.  The longer lags come
-    from the density.
+    1/sqrt(2) of the complex interior bins folded in.  Each size's lags come
+    from the model's checked cache, `model.autocovariance(m // 2)`.
     """
     m_min = max(2 * (n - 1), 1)
-    r = model.autocovariance(n - 1)
     m = m_min
     while m <= _CE_MAX_PAD * m_min:
-        if m > m_min:
-            r = model.density.autocovariance(m // 2)
+        r = model.autocovariance(m // 2)
         lam = np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
         if lam.min() >= -_CE_CLIP * lam.max():
             s = np.sqrt(m * np.maximum(lam, 0.0))

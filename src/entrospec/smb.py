@@ -131,9 +131,10 @@ def _ensemble_experiment(
     stream at the largest n, `batch(n_max)` streams at a time, and
     `score(X, n_grid)` their information at every n as a
     (len(X) x len(n_grid)) array.  `sampler(n_max)` names the synthesis.
-    `shift` is added to the rate and to every H_n/n^dims.  Each n's mean and
-    sd are taken down a column of the (ensemble x grid) array of normalized
-    information.
+    `shift` is added to the rate and to every H_n/n^dims.  The exact values
+    come first, H_n largest n first, so that each factor is factored once,
+    to n_max, before the first draw.  Each n's mean and sd are taken down a
+    column of the (ensemble x grid) array of normalized information.
     """
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid:
@@ -147,6 +148,7 @@ def _ensemble_experiment(
     sizes = np.power(n_grid, dims)  # points of each block
     streams = sampling.ensemble_streams(base_seed, ensemble_size)
     values = np.empty((ensemble_size, len(n_grid)))
+    entropies = [model.block_entropy(n) for n in reversed(n_grid)][::-1]
     step = batch(n_max)
     for i0 in range(0, ensemble_size, step):
         values[i0 : i0 + step] = score(draw(n_max, streams[i0 : i0 + step]), n_grid)
@@ -159,7 +161,7 @@ def _ensemble_experiment(
         means=values.mean(axis=0),
         sds=values.std(axis=0, ddof=1 if ensemble_size > 1 else 0),
         se_exact=se + shift,
-        hn_over_n=np.array([model.block_entropy(n) / b for n, b in zip(n_grid, sizes)]) + shift,
+        hn_over_n=np.array(entropies) / sizes + shift,
         theoretical_sd=1.0 / np.sqrt(2.0 * sizes),
         ensemble_size=ensemble_size,
         base_seed=base_seed,

@@ -78,7 +78,7 @@ class LevinsonFactorization:
             _reflect(a[: m + 1], km, spare[: m + 1])
             a, spare = spare, a
             s2 = s2 * (1.0 - km * km)
-            if s2 <= floor:
+            if not s2 > floor:  # a NaN fails too
                 raise NotPositiveDefinite(m, s2)
             ks.append(km)
             s2s.append(s2)
@@ -172,12 +172,12 @@ def toeplitz_matrix(acov, n: int) -> np.ndarray:
 def levinson(r, n: int) -> LevinsonFactorization:
     """Factor R_n from the autocovariances r(0..), any float sequence: the
     order-1 factorization of r(0), extended to n.  NotPositiveDefinite, raised
-    where an innovation variance falls to the roundoff floor, names the order."""
+    where an innovation variance is NaN or at the roundoff floor, names the order."""
     values = np.ascontiguousarray(r, dtype=np.float64)
     if not 1 <= n <= len(values):
         raise DimensionMismatch(f"cannot factor order {n} from {len(values)} lags")
     r0 = values.item(0)
-    if r0 <= PD_FLOOR_REL * r0:
+    if not r0 > PD_FLOOR_REL * r0:
         raise NotPositiveDefinite(0, r0)
     sigma2, empty = values[:1].copy(), np.empty(0)
     first = LevinsonFactorization(sigma2, empty, r0, np.append(0.0, np.log(sigma2)), empty, 0.0)

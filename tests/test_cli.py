@@ -1150,18 +1150,24 @@ class TestImport:
             spans = tracer.Tracer()
             tracer.install(spans)
             from entrospec import cli, kernels
-            rcs = [
-                cli.main(["smb", "--model", "poisson:0.5", "--n", "8,16", "--m", "4"]),
-                cli.main(["predict", "--model", "poisson:0.5", "--n", "16"]),
-                cli.main(["smb2d", "--model-file", {field_file!r}, "--n", "4,8", "--m", "3"]),
+            ensembles = [
+                ["smb", "--model", "poisson:0.5", "--n", "8,16", "--m", "4"],
+                ["smb2d", "--model-file", {field_file!r}, "--n", "4,8", "--m", "3"],
                 # no nonnegative circulant embedding: the Cholesky fallback
-                cli.main(["smb", "--model", "ar:1.8,-0.9:1", "--n", "4,8", "--m", "3"]),
+                ["smb", "--model", "ar:1.8,-0.9:1", "--n", "4,8", "--m", "3"],
             ]
+            rcs, ensemble_spans = [], []
+            for argv in ensembles:
+                before = len(spans.spans)
+                rcs.append(cli.main(argv))
+                ensemble_spans.append([s[:2] + s[4:] for s in spans.spans[before:]])
+            rcs.append(cli.main(["predict", "--model", "poisson:0.5", "--n", "16"]))
             before = len(spans.spans)
             # a report extends its model's factorization request by request
             rcs.append(cli.main(["report", "--model", "poisson:0.5", "--n", "1,4,16"]))
             report = sorted({{s[0] for s in spans.spans[before:]}})
-            print(json.dumps([kernels.BACKEND, rcs, sorted({{s[0] for s in spans.spans}}), report]))
+            names = sorted({{s[0] for s in spans.spans}})
+            print(json.dumps([kernels.BACKEND, rcs, names, report, ensemble_spans]))
             """
         )
         out = subprocess.run(
@@ -1171,7 +1177,7 @@ class TestImport:
             text=True,
         )
         assert out.returncode == 0, out.stderr
-        backend, rcs, names, report = json.loads(out.stdout.splitlines()[-1])
+        backend, rcs, names, report, ensemble_spans = json.loads(out.stdout.splitlines()[-1])
         assert backend == "python"
         assert rcs == [EXIT_OK] * 5
         assert "toeplitz.levinson" in report
@@ -1185,6 +1191,17 @@ class TestImport:
             "field2d.quadratic_form",
         ):
             assert name in names
+        # the benchmark's Levinson figures: an ensemble factors each model
+        # once, to the grid's largest n, before its first draw
+        for cmd_spans, (n_max, factors, draw) in zip(
+            ensemble_spans,
+            [(16, 1, "sampling.sample_paths"), (8, 2, "sampling.sample_field"),
+             (8, 1, "sampling.sample_paths")],
+        ):
+            runs = [(start, work) for name, start, work in cmd_spans if name == "toeplitz.levinson"]
+            first_draw = min(start for name, start, _ in cmd_spans if name == draw)
+            assert [work for _, work in runs] == [n_max] * factors
+            assert all(start < first_draw for start, _ in runs)
 
     def test_cli_import_leaves_scipy_out(self):
         import subprocess

@@ -13,6 +13,7 @@ from entrospec import (
     FourierTable,
     GaussianProcessModel,
     NonMonotone,
+    NumericalError,
     PoissonKernel,
     SeparableFieldModel,
     SpectralGap,
@@ -264,6 +265,20 @@ class TestEnsemble:
         assert np.array_equal(sample_paths(model, 100, streams), split)
         assert threads == {threading.current_thread()}
 
+    @pytest.mark.parametrize("count", [1, None, 2])
+    def test_cpu_count_without_affinity(self, monkeypatch, count):
+        # where os has no sched_getaffinity (as on macOS) the usable CPUs are
+        # os.cpu_count(), 1 when it is unknown; the rows do not depend on them
+        model = GaussianProcessModel(PoissonKernel(0.5))
+        streams = ensemble_streams(4, 3 * _CE_CHUNK + 1)
+        default = sample_paths(model, 100, streams)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        threads = record_synthesis_threads(monkeypatch)
+        assert np.array_equal(sample_paths(model, 100, streams), default)
+        assert len(threads) == (2 if count == 2 else 1)
+        assert threading.current_thread() in threads
+
     @pytest.mark.parametrize("side", [None, "worker", "caller"])
     def test_worker_is_joined_and_its_error_raised(self, monkeypatch, side):
         # the worker's rows are slowed, so that a return before the join
@@ -385,6 +400,33 @@ class TestSamplerChoice:
                 assert np.max(np.abs(X[i] - chol @ z)) <= 1e-10
                 assert np.max(np.abs(Z[i] - z)) <= 1e-10
                 assert np.array_equal(X[i], sample_paths(model, n, [s])[0])
+
+    @pytest.mark.parametrize(
+        "density", [AutoRegressive([1.8, -0.9], 1.0), AutoRegressive([0.5], 0.75)], ids=str
+    )
+    def test_drawing_factors_nothing(self, monkeypatch, density):
+        # a draw reads lags only; Levinson runs for the model's scores
+        def refused(*args):
+            raise AssertionError("the draw ran Levinson")
+
+        monkeypatch.setattr(toeplitz, "levinson", refused)
+        monkeypatch.setattr(toeplitz.LevinsonFactorization, "extend", refused)
+        assert path_sampler(GaussianProcessModel(density), 30) == "circulant"
+        X = sample_paths(GaussianProcessModel(density), 30, ensemble_streams(0, 9))
+        assert X.shape == (9, 30) and np.isfinite(X).all()
+
+    def test_padded_embedding_checks_its_lags(self):
+        # n = 30 needs the embedding of twice the minimal size, whose lags
+        # reach 58: a NaN there is a NumericalError, not a Cholesky draw
+        class NanPastForty(AutoRegressive):
+            def autocovariance(self, max_lag):
+                acov = super().autocovariance(max_lag)
+                acov[41:] = math.nan
+                return acov
+
+        model = GaussianProcessModel(NanPastForty([1.8, -0.9], 1.0))
+        with pytest.raises(NumericalError, match=r"ar:1.8,-0.9:1: r\(41\) = nan"):
+            sample_paths(model, 30, ensemble_streams(0, 3))
 
     def test_fourier_table_pads_embedding(self):
         # the embeddings of [1, .9, .7] of size 4 and 8 are negative; the one

@@ -8,6 +8,7 @@ from entrospec import (
     AutoRegressive,
     FilterProduct,
     FourierTable,
+    GaussianProcessModel,
     ModelConfigError,
     MovingAverage,
     NotPositiveDefinite,
@@ -82,6 +83,23 @@ class _InteriorZero(SpectralDensity):
 
     def eval(self, t):
         return np.abs(np.sin(np.abs(np.asarray(t, dtype=np.float64)) - 1.0))
+
+
+class _PoissonByQuadrature(SpectralDensity):
+    """The Poisson kernel through eval, autocovariance and describe alone: a
+    user's subclass, which takes the base class's quadrature defaults."""
+
+    def __init__(self, r):
+        self.kernel = PoissonKernel(r)
+
+    def eval(self, t):
+        return self.kernel.eval(t)
+
+    def autocovariance(self, max_lag):
+        return self.kernel.autocovariance(max_lag)
+
+    def describe(self):
+        return "poisson_by_quadrature"
 
 
 class TestEvalDensity:
@@ -279,6 +297,15 @@ class TestSzegoIntegral:
     def test_power_singular_scale_only(self):
         assert PowerSingular(0.3, 1.0).szego_integral() == 0.0
         assert PowerSingular(0.3, 2.0).szego_integral() == pytest.approx(math.log(2.0))
+
+    def test_quadrature_default_of_a_subclass(self):
+        # no built-in density takes the defaults; a subclass that defines
+        # only eval, autocovariance and describe does
+        density = _PoissonByQuadrature(0.5)
+        closed = GaussianProcessModel(PoissonKernel(0.5)).entropy_rate()
+        assert abs(GaussianProcessModel(density).entropy_rate() - closed) <= 1e-12
+        n = np.arange(1, 9)
+        assert np.max(np.abs(density.log_fourier_coeffs(8) - 0.5**n / n)) <= 1e-12
 
     @pytest.mark.parametrize("density", [PoissonKernel(0.5), MA1, AutoRegressive([0.5], 0.75)])
     def test_closed_form_vs_quadrature(self, density):

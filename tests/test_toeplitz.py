@@ -5,6 +5,7 @@ import pytest
 
 from entrospec import (
     DimensionMismatch,
+    FourierTable,
     GaussianProcessModel,
     NotPositiveDefinite,
     PoissonKernel,
@@ -42,9 +43,16 @@ class TestLevinson:
         assert math.exp(fact.log_det(3)) == pytest.approx(0.68, abs=1e-12)
 
     def test_not_positive_definite_reports_order(self):
-        with pytest.raises(NotPositiveDefinite) as err:
-            levinson([1.0, 1.0, 1.0], 3)
-        assert err.value.order == 1
+        # a NaN innovation variance fails the floor test as one at the floor does
+        for make, order in (
+            (lambda: levinson([1.0, 1.0, 1.0], 3), 1),
+            (lambda: levinson([1.0, math.nan, 0.1], 3), 1),
+            (lambda: levinson([math.nan, 0.5], 2), 0),
+            (lambda: FourierTable([1.0, math.nan]), 1),
+        ):
+            with pytest.raises(NotPositiveDefinite) as err:
+                make()
+            assert err.value.order == order
 
     def test_requires_enough_lags(self):
         with pytest.raises(DimensionMismatch):
