@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from entrospec.cli import EXIT_ASSERT, EXIT_OK, main
 from entrospec.sampling import (
     _CE_CHUNK,
     _circulant_embedding,
+    _box_muller,
     _circulant_rows,
+    _mix64,
+    _normal_scratch,
     _normals_into,
     _stream_seeds,
     ensemble_residuals,
@@ -110,23 +114,24 @@ class TestBatchedNormals:
     def test_rows_bit_identical_to_single_streams(self, n):
         streams = [0, 1, 12345, 2**63, 2**64 - 1]
         X = np.empty((len(streams), n))
-        _normals_into(X, np.array(streams, dtype=np.uint64))
+        _normals_into(X, np.array(streams, dtype=np.uint64), *_normal_scratch(len(streams), n))
         for row, s in zip(X, streams):
             assert np.array_equal(row, standard_normals(s, n))
 
     def test_stream_values_pinned(self):
-        # bit-exact reproducibility: values recorded from the single-stream generator
+        # bit-exact reproducibility: values recorded from the single-stream
+        # generator with the octant-reduced angle
         want = [
             -0.45275774021745807,
             0.20776603893419174,
-            2.65060581207967,
-            -0.49042282539864784,
-            -0.9886041246243277,
+            2.6506058120796703,
+            -0.49042282539864723,
+            -0.9886041246243279,
         ]
         assert normals(0, 5).tolist() == want
         assert standard_normals(scalar_stream(2**64 - 1, 3), 3).tolist() == [
             1.1321284469738484,
-            -0.016626757606585725,
+            -0.016626757606586173,
             -1.2646342872110257,
         ]
 
@@ -145,23 +150,125 @@ class TestBatchedNormals:
         assert ensemble_streams(base, 0).size == 0
 
     def test_draws_pinned(self):
-        # recorded before the draws took streams, from the same streams
+        # recorded from the octant-reduced Box-Muller kernel
         streams = ensemble_streams(5, 3)
         X = sample_paths(GaussianProcessModel(PoissonKernel(0.5)), 8, streams)
         assert X.tolist() == [
-            [1.377728069674568, -0.10500467593332381, 0.05061320858122478, 0.5675908180934951,
-             0.9457296422018568, 0.42062072306971815, 0.38061001260648575, 0.48115902114855924],
-            [-2.5449047382914944, -0.7449600820371785, -0.34094386094054724, -0.03751283435681493,
-             -0.5823867140564002, -1.305319471676195, -0.2522814397735891, -1.6484621974267022],
-            [-1.0275182080777803, -1.2118278025182683, -0.359411029812248, 0.02416447430632651,
-             -0.5677908496585148, -1.2545162067039417, 0.4973520379300059, -0.5802350662011684],
+            [1.377728069674568, -0.10500467593332408, 0.05061320858122504, 0.5675908180934949,
+             0.9457296422018572, 0.42062072306971804, 0.38061001260648586, 0.4811590211485591],
+            [-2.544904738291495, -0.7449600820371792, -0.3409438609405476, -0.03751283435681518,
+             -0.5823867140564002, -1.3053194716761947, -0.2522814397735884, -1.648462197426701],
+            [-1.0275182080777807, -1.2118278025182687, -0.359411029812248, 0.024164474306326574,
+             -0.5677908496585143, -1.2545162067039415, 0.4973520379300059, -0.5802350662011686],
         ]
         fm = SeparableFieldModel(PoissonKernel(0.5), AutoRegressive([0.5, -0.2], 1.0))
         assert sample_field(fm, 2, streams).tolist() == [
-            [[-0.2230739158092626, 0.031145771256364644], [0.4336284279715053, 0.6341200113271729]],
-            [[-2.919663510310328, -1.4207438325248851], [-2.1269896676530564, -1.863870826240034]],
-            [[-2.561625509772785, -0.7489699369099], [-1.282206985131233, -1.5058580385965141]],
+            [[-0.22307391580926259, 0.031145771256364686], [0.4336284279715053, 0.6341200113271729]],
+            [[-2.919663510310328, -1.4207438325248862], [-2.126989667653056, -1.8638708262400348]],
+            [[-2.561625509772785, -0.7489699369099004], [-1.2822069851312337, -1.5058580385965148]],
         ]
+
+
+def box_muller(word_pairs):
+    """The normals of (radius word, angle word) pairs fed to the kernel's
+    Box-Muller step directly, one pair per row."""
+    words = np.array(word_pairs, dtype=np.uint64)
+    work = np.empty((2, len(words), 2), dtype=np.uint64)
+    work[0] = words
+    out = np.empty((len(words), 2))
+    _box_muller(out, work)
+    return out
+
+
+def direct_box_muller(k1, k2):
+    """(r, r cos 2 pi u2, r sin 2 pi u2) in float64 by the textbook formula,
+    u = (k + 1/2) 2^-53 rounded as the kernel rounds it."""
+    u1 = float(k1) * 2.0**-53 + 2.0**-54
+    u2 = float(k2) * 2.0**-53 + 2.0**-54
+    r = math.sqrt(-2.0 * math.log(u1))
+    return r, r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+
+
+OFFSET = 2**50  # offsets per octant of a 53-bit angle word
+
+# the largest move from the direct formula, in units of the radius r, was
+# 1.07e-15 over 200 x 8190 stream normals and 5.3e-16 at the octant edges;
+# the direct formula's own angle 2 pi u2 carries up to 6.9e-16 of rounding
+DIRECT_TOL = 1.1e-15
+
+# 40-digit mpmath values of (r cos 2 pi u2, r sin 2 pi u2) for word pairs
+# (k1, k2), u = (k + 1/2) 2^-53 taken exactly; the kernel was at most
+# 2.3e-16 off relative.  In octants 2 and 5 at the offset edges the direct
+# formula's cosine is 10% and 47% off: 2 pi u2 rounds near pi/2 and 3 pi/2
+MPMATH_PINS = {
+    (2**52 + 1, 0): (1.177410022515474408131, 4.106651326771357190604e-16),
+    (2**52 + 987654321, OFFSET + 3): (0.8325544794526375928401, 0.8325544794526416582168),
+    (2**52, 2 * OFFSET): (-4.106651326771357848372e-16, 1.177410022515474596718),
+    (2**50, 3 * OFFSET + 2**49 + 7): (-1.88409892438870399756, 0.7804193273343501870672),
+    (2**51, 5 * OFFSET - 5): (-1.177410022515478292704, -1.177410022515470900732),
+    (2**52, 6 * OFFSET - 1): (-4.106651326771357848372e-16, -1.177410022515474596718),
+    (3 * 2**50, 6 * OFFSET + 2**48): (0.2732419829855182669959, -1.373680211969872529378),
+    (12345, 7 * OFFSET + 2**49): (6.82868276589907641633, -2.828533014778813514314),
+}
+
+
+class TestBoxMullerAngle:
+    @pytest.mark.parametrize("octant", range(8))
+    def test_octant_edges_match_direct_formula(self, octant):
+        # both edges of the octant's offsets, under small, middling and
+        # large radii
+        pairs = [
+            (k1, octant * OFFSET + w)
+            for w in (0, OFFSET - 1)
+            for k1 in (12345, 2**52, 2**53 - 2**20)
+        ]
+        for (k1, k2), (c, s) in zip(pairs, box_muller(pairs)):
+            r, want_c, want_s = direct_box_muller(k1, k2)
+            assert abs(c - want_c) <= DIRECT_TOL * r
+            assert abs(s - want_s) <= DIRECT_TOL * r
+
+    def test_edge_values_are_exact(self):
+        # at offset 0 of octants 0 and 2, phi = (pi/4) 2^-51 and cos phi = 1,
+        # so one normal of each pair is the radius itself
+        (c0, s0), (c2, s2) = box_muller([(2**52, 0), (2**52, 2 * OFFSET)])
+        r = math.sqrt(-2.0 * math.log(0.5 + 2.0**-54))
+        assert c0 == s2 == r
+        assert s0 == -c2 == r * (math.pi / 4 * 2.0**-51)
+
+    def test_stream_matches_direct_formula(self):
+        streams = ensemble_streams(11, 4)
+        steps, work = _normal_scratch(4, 8190)
+        got = np.empty((4, 8190))
+        _normals_into(got, streams, steps, work)
+        np.add(streams[:, None], steps, out=work[0])
+        _mix64(work[0], work[1])
+        k = work[0] >> np.uint64(11)
+        u1 = k[:, :4095].astype(np.float64) * 2.0**-53 + 2.0**-54
+        u2 = k[:, 4095:].astype(np.float64) * 2.0**-53 + 2.0**-54
+        r = np.sqrt(-2.0 * np.log(u1))
+        # all eight octants are drawn
+        assert set((k[:, 4095:] >> np.uint64(50)).ravel().tolist()) == set(range(8))
+        assert np.all(np.abs(got[:, 0::2] - r * np.cos(2.0 * np.pi * u2)) <= DIRECT_TOL * r)
+        assert np.all(np.abs(got[:, 1::2] - r * np.sin(2.0 * np.pi * u2)) <= DIRECT_TOL * r)
+
+    def test_vs_mpmath(self):
+        got = box_muller(list(MPMATH_PINS))
+        want = np.array(list(MPMATH_PINS.values()))
+        assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want))
+
+    def test_kernel_allocates_nothing_of_its_size(self):
+        # the counter grid and every temporary come from the caller: one
+        # 4 x 8190 draw allocates no 64 KB row of words
+        streams = ensemble_streams(3, 4)
+        out = np.empty((4, 8190))
+        steps, work = _normal_scratch(4, 8190)
+        tracemalloc.start()
+        try:
+            _normals_into(out, streams, steps, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
 
 class TestSamplePath:
