@@ -154,10 +154,10 @@ def _box_muller(out: np.ndarray, work: np.ndarray) -> None:
     The angle 2 pi u2 is never formed: libm's cos and sin cost 2-3 times
     as much per element on [0, 2 pi), where they reduce the argument, as on
     (0, pi/4), where they do not (26-28 against 10-12 ns on a 2-core
-    x86-64 VM).  An angle word is an octant
-    q = k >> 50 and an offset w = k mod 2^50.  Complemented in odd octants,
-    the offset gives phi = (w + 1/2)(pi/4) 2^-50 in (0, pi/4), and cos 2 pi u2
-    and sin 2 pi u2 are cos phi and sin phi, swapped in octants 1, 2, 5 and
+    x86-64 VM).  An angle word is an octant q = k >> 50 and an offset
+    w = k mod 2^50.  Complemented in odd octants, the offset gives
+    phi = (w + 1/2)(pi/4) 2^-50 in (0, pi/4), and cos 2 pi u2 and
+    sin 2 pi u2 are cos phi and sin phi, swapped in octants 1, 2, 5 and
     6, with cos negated in octants 2-5 and sin in 4-7.  The swap and the
     signs are integer operations on the float words, an XOR swap under an
     all-ones mask and a sign-bit XOR: masked ufuncs cost more than the
