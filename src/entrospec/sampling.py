@@ -111,14 +111,12 @@ def _normal_scratch(rows: int, count: int):
     half and the even counters 2, 4, 6, ... (angle words) its second, so
     every pass of the kernel runs over contiguous words.  work is the
     kernel's uint64 scratch, (2, rows, len(steps)).  A draw builds both
-    once; every slice and thread of it reads the same grid.  Both are views
-    of one buffer: a grid allocated apart from a 1-D draw's scratch raised
-    smb-1d's peak RSS by 0.04-0.07 MB at the median of 40 runs.
+    once; every slice and thread of it reads the same grid.
     """
     pairs = (count + 1) // 2
     width = 2 * pairs
-    buf = np.empty((2 * rows + 1) * width, dtype=np.uint64)
-    steps, work = buf[:width], buf[width:].reshape(2, rows, width)
+    steps = np.empty(width, dtype=np.uint64)
+    work = np.empty((2, rows, width), dtype=np.uint64)
     np.multiply(np.arange(1, width, 2, dtype=np.uint64), _GOLDEN, out=steps[:pairs])
     np.add(steps[:pairs], _GOLDEN, out=steps[pairs:])
     return steps, work
